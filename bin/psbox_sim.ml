@@ -148,8 +148,8 @@ let with_formatter_to path f =
 let run_ids sched seed trace_out metrics metrics_out audit_out flame_out
     health_out ids =
   Psbox_engine.Sim.set_default_backend sched;
-  (* Auditing is the default: a pure observer whose cost the probe bench
-     bounds. Report mode (which retains every machine for the final
+  (* Auditing is the default: a pure observer whose cost perfbench's layer
+     ladder prices. Report mode (which retains every machine for the final
      report) is only armed when a report was actually requested. *)
   Audit.enable ();
   if audit_out <> None || flame_out <> None then Audit.set_report_mode true;

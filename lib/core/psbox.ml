@@ -80,21 +80,32 @@ type t = {
   mutable last_stay_blame : (string * float) list;
 }
 
-(* Global registry enforcing one psbox per (system, app, target). *)
-let registry : (Obj.t * int * target) list ref = ref []
+(* One psbox per (system, app, target). The (app, target) pairs in use are
+   kept per domain in an ephemeron table keyed by the system, so a machine
+   whose psboxes were never destroyed stays collectable. *)
+module Machines = Ephemeron.K1.Make (struct
+  type t = System.t
 
-let registered sys app target =
-  List.exists
-    (fun (s, a, tg) -> s == Obj.repr sys && a = app && tg = target)
-    !registry
+  let equal = ( == )
+  let hash = System.uid
+end)
 
-let register sys app target = registry := (Obj.repr sys, app, target) :: !registry
+let boxes : (int * target) list Machines.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Machines.create 8)
+
+let boxes_of sys =
+  Option.value ~default:[] (Machines.find_opt (Domain.DLS.get boxes) sys)
+
+let registered sys app target = List.mem (app, target) (boxes_of sys)
+
+let register sys app target =
+  Machines.replace (Domain.DLS.get boxes) sys ((app, target) :: boxes_of sys)
 
 let unregister sys app target =
-  registry :=
-    List.filter
-      (fun (s, a, tg) -> not (s == Obj.repr sys && a = app && tg = target))
-      !registry
+  let tbl = Domain.DLS.get boxes in
+  match List.filter (( <> ) (app, target)) (boxes_of sys) with
+  | [] -> Machines.remove tbl sys
+  | rest -> Machines.replace tbl sys rest
 
 let now psbox = Sim.now (System.sim psbox.sys)
 

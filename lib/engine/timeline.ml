@@ -43,6 +43,7 @@ let ensure_capacity tl =
     tl.cum <- cum
   end
 
+let retention tl = tl.retention
 let last_time tl = tl.times.(tl.len - 1)
 let length tl = tl.len
 let dropped tl = tl.dropped

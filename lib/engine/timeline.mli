@@ -18,6 +18,9 @@ val create : ?initial:float -> ?retention:Time.span -> unit -> t
     windows stay exact. Without [retention] the full history is kept.
     @raise Invalid_argument if [retention] is not positive. *)
 
+val retention : t -> Time.span option
+(** The [retention] given at {!create}. *)
+
 val set : t -> Time.t -> float -> unit
 (** [set tl t v] records that the value becomes [v] at instant [t]. Setting
     at a time earlier than the last breakpoint raises [Invalid_argument];

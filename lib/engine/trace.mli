@@ -3,18 +3,37 @@
     Two recorders are provided: a point-event trace (timestamped values) and
     an interval trace (labelled spans with a start and an end), used for
     scheduling and command-dispatch timelines like the ones shown in Figure 7
-    of the paper. *)
+    of the paper.
+
+    {b Retention.} Either recorder may be given a retention window [R]:
+    every append then drops each entry stamped more than [R] before the one
+    being appended, so a recorder on a long-running machine holds a bounded
+    window of history instead of all of it. An event is stamped with its
+    instant, a completed span with its end. Stamps must arrive in
+    nondecreasing order (simulated time does). Entries live in a {!Ring},
+    two array slots each, no more than the list cell a plain append would
+    cost. The kernel's per-event histories (in [Smp], [Accel_driver] and
+    [Net_sched]) take [R] from the rail retention of the device they
+    drive. Without a window, everything is kept. *)
 
 (** {1 Point events} *)
 
 type 'a events
 
-val events : unit -> 'a events
+val events : ?retention:Time.span -> unit -> 'a events
+(** An empty recorder, keeping everything unless [retention] is given.
+    @raise Invalid_argument if [retention] is not positive. *)
+
 val emit : 'a events -> Time.t -> 'a -> unit
+
 val to_list : 'a events -> (Time.t * 'a) list
-(** Oldest first. *)
+(** Retained events, oldest first. *)
+
+val values : 'a events -> 'a list
+(** The retained values without their stamps, oldest first. *)
 
 val count : 'a events -> int
+(** Number of retained events. *)
 
 (** {1 Interval spans} *)
 
@@ -22,7 +41,10 @@ type 'a span = { start : Time.t; stop : Time.t; tag : 'a }
 
 type 'a spans
 
-val spans : unit -> 'a spans
+val spans : ?retention:Time.span -> unit -> 'a spans
+(** An empty recorder, keeping every completed span unless [retention] is
+    given; open spans are never dropped.
+    @raise Invalid_argument if [retention] is not positive. *)
 
 val open_span : 'a spans -> Time.t -> 'a -> unit
 (** Begin a span with tag ['a]. Multiple spans with distinct tags may be open
@@ -46,10 +68,12 @@ val close_all : 'a spans -> Time.t -> unit
 (** Close every still-open span at the given instant. *)
 
 val to_spans : 'a spans -> 'a span list
-(** Completed spans, ordered by start time. *)
+(** Retained completed spans, ordered by start time, then end time; of two
+    spans with equal bounds, the one completed later comes first. *)
 
 val total_duration : 'a spans -> ('a -> bool) -> Time.span
-(** Summed duration of completed spans whose tag satisfies the predicate. *)
+(** Summed duration of retained completed spans whose tag satisfies the
+    predicate. *)
 
 val overlaps : 'a span -> 'a span -> bool
 (** Whether two spans intersect for a strictly positive duration. *)

@@ -12,12 +12,15 @@ type command = {
   mutable finished_at : Time.t option;
 }
 
-let next_cmd_id = ref 0
+(* Domain-local, like [Task.next_tid]: concurrent device simulations never
+   share a counter. *)
+let next_cmd_id = Domain.DLS.new_key (fun () -> ref 0)
 
 let command ~app ~kind ~work_s ?(units = 1) ?(intensity = 1.0) () =
-  incr next_cmd_id;
+  let next = Domain.DLS.get next_cmd_id in
+  incr next;
   {
-    id = !next_cmd_id;
+    id = !next;
     app;
     kind;
     work_s;

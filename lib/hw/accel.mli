@@ -27,8 +27,8 @@ type command = {
 val command :
   app:int -> kind:string -> work_s:float -> ?units:int -> ?intensity:float ->
   unit -> command
-(** Fresh command with a unique id; [units] defaults to 1, [intensity] to
-    [1.0]. *)
+(** Fresh command with an id unique within the calling domain; [units]
+    defaults to 1, [intensity] to [1.0]. *)
 
 type t
 

@@ -11,12 +11,15 @@ type pkt = {
   mutable air_end : Time.t option;
 }
 
-let next_pkt_id = ref 0
+(* Domain-local, like [Task.next_tid]: concurrent device simulations never
+   share a counter. *)
+let next_pkt_id = Domain.DLS.new_key (fun () -> ref 0)
 
 let packet ~app ~socket ~bytes ?(dir = `Tx) () =
-  incr next_pkt_id;
+  let next = Domain.DLS.get next_pkt_id in
+  incr next;
   {
-    id = !next_pkt_id;
+    id = !next;
     app;
     socket;
     bytes;
@@ -27,6 +30,11 @@ let packet ~app ~socket ~bytes ?(dir = `Tx) () =
   }
 
 type power_state = { tx_level : int; awake : bool }
+
+(* Mode adaptation looks at the airtime of the frames that ended in the
+   trailing [adapt_window]: a ring of airtimes stamped with their frame's
+   end, beside their running total. *)
+let adapt_window = Time.ms 200
 
 type t = {
   sim : Sim.t;
@@ -59,8 +67,16 @@ type t = {
   mutable associated : bool;
   mutable mode_adapt : bool;
   mutable mode_frozen : bool;
-  mutable recent_air : (Time.t * Time.span) list; (* (packet end, airtime) *)
+  recent_air : Time.span Ring.t;
+  mutable recent_air_sum : Time.span;
 }
+
+let air_expire nic now =
+  let w = nic.recent_air in
+  while Ring.length w > 0 && now - Ring.oldest_stamp w >= adapt_window do
+    nic.recent_air_sum <- nic.recent_air_sum - Ring.oldest w;
+    Ring.drop_oldest w
+  done
 
 let update_power nic =
   let w =
@@ -108,14 +124,8 @@ let wake nic =
    decides the transmission mode (TX level). *)
 let adapt_mode nic =
   if nic.mode_adapt && not nic.mode_frozen then begin
-    let now = Sim.now nic.sim in
-    let window = Time.ms 200 in
-    nic.recent_air <-
-      List.filter (fun (t_end, _) -> now - t_end < window) nic.recent_air;
-    let air =
-      List.fold_left (fun acc (_, a) -> acc + a) 0 nic.recent_air
-    in
-    let util = float_of_int air /. float_of_int window in
+    air_expire nic (Sim.now nic.sim);
+    let util = float_of_int nic.recent_air_sum /. float_of_int adapt_window in
     let top = Array.length nic.tx_levels - 1 in
     let level =
       if util > 0.5 then top
@@ -157,7 +167,9 @@ let rec send_next nic =
                    nic.tx_air_by_level.(nic.on_air_level) <-
                      nic.tx_air_by_level.(nic.on_air_level) + air
                | `Rx -> nic.rx_air_accum <- nic.rx_air_accum + air);
-               nic.recent_air <- (now, air) :: nic.recent_air;
+               air_expire nic now;
+               Ring.push nic.recent_air now air;
+               nic.recent_air_sum <- nic.recent_air_sum + air;
                update_power nic;
                arm_tail nic;
                nic.on_sent p;
@@ -198,7 +210,8 @@ let create sim ?retention ?(name = "wifi") ?(rate_mbps = 40.0)
       associated = true;
       mode_adapt = true;
       mode_frozen = false;
-      recent_air = [];
+      recent_air = Ring.create ();
+      recent_air_sum = 0;
     }
   in
   update_power nic;

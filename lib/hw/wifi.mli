@@ -29,7 +29,8 @@ type pkt = {
 }
 
 val packet : app:int -> socket:int -> bytes:int -> ?dir:[ `Tx | `Rx ] -> unit -> pkt
-(** Fresh packet with a unique id; [dir] defaults to [`Tx]. *)
+(** Fresh packet with an id unique within the calling domain; [dir]
+    defaults to [`Tx]. *)
 
 type t
 

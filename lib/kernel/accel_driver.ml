@@ -42,8 +42,8 @@ type t = {
   mutable interval_open : Time.t option;
   mutable on_start : unit -> unit;
   mutable on_stop : unit -> unit;
-  mutable latencies : (int * float) list; (* newest first *)
-  mutable log : Accel.command list; (* completed, newest first *)
+  latencies : (int * float) Trace.events; (* stamped at dispatch *)
+  log : Accel.command Trace.events; (* completed commands *)
   mutable blocked_submitters : (unit -> unit) list;
       (* SGX-style [Lock_requests] stacks: submissions that arrived while a
          foreign balloon held the queue, to be accepted at flush-others *)
@@ -198,7 +198,7 @@ let dispatch d app =
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
-  d.latencies <- (app, lat) :: d.latencies;
+  Trace.emit d.latencies (Sim.now d.sim) (app, lat);
   Tm.incr d.tm_dispatched;
   Tm.observe d.tm_lat lat;
   Hashtbl.replace d.callbacks p.p_cmd.Accel.id p;
@@ -325,7 +325,7 @@ let on_device_complete d cmd =
   (match Hashtbl.find_opt d.callbacks cmd.Accel.id with
   | Some p ->
       Hashtbl.remove d.callbacks cmd.Accel.id;
-      d.log <- cmd :: d.log;
+      Trace.emit d.log (Sim.now d.sim) cmd;
       Tm.incr d.tm_completed;
       (* guard keeps the lane-string allocation off the untraced path *)
       (if Tt.recording () then
@@ -360,6 +360,7 @@ let on_device_complete d cmd =
 let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
     ?(window = 2) ?(confine_cost = true) () =
   if window <= 0 then invalid_arg "Accel_driver.create: window must be positive";
+  let retention = Timeline.retention (Psbox_hw.Power_rail.timeline (Accel.rail dev)) in
   let d =
     {
       sim;
@@ -384,8 +385,8 @@ let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
       interval_open = None;
       on_start = (fun () -> ());
       on_stop = (fun () -> ());
-      latencies = [];
-      log = [];
+      latencies = Trace.events ?retention ();
+      log = Trace.events ?retention ();
       blocked_submitters = [];
       share_bus = Bus.create ();
       gates = Hashtbl.create 4;
@@ -511,5 +512,5 @@ let set_balloon_listener d ~on_start ~on_stop =
 
 let balloon_intervals d = List.rev d.intervals
 let balloon_open d = d.interval_open <> None
-let dispatch_latencies_us d = List.rev d.latencies
-let completed_commands d = List.rev d.log
+let dispatch_latencies_us d = Trace.values d.latencies
+let completed_commands d = Trace.values d.log

@@ -126,7 +126,10 @@ val balloon_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 
 val balloon_open : t -> bool
 
-(** {1 Diagnostics} *)
+(** {1 Diagnostics}
+
+    Both histories keep the entries of the device rail's retention window
+    (see {!System.create}); without one, they keep everything. *)
 
 val dispatch_latencies_us : t -> (int * float) list
 (** (app, submit-to-device-dispatch latency in microseconds) per command,

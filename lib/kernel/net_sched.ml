@@ -39,8 +39,8 @@ type t = {
   mutable on_stop : unit -> unit;
   mutable lost_charged : int;
   mutable rx_held : pending list; (* deferred foreign RX, oldest last *)
-  mutable latencies : (int * float) list;
-  mutable pkt_log : Wifi.pkt list; (* completed frames, newest first *)
+  latencies : (int * float) Trace.events; (* stamped at dispatch *)
+  pkt_log : Wifi.pkt Trace.events; (* completed frames *)
   share_bus : share_change Bus.t;
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
@@ -152,7 +152,7 @@ let dispatch d app =
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
-  d.latencies <- (app, lat) :: d.latencies;
+  Trace.emit d.latencies (Sim.now d.sim) (app, lat);
   Tm.observe d.tm_lat lat;
   Hashtbl.replace d.callbacks p.p_pkt.Wifi.id p;
   charge_gate d app p.p_pkt;
@@ -285,7 +285,7 @@ and exit_serve d =
   pump d
 
 let on_nic_sent d pkt =
-  d.pkt_log <- pkt :: d.pkt_log;
+  Trace.emit d.pkt_log (Sim.now d.sim) pkt;
   (if pkt.Wifi.dir = `Tx then begin
      Tm.incr d.tm_tx;
      Tm.add d.tm_tx_bytes (float_of_int pkt.Wifi.bytes)
@@ -317,6 +317,7 @@ let on_nic_sent d pkt =
   pump d
 
 let create sim nic ?(window = 1) () =
+  let retention = Timeline.retention (Psbox_hw.Power_rail.timeline (Wifi.rail nic)) in
   let d =
     {
       sim;
@@ -338,8 +339,8 @@ let create sim nic ?(window = 1) () =
       on_stop = (fun () -> ());
       lost_charged = 0;
       rx_held = [];
-      latencies = [];
-      pkt_log = [];
+      latencies = Trace.events ?retention ();
+      pkt_log = Trace.events ?retention ();
       share_bus = Bus.create ();
       gates = Hashtbl.create 4;
       gate_pump = Sim.none;
@@ -465,5 +466,5 @@ let set_balloon_listener d ~on_start ~on_stop =
 let balloon_intervals d = List.rev d.intervals
 let balloon_open d = d.interval_open <> None
 let lost_bytes_charged d = d.lost_charged
-let dispatch_latencies_us d = List.rev d.latencies
-let packet_log d = List.rev d.pkt_log
+let dispatch_latencies_us d = Trace.values d.latencies
+let packet_log d = Trace.values d.pkt_log

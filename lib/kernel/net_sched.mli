@@ -87,7 +87,10 @@ val balloon_open : t -> bool
 val lost_bytes_charged : t -> int
 (** Total foreign bytes charged to sandboxed apps as lost opportunities. *)
 
-(** {1 Diagnostics} *)
+(** {1 Diagnostics}
+
+    Both histories keep the entries of the NIC rail's retention window
+    (see {!System.create}); without one, they keep everything. *)
 
 val dispatch_latencies_us : t -> (int * float) list
 (** (app, enqueue-to-NIC latency in microseconds) per packet, oldest

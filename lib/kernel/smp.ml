@@ -95,7 +95,7 @@ type t = {
   mutable balloons : balloon list;
   mutable live : balloon option;
   trace : (int * int) Trace.spans;
-  mutable latencies : (int * float) list; (* (app, wake-to-run us), newest first *)
+  latencies : (int * float) Trace.events; (* (app, wake-to-run us) *)
   mutable on_task_exit : Task.t -> unit;
   mutable stopped : bool;
   share_bus : share_change Bus.t;
@@ -125,6 +125,9 @@ type t = {
 
 let create sim cpu ?(config = default_config) () =
   let n = Psbox_hw.Cpu.cores cpu in
+  let retention =
+    Timeline.retention (Psbox_hw.Power_rail.timeline (Psbox_hw.Cpu.rail cpu))
+  in
   {
     sim;
     cpu;
@@ -140,8 +143,8 @@ let create sim cpu ?(config = default_config) () =
     apps = Hashtbl.create 16;
     balloons = [];
     live = None;
-    trace = Trace.spans ();
-    latencies = [];
+    trace = Trace.spans ?retention ();
+    latencies = Trace.events ?retention ();
     on_task_exit = (fun _ -> ());
     stopped = false;
     share_bus = Bus.create ();
@@ -174,10 +177,11 @@ let app_tasks smp ~app =
   match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
 
 let sched_trace smp = smp.trace
-let wakeup_latencies_us smp = Array.of_list (List.rev_map snd smp.latencies)
+let wakeup_latencies_us smp =
+  Array.of_list (List.map snd (Trace.values smp.latencies))
 
 let wakeup_latencies_of smp ~app =
-  List.rev smp.latencies
+  Trace.values smp.latencies
   |> List.filter_map (fun (a, l) -> if a = app then Some l else None)
   |> Array.of_list
 
@@ -390,7 +394,7 @@ and wake_impl : (t -> Task.t -> unit) ref = ref (fun _ _ -> assert false)
 let record_latency smp t =
   if t.Task.last_wake >= 0 then begin
     let lat = Time.to_us_f (Sim.now smp.sim - t.Task.last_wake) in
-    smp.latencies <- (t.Task.app, lat) :: smp.latencies;
+    Trace.emit smp.latencies (Sim.now smp.sim) (t.Task.app, lat);
     Tm.observe smp.tm_wake_lat lat;
     t.Task.last_wake <- -1
   end

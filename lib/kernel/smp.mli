@@ -125,7 +125,11 @@ val total_loan_issued : balloon -> float
 (** Cumulative vruntime loaned over all completed periods (diagnostics and
     invariant tests). *)
 
-(** {1 Introspection} *)
+(** {1 Introspection}
+
+    The scheduling spans and wake latencies keep the entries of the CPU
+    rail's retention window (see {!System.create}); without one, they keep
+    everything. *)
 
 val sched_trace : t -> (int * int) Psbox_engine.Trace.spans
 (** Spans tagged [(core, app)]; [app = -1] is true idle, [-2] is

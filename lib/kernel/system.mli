@@ -34,11 +34,16 @@ val create :
     exists as a switch only for the ablation bench.
 
     [rail_retention] bounds every rail's power-transition history (default
-    [Some 120 s]): long-running experiments stop accumulating unbounded
-    timeline memory, while anything shorter than the retention window —
-    including every experiment shipped in this repo — sees byte-identical
-    behaviour because compaction only triggers beyond it. Pass [None] to
-    keep full history (e.g. when a test inspects old transitions). *)
+    [Some 120 s]), and with it the kernel's per-event histories: the
+    scheduler's spans and wake latencies, the accelerator drivers' command
+    logs and dispatch latencies, and the network scheduler's packet log and
+    dispatch latencies keep only the entries of the last [rail_retention]
+    (see {!Psbox_engine.Trace}). Long-running machines stop accumulating
+    memory, while anything shorter than the retention window — including
+    every experiment shipped in this repo — sees byte-identical behaviour
+    and histories, because nothing is dropped before it. Budget histories
+    and psbox balloon intervals are not bounded. Pass [None] to keep full
+    history (e.g. when a test inspects old transitions). *)
 
 val am57 : ?seed:int -> unit -> t
 (** Dual Cortex-A15-like CPU + SGX544-like GPU + C66x-like DSP. *)

@@ -306,6 +306,39 @@ let test_trace_overlaps () =
   check_bool "overlap" true (Trace.overlaps s1 s2);
   check_bool "touching is not overlap" false (Trace.overlaps s1 s3)
 
+(* A retention window keeps exactly the entries stamped no more than R
+   before the newest, across ring chunks and their reuse; to_spans keeps
+   the order of a stable sort of the newest-first list, so of two spans
+   with equal bounds the later-completed one comes first. *)
+let prop_trace_retention =
+  QCheck.Test.make ~name:"trace retention keeps the window" ~count:200
+    QCheck.(
+      pair (int_range 1 200)
+        (list_of_size Gen.(0 -- 400) (pair (int_range 0 3) (int_range 0 12))))
+    (fun (r, steps) ->
+      let ev = Trace.events ~retention:r () and sp = Trace.spans ~retention:r () in
+      let now = ref 0 in
+      let all =
+        List.mapi
+          (fun i (gap, len) ->
+            now := !now + gap;
+            Trace.emit ev !now i;
+            Trace.open_span sp (!now - len) i;
+            Trace.close_span sp !now i;
+            { Trace.start = !now - len; stop = !now; tag = i })
+          steps
+      in
+      let kept = List.filter (fun s -> s.Trace.stop >= !now - r) all in
+      let by_bounds a b =
+        compare (a.Trace.start, a.Trace.stop) (b.Trace.start, b.Trace.stop)
+      in
+      Trace.to_list ev = List.map (fun s -> (s.Trace.stop, s.Trace.tag)) kept
+      && Trace.values ev = List.map (fun s -> s.Trace.tag) kept
+      && Trace.count ev = List.length kept
+      && Trace.to_spans sp = List.stable_sort by_bounds (List.rev kept)
+      && Trace.total_duration sp (fun _ -> true)
+         = List.fold_left (fun acc s -> acc + s.Trace.stop - s.Trace.start) 0 kept)
+
 (* ---- Bus ----------------------------------------------------------- *)
 
 let test_bus_order_and_unsubscribe () =
@@ -785,4 +818,5 @@ let suite =
     qcheck prop_stats_mean_bounds;
     qcheck prop_backends_agree;
     qcheck prop_pooling_invisible;
+    qcheck prop_trace_retention;
   ]

@@ -308,6 +308,99 @@ let test_wifi_virtual_mac_switch_free () =
   check_bool "stays associated" true (Wifi.associated nic);
   ignore sim
 
+(* With adaptation off, the airtime window still forgets frames that ended
+   more than 200 ms ago: under steady traffic the NIC's memory stays flat.
+   (What it reaches includes the event queue, whose slot storage creeps up
+   by about 100 words a second here; an unpruned window would add 2 words
+   per frame, 2000 a second.) *)
+let test_wifi_window_bounded_without_adaptation () =
+  let sim = Sim.create () in
+  let nic = Wifi.create sim ~retention:(Time.sec 1) () in
+  Wifi.set_mode_adapt nic false;
+  ignore
+    (Sim.schedule_every sim (Time.ms 1) (fun () ->
+         Wifi.transmit nic (Wifi.packet ~app:1 ~socket:1 ~bytes:1_000 ())));
+  let words () = Obj.reachable_words (Obj.repr nic) in
+  Sim.run_until sim (Time.sec 3);
+  let w3 = words () in
+  Sim.run_until sim (Time.sec 6);
+  let w6 = words () in
+  if abs (w6 - w3) * 20 >= w3 then
+    Alcotest.failf "NIC grew from %d words at 3 s to %d at 6 s" w3 w6
+
+(* Mode adaptation as it stood before the O(1) airtime window: every frame
+   filtered the (end, airtime) pairs of the trailing 200 ms and folded their
+   airtime. Kept as the reference the NIC must match, level for level. *)
+type filter_fold = {
+  mutable recent : (Time.t * Time.span) list;
+  mutable level : int;
+}
+
+let filter_fold_adapt st ~levels now =
+  let window = Time.ms 200 in
+  st.recent <- List.filter (fun (t_end, _) -> now - t_end < window) st.recent;
+  let air = List.fold_left (fun acc (_, a) -> acc + a) 0 st.recent in
+  let util = float_of_int air /. float_of_int window in
+  let top = levels - 1 in
+  st.level <- (if util > 0.5 then top else if util > 0.15 then min 1 top else 0)
+
+(* Random frames (gap before, size, direction) each carry a change to the
+   adaptation switches, applied when the frame completes: 0 freezes, 1
+   thaws, 2 turns adaptation off, 3 back on, anything else (5 in 6) leaves
+   them.
+   Gaps and airtimes are whole milliseconds (5000 m - 1000 bytes take
+   m ms on the air with the 200 us per-frame overhead), so frames often
+   end exactly 200 ms before another starts, on the window's edge. *)
+let prop_wifi_window_matches_filter_fold =
+  QCheck.Test.make ~name:"wifi airtime window picks the filter/fold TX level"
+    ~count:400
+    QCheck.(
+      list_of_size Gen.(1 -- 150)
+        (quad (int_range 0 120) (int_range 1 50) bool (int_range 0 23)))
+    (fun frames ->
+      let sim = Sim.create () in
+      let nic = Wifi.create sim () in
+      let switch nic = function
+        | 0 -> Wifi.freeze_mode nic
+        | 1 -> Wifi.thaw_mode nic
+        | 2 -> Wifi.set_mode_adapt nic false
+        | 3 -> Wifi.set_mode_adapt nic true
+        | _ -> ()
+      in
+      let switches = Hashtbl.create 64 and sent = ref [] in
+      Wifi.set_on_sent nic (fun p ->
+          let k = Hashtbl.find switches p.Wifi.id in
+          sent := (p, Wifi.tx_level nic, k) :: !sent;
+          switch nic k);
+      let t = ref 0 in
+      List.iter
+        (fun (gap_ms, air_ms, rx, k) ->
+          t := !t + Time.ms gap_ms;
+          let dir = if rx then `Rx else `Tx in
+          let bytes = (5000 * air_ms) - 1000 in
+          let p = Wifi.packet ~app:1 ~socket:1 ~bytes ~dir () in
+          Hashtbl.replace switches p.Wifi.id k;
+          ignore (Sim.schedule_at sim !t (fun () -> Wifi.transmit nic p)))
+        frames;
+      Sim.run sim;
+      let levels = Wifi.tx_level_count nic in
+      let st = { recent = []; level = levels - 1 } in
+      let frozen = ref false and adapt = ref true in
+      List.length !sent = List.length frames
+      && List.for_all
+           (fun ((p : Wifi.pkt), level, k) ->
+             let start = Option.get p.air_start and stop = Option.get p.air_end in
+             if !adapt && not !frozen then filter_fold_adapt st ~levels start;
+             st.recent <- (stop, stop - start) :: st.recent;
+             (match k with
+             | 0 -> frozen := true
+             | 1 -> frozen := false
+             | 2 -> adapt := false
+             | 3 -> adapt := true
+             | _ -> ());
+             level = st.level)
+           (List.rev !sent))
+
 let suite =
   [
     ("rail energy", `Quick, test_rail_energy);
@@ -330,4 +423,8 @@ let suite =
     ("wifi mode adaptation", `Quick, test_wifi_mode_adaptation);
     ("wifi mac switch resets association", `Quick, test_wifi_mac_switch_resets_assoc);
     ("wifi virtual mac switch is free", `Quick, test_wifi_virtual_mac_switch_free);
+    ( "wifi window bounded without adaptation",
+      `Quick,
+      test_wifi_window_bounded_without_adaptation );
+    QCheck_alcotest.to_alcotest prop_wifi_window_matches_filter_fold;
   ]

@@ -24,4 +24,5 @@ let () =
       ("fleet", Test_fleet.suite);
       ("model", Test_model.suite);
       ("health", Test_health.suite);
+      ("history", Test_history.suite);
     ]

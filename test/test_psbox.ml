@@ -52,6 +52,28 @@ let test_create_validation () =
   Psbox.destroy b2;
   System.shutdown sys
 
+(* The one-psbox-per-target check must not keep machines alive: one whose
+   psbox was never destroyed is collected once it goes out of scope. *)
+let test_undestroyed_psbox_machine_collected () =
+  let finalised = ref false in
+  let[@inline never] boot () =
+    let sys = System.create ~cores:2 () in
+    let a = System.new_app sys ~name:"a" in
+    ignore (spin sys a ~core:0);
+    System.start sys;
+    let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ] in
+    Psbox.enter box;
+    System.run_for sys (Time.ms 10);
+    Alcotest.check_raises "duplicate on a live machine"
+      (Invalid_argument "Psbox.create: app already has a psbox on this target")
+      (fun () -> ignore (Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ]));
+    Gc.finalise_last (fun () -> finalised := true) sys
+  in
+  boot ();
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "machine finalised" true !finalised
+
 (* Insulation: the psbox view of an app must be (nearly) unchanged by what
    co-runners do — the headline property. *)
 let test_insulation () =
@@ -204,6 +226,9 @@ let suite =
   [
     ("api lifecycle", `Quick, test_api_lifecycle);
     ("create validation", `Quick, test_create_validation);
+    ( "undestroyed psbox keeps no machine alive",
+      `Quick,
+      test_undestroyed_psbox_machine_collected );
     ("insulation from co-runners", `Quick, test_insulation);
     ("masking outside balloons", `Quick, test_masking);
     ("sample timestamps at 10us", `Quick, test_sample_timestamps);
