@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench bench-json bench-diff trace-smoke audit-smoke \
-	sched-smoke fleet-smoke model-smoke health-smoke smoke clean
+	model-smoke health-smoke smoke clean
 
 all: build
 
@@ -37,30 +37,6 @@ audit-smoke:
 		--flame-out _build/flame-smoke.txt budget
 	dune exec bin/psbox_sim.exe -- audit-check _build/audit-smoke.txt
 
-# Run every experiment under both event-queue backends and require the
-# outputs to be byte-identical: the timing wheel must realise the exact
-# (time, seq) total order of the reference binary heap. A third leg turns
-# event-slot pooling off (a fresh record per event) and requires the same
-# bytes again: handle recycling must be invisible in the output.
-sched-smoke:
-	dune exec bin/psbox_sim.exe -- all --sched heap > _build/sched-heap.txt
-	dune exec bin/psbox_sim.exe -- all --sched wheel > _build/sched-wheel.txt
-	cmp _build/sched-heap.txt _build/sched-wheel.txt
-	dune exec bin/psbox_sim.exe -- all --pool off > _build/sched-nopool.txt
-	cmp _build/sched-wheel.txt _build/sched-nopool.txt
-	@echo "sched-smoke: heap/wheel/no-pool outputs byte-identical"
-
-# Run a small fleet sequentially and sharded over 4 domains, and require
-# the two JSON reports to be byte-identical: the work-stealing pool and
-# the mergeable-snapshot reduction must be invisible in the output.
-fleet-smoke:
-	dune exec bin/psbox_sim.exe -- fleet --devices 24 --jobs 1 --seed 42 \
-		--scenario budget --fleet-out _build/fleet-j1.json
-	dune exec bin/psbox_sim.exe -- fleet --devices 24 --jobs 4 --seed 42 \
-		--scenario budget --fleet-out _build/fleet-j4.json
-	cmp _build/fleet-j1.json _build/fleet-j4.json
-	@echo "fleet-smoke: jobs 1 and jobs 4 fleet JSON byte-identical"
-
 # Fit counter-driven power models on one seed and validate on another:
 # every rail's held-out MAPE must stay within 5%, and a deliberately
 # perturbed model must trip the online drift detector.
@@ -84,17 +60,16 @@ health-smoke:
 	cmp _build/health-smoke-1.json _build/health-smoke-2.json
 	@echo "health-smoke: drift fired, model hot-swapped, post-swap MAPE < 5%, log byte-stable"
 
-# Fast end-to-end confidence: full build, the whole test suite, one reduced
-# experiment driven through the real CLI, a validated trace export, a
-# bit-exactly conserved joule audit, and heap/wheel output equality.
+# Fast end-to-end confidence: full build, the whole test suite (including
+# the golden outputs of test/golden), one reduced experiment driven through
+# the real CLI, a validated trace export and a bit-exactly conserved joule
+# audit.
 smoke:
 	dune build
 	dune runtest
 	dune exec bin/psbox_sim.exe -- run fig3
 	$(MAKE) trace-smoke
 	$(MAKE) audit-smoke
-	$(MAKE) sched-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) model-smoke
 	$(MAKE) health-smoke
 	dune exec bench/diff.exe

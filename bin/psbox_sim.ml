@@ -89,7 +89,7 @@ let sched_arg =
     "Event-queue implementation: $(b,wheel) (hierarchical timing wheel, \
      the default) or $(b,heap) (the reference binary heap). Both realise \
      the same total event order, so experiment output is byte-identical \
-     under either (verified by $(b,make sched-smoke))."
+     under either (the golden outputs of $(b,dune runtest) check it)."
   in
   Arg.(
     value
@@ -103,8 +103,8 @@ let pool_arg =
      generation-stamped slot records through a free list, so the steady \
      state event loop does not allocate) or $(b,off) (a fresh record per \
      event — the pre-pool baseline for A/B allocation measurements). \
-     Output is byte-identical either way (verified by the pool leg of \
-     $(b,make sched-smoke))."
+     Output is byte-identical either way (the golden outputs of \
+     $(b,dune runtest) check it)."
   in
   Arg.(
     value

@@ -194,6 +194,15 @@ let live_detach lv =
    their own share changes, so nobody has to call [live_set_share] by
    hand. *)
 
+(* Every share change streams into the splitter. *)
+let follow lv bus =
+  lv.ssub <-
+    Some
+      (Psbox_engine.Bus.subscribe bus
+         (fun (c : Psbox_kernel.Temporal_sched.share_change) ->
+           live_set_share lv ~at:c.at ~app:c.app c.share));
+  lv
+
 let live_cpu smp ~from =
   let module Smp = Psbox_kernel.Smp in
   let lv = live (Psbox_hw.Cpu.rail (Smp.cpu smp)) ~from in
@@ -209,26 +218,21 @@ let live_cpu smp ~from =
   Hashtbl.iter
     (fun app c -> live_set_share lv ~at:from ~app (float_of_int c))
     counts;
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Smp.share_bus smp) (fun c ->
-           live_set_share lv ~at:c.Smp.at ~app:c.Smp.app c.Smp.share));
-  lv
+  follow lv (Smp.share_bus smp)
 
-let live_accel d ~from =
+let live_sched s ~from =
+  let module Ts = Psbox_kernel.Temporal_sched in
+  follow (live (Ts.rail s) ~from) (Ts.share_bus s)
+
+let live_system sys ~from =
+  let module System = Psbox_kernel.System in
   let module Ad = Psbox_kernel.Accel_driver in
-  let lv = live (Psbox_hw.Accel.rail (Ad.device d)) ~from in
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Ad.share_bus d) (fun c ->
-           live_set_share lv ~at:c.Ad.at ~app:c.Ad.app c.Ad.share));
-  lv
-
-let live_net n ~from =
-  let module Ns = Psbox_kernel.Net_sched in
-  let lv = live (Psbox_hw.Wifi.rail (Ns.nic n)) ~from in
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Ns.share_bus n) (fun c ->
-           live_set_share lv ~at:c.Ns.at ~app:c.Ns.app c.Ns.share));
-  lv
+  [ live_cpu (System.smp sys) ~from ]
+  @ (if System.has_gpu sys then [ live_sched (Ad.sched (System.gpu sys)) ~from ]
+     else [])
+  @ (if System.has_dsp sys then [ live_sched (Ad.sched (System.dsp sys)) ~from ]
+     else [])
+  @
+  if System.has_wifi sys then
+    [ live_sched (Psbox_kernel.Net_sched.sched (System.net sys)) ~from ]
+  else []

@@ -109,11 +109,12 @@ val live_cpu : Psbox_kernel.Smp.t -> from:Psbox_engine.Time.t -> live
     {!Psbox_kernel.Smp.share_bus}. Shares are seeded from whatever is
     on-core at [from], so mid-run attachment starts correct. *)
 
-val live_accel : Psbox_kernel.Accel_driver.t -> from:Psbox_engine.Time.t -> live
-(** Split the accelerator's rail by per-app in-flight command counts from
-    {!Psbox_kernel.Accel_driver.share_bus}. Commands already on the device
+val live_sched : _ Psbox_kernel.Temporal_sched.t -> from:Psbox_engine.Time.t -> live
+(** Split a scheduled device's rail (an accelerator's or the NIC's) by
+    per-app in-flight item counts from
+    {!Psbox_kernel.Temporal_sched.share_bus}. Items already on the device
     at [from] are picked up at their next dispatch/completion event. *)
 
-val live_net : Psbox_kernel.Net_sched.t -> from:Psbox_engine.Time.t -> live
-(** Split the NIC's rail by per-app in-flight frame counts from
-    {!Psbox_kernel.Net_sched.share_bus}. *)
+val live_system : Psbox_kernel.System.t -> from:Psbox_engine.Time.t -> live list
+(** One auto-wired splitter per scheduled rail of the machine: the CPU,
+    then the GPU, DSP and NIC where present. *)

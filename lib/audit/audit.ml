@@ -3,6 +3,7 @@ module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Power_rail = Psbox_hw.Power_rail
 module Dvfs = Psbox_hw.Dvfs
 module Tm = Psbox_telemetry.Metrics
@@ -197,41 +198,25 @@ let attach sys =
       let cpu_rs =
         add (Psbox_hw.Cpu.rail cpu) "cpu" (Some (Psbox_hw.Cpu.dvfs cpu))
       in
-      ignore
-        (Bus.subscribe (Smp.share_bus (System.smp sys))
-           (fun (c : Smp.share_change) -> set_share cpu_rs c.at c.app c.share));
-      (if System.has_gpu sys then begin
-         let drv = System.gpu sys in
-         let dev = Accel_driver.device drv in
-         let rs =
-           add (Psbox_hw.Accel.rail dev) "accel.gpu"
-             (Some (Psbox_hw.Accel.dvfs dev))
-         in
-         ignore
-           (Bus.subscribe (Accel_driver.share_bus drv)
-              (fun (c : Accel_driver.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
-      (if System.has_dsp sys then begin
-         let drv = System.dsp sys in
-         let dev = Accel_driver.device drv in
-         let rs =
-           add (Psbox_hw.Accel.rail dev) "accel.dsp"
-             (Some (Psbox_hw.Accel.dvfs dev))
-         in
-         ignore
-           (Bus.subscribe (Accel_driver.share_bus drv)
-              (fun (c : Accel_driver.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
-      (if System.has_wifi sys then begin
+      let follow rs bus =
+        ignore
+          (Bus.subscribe bus (fun (c : Temporal_sched.share_change) ->
+               set_share rs c.at c.app c.share))
+      in
+      follow cpu_rs (Smp.share_bus (System.smp sys));
+      let accel name drv =
+        let dev = Accel_driver.device drv in
+        follow
+          (add (Psbox_hw.Accel.rail dev) name (Some (Psbox_hw.Accel.dvfs dev)))
+          (Temporal_sched.share_bus (Accel_driver.sched drv))
+      in
+      if System.has_gpu sys then accel "accel.gpu" (System.gpu sys);
+      if System.has_dsp sys then accel "accel.dsp" (System.dsp sys);
+      (if System.has_wifi sys then
          let netd = System.net sys in
-         let rs = add (Psbox_hw.Wifi.rail (Net_sched.nic netd)) "net" None in
-         ignore
-           (Bus.subscribe (Net_sched.share_bus netd)
-              (fun (c : Net_sched.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
+         follow
+           (add (Psbox_hw.Wifi.rail (Net_sched.nic netd)) "net" None)
+           (Temporal_sched.share_bus (Net_sched.sched netd)));
       if System.has_display sys then
         ignore (add (Psbox_hw.Display.rail (System.display sys)) "display" None);
       if System.has_gps sys then

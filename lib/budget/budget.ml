@@ -3,6 +3,7 @@ module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Split = Psbox_accounting.Split
 module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
@@ -116,6 +117,25 @@ let effective_cap_of ctl e =
    knob. At 1.0 all knobs are released, so an un-throttled machine runs
    the exact event sequence it would without a controller.              *)
 
+(* A device gate at [t_] times its rate unit, what a throttle of 1.0
+   admits per second (accelerator unit-seconds, NIC bytes); [full]
+   releases it. Top-level, not closures: this runs every control tick. *)
+let gate s ~app ~full t_ unit_rate =
+  Temporal_sched.set_rate s ~app (if full then None else Some (t_ *. unit_rate))
+
+let accel_gate d ~app ~full t_ =
+  gate (Accel_driver.sched d) ~app ~full t_
+    (float_of_int (Psbox_hw.Accel.units (Accel_driver.device d)))
+
+let set_device_rates ctl ~app ~full t_ =
+  if System.has_gpu ctl.sys then accel_gate (System.gpu ctl.sys) ~app ~full t_;
+  if System.has_dsp ctl.sys then accel_gate (System.dsp ctl.sys) ~app ~full t_;
+  if System.has_wifi ctl.sys then begin
+    let net = System.net ctl.sys in
+    gate (Net_sched.sched net) ~app ~full t_
+      (Psbox_hw.Wifi.rate_bps (Net_sched.nic net) /. 8.0)
+  end
+
 let actuate ctl e =
   let t_ = e.e_throttle in
   let full = t_ >= 0.999 in
@@ -123,30 +143,11 @@ let actuate ctl e =
   Smp.set_quota smp ~app:e.e_app
     (if full then None
      else Some (t_ *. float_of_int (Smp.cores smp)));
-  let accel_rate d =
-    let units = Psbox_hw.Accel.units (Accel_driver.device d) in
-    if full then Accel_driver.set_rate d ~app:e.e_app None
-    else Accel_driver.set_rate d ~app:e.e_app (Some (t_ *. float_of_int units))
-  in
-  if System.has_gpu ctl.sys then accel_rate (System.gpu ctl.sys);
-  if System.has_dsp ctl.sys then accel_rate (System.dsp ctl.sys);
-  if System.has_wifi ctl.sys then begin
-    let net = System.net ctl.sys in
-    if full then Net_sched.set_rate net ~app:e.e_app None
-    else
-      Net_sched.set_rate net ~app:e.e_app
-        (Some (t_ *. Psbox_hw.Wifi.rate_bps (Net_sched.nic net) /. 8.0))
-  end
+  set_device_rates ctl ~app:e.e_app ~full t_
 
 let release_actuation ctl app =
-  let smp = System.smp ctl.sys in
-  Smp.set_quota smp ~app None;
-  if System.has_gpu ctl.sys then
-    Accel_driver.set_rate (System.gpu ctl.sys) ~app None;
-  if System.has_dsp ctl.sys then
-    Accel_driver.set_rate (System.dsp ctl.sys) ~app None;
-  if System.has_wifi ctl.sys then
-    Net_sched.set_rate (System.net ctl.sys) ~app None
+  Smp.set_quota (System.smp ctl.sys) ~app None;
+  set_device_rates ctl ~app ~full:true 1.0
 
 (* ------------------------------------------------------------------ *)
 (* Control loop                                                         *)
@@ -258,22 +259,20 @@ let cancel_tick ctl =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
+(* NaN passes every [x < 0.0] test and would reach the actuators as a NaN
+   throttle, quota and gate rate; infinity stays a valid "no cap". *)
+let check_watts fn what x =
+  if Float.is_nan x then invalid_arg (Printf.sprintf "Budget.%s: NaN %s" fn what);
+  if x < 0.0 then invalid_arg (Printf.sprintf "Budget.%s: negative %s" fn what)
+
 let create sys ?(period = Time.ms 50) ?(window_periods = 4)
     ?(hysteresis = 0.05) ?(dvfs_bias = false) ?machine_budget_w () =
   if window_periods <= 0 then
     invalid_arg "Budget.create: window_periods must be positive";
   if hysteresis < 0.0 then invalid_arg "Budget.create: negative hysteresis";
+  Option.iter (check_watts "create" "machine budget") machine_budget_w;
   let from = Sim.now (System.sim sys) in
-  let splitters =
-    [ Split.live_cpu (System.smp sys) ~from ]
-    @ (if System.has_gpu sys then [ Split.live_accel (System.gpu sys) ~from ]
-       else [])
-    @ (if System.has_dsp sys then [ Split.live_accel (System.dsp sys) ~from ]
-       else [])
-    @
-    if System.has_wifi sys then [ Split.live_net (System.net sys) ~from ]
-    else []
-  in
+  let splitters = Split.live_system sys ~from in
   let ctl =
     {
       sys;
@@ -328,12 +327,12 @@ let entry ctl app =
       e
 
 let set_cap ctl ~app ~watts =
-  if watts < 0.0 then invalid_arg "Budget.set_cap: negative cap";
+  check_watts "set_cap" "cap" watts;
   let e = entry ctl app in
   e.e_demand <- Cap watts
 
 let set_envelope ctl ~app ~joules ~horizon =
-  if joules < 0.0 then invalid_arg "Budget.set_envelope: negative joules";
+  check_watts "set_envelope" "joules" joules;
   if horizon <= 0 then invalid_arg "Budget.set_envelope: empty horizon";
   let e = entry ctl app in
   e.e_demand <- Envelope { joules; horizon };
@@ -400,9 +399,7 @@ let remaining_w ctl =
   | Some b -> b -. reserved_w ctl
 
 let set_machine_budget ctl w =
-  (match w with
-  | Some b when b < 0.0 -> invalid_arg "Budget.set_machine_budget: negative"
-  | Some _ | None -> ());
+  Option.iter (check_watts "set_machine_budget" "budget") w;
   ctl.machine_budget_w <- w
 
 let set_admission_estimate ctl f = ctl.admission_estimate <- f
@@ -431,7 +428,7 @@ let queued ctl = Queue.length ctl.wait_q
 let reservation ctl ~app = Hashtbl.find_opt ctl.reserved app
 
 let admit ctl ~app ~watts ?(on_admit = fun () -> ()) ?(queue = false) () =
-  if watts < 0.0 then invalid_arg "Budget.admit: negative demand";
+  check_watts "admit" "demand" watts;
   if Hashtbl.mem ctl.reserved app then invalid_arg "Budget.admit: already admitted";
   let eff = effective_reservation ctl ~app ~declared:watts in
   if eff <= remaining_w ctl then begin

@@ -3,15 +3,16 @@
     The paper's sandboxed accounting makes per-app draw a trustworthy
     signal; this module closes the loop on it. A controller subscribes to
     the machine's attributed power — via the auto-wired
-    {!Psbox_accounting.Split.live_cpu}/[live_accel]/[live_net] splitters —
+    {!Psbox_accounting.Split.live_system} splitters —
     and enforces per-app {e caps} (watts) or {e envelopes} (joules over a
     horizon) by actuating every subsystem the app draws through:
 
     - CPU: a CFS-bandwidth-style runtime quota
       ({!Psbox_kernel.Smp.set_quota}),
-    - accelerators: a leaky-bucket command-submission rate
-      ({!Psbox_kernel.Accel_driver.set_rate}),
-    - network: a TX byte rate ({!Psbox_kernel.Net_sched.set_rate}),
+    - accelerators and network: a leaky-bucket dispatch rate on the
+      device's scheduler ({!Psbox_kernel.Temporal_sched.set_rate}), in
+      unit-seconds per second for an accelerator and TX bytes per second
+      for the NIC,
     - optionally the DVFS ceiling ({!Psbox_hw.Dvfs.set_ceiling}) when
       per-app throttling alone cannot reach a cap.
 
@@ -59,13 +60,16 @@ val period : t -> Psbox_engine.Time.span
 
 val set_cap : t -> app:int -> watts:float -> unit
 (** Cap [app]'s windowed mean attributed draw at [watts]. Takes effect at
-    the next control tick. *)
+    the next control tick. [infinity] is a cap that never binds.
+    @raise Invalid_argument if [watts] is negative or NaN. *)
 
 val set_envelope :
   t -> app:int -> joules:float -> horizon:Psbox_engine.Time.span -> unit
 (** Give [app] an energy allowance of [joules] over [horizon] starting
     now. After the horizon expires the effective cap is 0 (throttle
-    floor). *)
+    floor).
+    @raise Invalid_argument if [joules] is negative or NaN, or [horizon]
+    is not positive. *)
 
 val tighten : ?factor:float -> t -> app:int -> unit
 (** Ratchet [app]'s demand down one step: a finite {!Cap} becomes
@@ -106,6 +110,8 @@ val stop : t -> unit
     above enforces that promises hold. *)
 
 val set_machine_budget : t -> float option -> unit
+(** @raise Invalid_argument if the budget is negative or NaN (so is a
+    [create ?machine_budget_w]). *)
 
 val set_admission_estimate : t -> (int -> float option) option -> unit
 (** Wire in a modeled-draw oracle (typically
@@ -135,7 +141,8 @@ val admit :
     already running). Doesn't fit and [queue] (default false) → [Queued]:
     the request waits in FIFO order and [on_admit] fires when a later
     {!release} makes room. Otherwise [Rejected].
-    @raise Invalid_argument if [app] already holds a reservation. *)
+    @raise Invalid_argument if [app] already holds a reservation, or if
+    [watts] is negative or NaN. *)
 
 val release : t -> app:int -> unit
 (** Drop [app]'s reservation and drain the wait queue head-first: queued

@@ -3,6 +3,7 @@ module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Power_vstate = Psbox_kernel.Power_vstate
 module Power_rail = Psbox_hw.Power_rail
 module Sample = Psbox_meter.Sample
@@ -146,33 +147,53 @@ let make_binding sys ~app ~virtualize target =
     binding.b_detach <- (fun () -> record_stop binding (Sim.now sim));
     binding
   in
+  (* Devices with balloons: the listener drives the power-state
+     virtualization and records the exclusive intervals. *)
+  let balloon_view ~target ~rail ~idle vstate =
+    {
+      b_target = target;
+      b_rail = rail;
+      b_idle = idle;
+      b_vstate = Some vstate;
+      b_closed = [];
+      b_open = None;
+      b_attach = (fun () -> ());
+      b_detach = (fun () -> ());
+    }
+  in
+  let on_start binding vstate () =
+    vs_start vstate ();
+    record_start binding (Sim.now sim)
+  in
+  let on_stop binding vstate () =
+    record_stop binding (Sim.now sim);
+    vs_stop vstate ()
+  in
+  (* GPU, DSP and NIC: temporal balloons from the device's scheduler *)
+  let temporal ~target ~idle vstate s =
+    let binding = balloon_view ~target ~rail:(Temporal_sched.rail s) ~idle vstate in
+    binding.b_attach <-
+      (fun () ->
+        Temporal_sched.set_balloon_listener s ~on_start:(on_start binding vstate)
+          ~on_stop:(on_stop binding vstate);
+        Temporal_sched.sandbox s ~app);
+    binding.b_detach <- (fun () -> Temporal_sched.unsandbox s);
+    binding
+  in
   match target with
   | Cpu ->
       let cpu = System.cpu sys in
       let vstate = Power_vstate.create sim (Power_vstate.Cpu_dev cpu) in
+      let rail = Psbox_hw.Cpu.rail cpu in
       let binding =
-        {
-          b_target = Cpu;
-          b_rail = Psbox_hw.Cpu.rail cpu;
-          b_idle = Flat (Power_rail.idle_w (Psbox_hw.Cpu.rail cpu));
-          b_vstate = Some vstate;
-          b_closed = [];
-          b_open = None;
-          b_attach = (fun () -> ());
-          b_detach = (fun () -> ());
-        }
+        balloon_view ~target ~rail ~idle:(Flat (Power_rail.idle_w rail)) vstate
       in
       let balloon = ref None in
       binding.b_attach <-
         (fun () ->
           let b = Smp.sandbox (System.smp sys) ~app in
-          Smp.set_balloon_listener b
-            ~on_start:(fun () ->
-              vs_start vstate ();
-              record_start binding (Sim.now sim))
-            ~on_stop:(fun () ->
-              record_stop binding (Sim.now sim);
-              vs_stop vstate ());
+          Smp.set_balloon_listener b ~on_start:(on_start binding vstate)
+            ~on_stop:(on_stop binding vstate);
           balloon := Some b);
       binding.b_detach <-
         (fun () ->
@@ -186,64 +207,22 @@ let make_binding sys ~app ~virtualize target =
       let driver = if target = Gpu then System.gpu sys else System.dsp sys in
       let dev = Accel_driver.device driver in
       let vstate = Power_vstate.create sim (Power_vstate.Accel_dev dev) in
-      let binding =
-        {
-          b_target = target;
-          b_rail = Psbox_hw.Accel.rail dev;
-          b_idle = Flat (Power_rail.idle_w (Psbox_hw.Accel.rail dev));
-          b_vstate = Some vstate;
-          b_closed = [];
-          b_open = None;
-          b_attach = (fun () -> ());
-          b_detach = (fun () -> ());
-        }
-      in
-      binding.b_attach <-
-        (fun () ->
-          Accel_driver.set_balloon_listener driver
-            ~on_start:(fun () ->
-              vs_start vstate ();
-              record_start binding (Sim.now sim))
-            ~on_stop:(fun () ->
-              record_stop binding (Sim.now sim);
-              vs_stop vstate ());
-          Accel_driver.sandbox driver ~app);
-      binding.b_detach <- (fun () -> Accel_driver.unsandbox driver);
-      binding
+      temporal ~target
+        ~idle:(Flat (Power_rail.idle_w (Psbox_hw.Accel.rail dev)))
+        vstate (Accel_driver.sched driver)
   | Wifi ->
       let netd = System.net sys in
       let nic = Net_sched.nic netd in
       let vstate = Power_vstate.create sim (Power_vstate.Wifi_dev nic) in
-      let binding =
-        {
-          b_target = Wifi;
-          b_rail = Psbox_hw.Wifi.rail nic;
-          b_idle =
-            Nic_tail
-              {
-                awake_w = Psbox_hw.Wifi.awake_w nic;
-                ps_w = Psbox_hw.Wifi.ps_w nic;
-                tail = Psbox_hw.Wifi.tail nic;
-              };
-          b_vstate = Some vstate;
-          b_closed = [];
-          b_open = None;
-          b_attach = (fun () -> ());
-          b_detach = (fun () -> ());
-        }
-      in
-      binding.b_attach <-
-        (fun () ->
-          Net_sched.set_balloon_listener netd
-            ~on_start:(fun () ->
-              vs_start vstate ();
-              record_start binding (Sim.now sim))
-            ~on_stop:(fun () ->
-              record_stop binding (Sim.now sim);
-              vs_stop vstate ());
-          Net_sched.sandbox netd ~app);
-      binding.b_detach <- (fun () -> Net_sched.unsandbox netd);
-      binding
+      temporal ~target
+        ~idle:
+          (Nic_tail
+             {
+               awake_w = Psbox_hw.Wifi.awake_w nic;
+               ps_w = Psbox_hw.Wifi.ps_w nic;
+               tail = Psbox_hw.Wifi.tail nic;
+             })
+        vstate (Net_sched.sched netd)
   | Display ->
       let d = System.display sys in
       direct_view ~target:Display

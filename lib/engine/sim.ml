@@ -80,7 +80,8 @@ type slot = {
    classic binary heap (O(log n) everywhere, the reference) and the
    hierarchical timing wheel (O(1) insert, cursor-advance pops). Both yield
    the exact (time, seq) order, so a run's output is byte-identical under
-   either — enforced by `make sched-smoke` and bench/diff.exe. *)
+   either — enforced by the golden outputs of `dune runtest` (test/golden)
+   and bench/diff.exe. *)
 and queue = QHeap of slot Heap.t | QWheel of slot Wheel.t
 
 and t = {

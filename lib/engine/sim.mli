@@ -66,7 +66,7 @@ val set_default_pooling : bool -> unit
     (default [true]) — the hook for the [--pool on|off] A/B toggle. With
     pooling off every event allocates a fresh record (the pre-pool
     behavior); fire order and experiment output are identical either way
-    (a qcheck property and the pool leg of [make sched-smoke] prove it).
+    (a qcheck property and the golden outputs of [dune runtest] prove it).
     Domain-local, like {!set_default_backend}. *)
 
 val default_pooling : unit -> bool

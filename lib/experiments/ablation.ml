@@ -1,5 +1,6 @@
 open Psbox_engine
 module System = Psbox_kernel.System
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Psbox = Psbox_core.Psbox
 module Accel = Psbox_hw.Accel
 module Accel_driver = Psbox_kernel.Accel_driver
@@ -145,7 +146,7 @@ let overlap_at_window ~seed w =
   submit 0.012;
   submit 0.006;
   Sim.run_until sim (Time.ms 100);
-  match Accel_driver.completed_commands d with
+  match Temporal_sched.completed_items (Accel_driver.sched d) with
   | c1 :: c2 :: _ -> (
       match (c1.Accel.started_at, c1.Accel.finished_at,
              c2.Accel.started_at, c2.Accel.finished_at) with

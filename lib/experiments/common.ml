@@ -1,5 +1,6 @@
 open Psbox_engine
 module System = Psbox_kernel.System
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
@@ -52,10 +53,11 @@ let cpu_usages sys =
 let accel_usages driver =
   Usage.of_commands
     ~units:(Psbox_hw.Accel.units (Accel_driver.device driver))
-    (Accel_driver.completed_commands driver)
+    (Temporal_sched.completed_items (Accel_driver.sched driver))
 
 let wifi_usages sys =
-  Usage.of_packets (Net_sched.packet_log (System.net sys))
+  Usage.of_packets
+    (Temporal_sched.completed_items (Net_sched.sched (System.net sys)))
 
 let attributed_mj result ~app =
   match List.assoc_opt app.System.app_id result with

@@ -1,5 +1,6 @@
 open Psbox_engine
 module System = Psbox_kernel.System
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module W = Psbox_workloads.Workload
 module Accel_driver = Psbox_kernel.Accel_driver
 module Accel = Psbox_hw.Accel
@@ -82,7 +83,7 @@ let run_b ?(seed = 6) () =
   let t1 = System.now sys in
   let driver = System.gpu sys in
   let cmds =
-    Accel_driver.completed_commands driver
+    Temporal_sched.completed_items (Accel_driver.sched driver)
     |> List.filter_map (fun c ->
            match (c.Accel.started_at, c.Accel.finished_at) with
            | Some s, Some f ->

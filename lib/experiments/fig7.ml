@@ -1,5 +1,6 @@
 open Psbox_engine
 module System = Psbox_kernel.System
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Smp = Psbox_kernel.Smp
 module Psbox = Psbox_core.Psbox
 module Accel_driver = Psbox_kernel.Accel_driver
@@ -140,7 +141,7 @@ let dsp_part ~seed ~with_psbox =
   let t1 = System.now sys in
   let driver = System.dsp sys in
   let cmds =
-    Accel_driver.completed_commands driver
+    Temporal_sched.completed_items (Accel_driver.sched driver)
     |> List.filter (fun c ->
            match c.Accel.started_at with
            | Some s -> s >= t0 && s <= t1
@@ -150,7 +151,7 @@ let dsp_part ~seed ~with_psbox =
     List.length
       (List.filter
          (fun (s, _) -> s >= t0 && s <= t1)
-         (Accel_driver.balloon_intervals driver))
+         (Temporal_sched.balloon_intervals (Accel_driver.sched driver)))
   in
   let rows =
     List.filteri (fun i _ -> i < 18) cmds

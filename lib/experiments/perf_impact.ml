@@ -1,5 +1,6 @@
 open Psbox_engine
 module System = Psbox_kernel.System
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
@@ -95,7 +96,7 @@ let run ?(seed = 2) () =
           [ "cube1"; "cube2" ])
       ~target:Psbox.Gpu
       ~latencies_of:(fun sys star ->
-        Accel_driver.dispatch_latencies_us (System.gpu sys)
+        Temporal_sched.dispatch_latencies_us (Accel_driver.sched (System.gpu sys))
         |> List.filter_map (fun (a, l) ->
                if a = star.System.app_id then Some l else None))
       ~total_of:(counters "cmds") ~window:(Time.sec 2)
@@ -112,7 +113,7 @@ let run ?(seed = 2) () =
           [ "sgemm1"; "sgemm2"; "sgemm3" ])
       ~target:Psbox.Dsp
       ~latencies_of:(fun sys star ->
-        Accel_driver.dispatch_latencies_us (System.dsp sys)
+        Temporal_sched.dispatch_latencies_us (Accel_driver.sched (System.dsp sys))
         |> List.filter_map (fun (a, l) ->
                if a = star.System.app_id then Some l else None))
       ~total_of:(counters "gflops") ~window:(Time.sec 4)
@@ -129,7 +130,7 @@ let run ?(seed = 2) () =
           [ "wget1"; "wget2" ])
       ~target:Psbox.Wifi
       ~latencies_of:(fun sys star ->
-        Net_sched.dispatch_latencies_us (System.net sys)
+        Temporal_sched.dispatch_latencies_us (Net_sched.sched (System.net sys))
         |> List.filter_map (fun (a, l) ->
                if a = star.System.app_id then Some l else None))
       ~total_of:(counters "kb") ~window:(Time.sec 2)

@@ -47,8 +47,6 @@ let default_config =
     quota_period = Time.ms 10;
   }
 
-type share_change = { at : Time.t; app : int; share : float }
-
 type quota_state = {
   mutable q_limit : float; (* core-seconds of runtime per second, >= 0 *)
   mutable q_used : Time.span; (* runtime consumed in the current period *)
@@ -98,7 +96,7 @@ type t = {
   latencies : (int * float) Trace.events; (* (app, wake-to-run us) *)
   mutable on_task_exit : Task.t -> unit;
   mutable stopped : bool;
-  share_bus : share_change Bus.t;
+  share_bus : Temporal_sched.share_change Bus.t;
   share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
   quotas : (int, quota_state) Hashtbl.t;
   mutable quota_epoch : Time.t option;
@@ -221,7 +219,7 @@ let note_share smp app delta =
     let nw = cur + delta in
     Hashtbl.replace smp.share_counts app nw;
     Bus.publish smp.share_bus
-      { at = Sim.now smp.sim; app; share = float_of_int nw };
+      { Temporal_sched.at = Sim.now smp.sim; app; share = float_of_int nw };
     if Hashtbl.mem smp.quotas app then !quota_share_hook smp app
   end
 

@@ -92,14 +92,12 @@ val quota_throttled : t -> app:int -> bool
 
 (** {1 Share bus (live attribution)} *)
 
-type share_change = { at : Psbox_engine.Time.t; app : int; share : float }
-(** The number of cores currently executing [app] changed; [share] is the
-    new count. Idle and balloon-forced-idle cores count for nobody. *)
-
-val share_bus : t -> share_change Psbox_engine.Bus.t
-(** Published on every running-app transition, synchronously with the
-    scheduling decision — {!Psbox_accounting.Split.live_cpu} subscribes to
-    drive usage-proportional attribution without manual share pushes. *)
+val share_bus : t -> Temporal_sched.share_change Psbox_engine.Bus.t
+(** The number of cores currently executing an app, published on every
+    running-app transition, synchronously with the scheduling decision.
+    Idle and balloon-forced-idle cores count for nobody.
+    {!Psbox_accounting.Split.live_cpu} subscribes to drive
+    usage-proportional attribution without manual share pushes. *)
 
 (** {1 Spatial balloons (psbox support)} *)
 

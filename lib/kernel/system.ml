@@ -128,7 +128,7 @@ let create ?(seed = 42) ?(cores = 2)
       let nic =
         Psbox_hw.Wifi.create sim ?retention ~virtual_macs:wifi_virtual_macs ()
       in
-      Some (Net_sched.create sim nic ())
+      Some (Net_sched.create sim nic)
     end
   in
   let display =

@@ -15,15 +15,14 @@ let predict m utils =
 
 (* Solve the square system [a] x = [b] by Gaussian elimination with partial
    pivoting; mutates its arguments. *)
-let solve a b =
+let solve ~floor ~singular a b =
   let n = Array.length b in
   for col = 0 to n - 1 do
     let pivot = ref col in
     for row = col + 1 to n - 1 do
       if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
     done;
-    if Float.abs a.(!pivot).(col) < 1e-12 then
-      invalid_arg "Model_meter.fit: singular system (collinear inputs)";
+    if Float.abs a.(!pivot).(col) < floor then invalid_arg singular;
     if !pivot <> col then begin
       let tmp = a.(col) in
       a.(col) <- a.(!pivot);
@@ -78,7 +77,10 @@ let fit observations =
             done
           done)
         observations;
-      let beta = solve xtx xty in
+      let beta =
+        solve ~floor:1e-12
+          ~singular:"Model_meter.fit: singular system (collinear inputs)" xtx xty
+      in
       { intercept = beta.(0); coeffs = Array.sub beta 1 dim }
 
 (* ------------------------------------------------------------------ *)

@@ -32,6 +32,15 @@ val fit : (float array * float) list -> t
 val rmse : t -> (float array * float) list -> float
 (** Root-mean-square prediction error over a dataset. *)
 
+val solve :
+  floor:float -> singular:string -> float array array -> float array -> float array
+(** [solve ~floor ~singular a b] solves the square system [a x = b] by
+    Gaussian elimination with partial pivoting, overwriting [a] and [b].
+    A pivot below [floor] in magnitude counts as singular: {!fit} uses
+    1e-12, which rejects collinear utilizations; a ridge-regularised fit
+    needs a lower floor so its pinned zero columns pass.
+    @raise Invalid_argument with message [singular] on a singular system. *)
+
 (** {1 Bus-fed training collection}
 
     A collector subscribes to a power-transition bus and snapshots the

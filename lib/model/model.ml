@@ -224,43 +224,6 @@ module Fit = struct
     f_coeffs : float array;
   }
 
-  (* Gaussian elimination with partial pivoting; mutates its arguments. *)
-  let solve a b =
-    let n = Array.length b in
-    for col = 0 to n - 1 do
-      let pivot = ref col in
-      for row = col + 1 to n - 1 do
-        if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then
-          pivot := row
-      done;
-      if Float.abs a.(!pivot).(col) < 1e-30 then
-        invalid_arg "Model.Fit: singular system";
-      if !pivot <> col then begin
-        let tmp = a.(col) in
-        a.(col) <- a.(!pivot);
-        a.(!pivot) <- tmp;
-        let tmp = b.(col) in
-        b.(col) <- b.(!pivot);
-        b.(!pivot) <- tmp
-      end;
-      for row = col + 1 to n - 1 do
-        let f = a.(row).(col) /. a.(col).(col) in
-        for k = col to n - 1 do
-          a.(row).(k) <- a.(row).(k) -. (f *. a.(col).(k))
-        done;
-        b.(row) <- b.(row) -. (f *. b.(col))
-      done
-    done;
-    let x = Array.make n 0.0 in
-    for row = n - 1 downto 0 do
-      let acc = ref b.(row) in
-      for k = row + 1 to n - 1 do
-        acc := !acc -. (a.(row).(k) *. x.(k))
-      done;
-      x.(row) <- !acc /. a.(row).(row)
-    done;
-    x
-
   (* Ridge least squares without an intercept (dt is an explicit feature,
      so an intercept would be collinear with it). The tiny ridge keeps the
      normal equations solvable when a residency column is all zero — an
@@ -287,7 +250,8 @@ module Fit = struct
         for i = 0 to d - 1 do
           xtx.(i).(i) <- xtx.(i).(i) +. ridge
         done;
-        solve xtx xty
+        Psbox_meter.Model_meter.solve ~floor:1e-30
+          ~singular:"Model.Fit: singular system" xtx xty
 
   let project ~kind (trace : Trace.t) feat =
     match kind with
@@ -565,16 +529,7 @@ module Estimator = struct
                 })
         (samplers sys)
     in
-    let splitters =
-      [ Split.live_cpu (System.smp sys) ~from ]
-      @ (if System.has_gpu sys then [ Split.live_accel (System.gpu sys) ~from ]
-         else [])
-      @ (if System.has_dsp sys then [ Split.live_accel (System.dsp sys) ~from ]
-         else [])
-      @
-      if System.has_wifi sys then [ Split.live_net (System.net sys) ~from ]
-      else []
-    in
+    let splitters = Split.live_system sys ~from in
     let t =
       {
         e_sys = sys;

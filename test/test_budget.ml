@@ -6,6 +6,7 @@ open Psbox_engine
 module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
+module Temporal_sched = Psbox_kernel.Temporal_sched
 module Split = Psbox_accounting.Split
 module Budget = Psbox_budget.Budget
 module W = Psbox_workloads.Workload
@@ -162,12 +163,14 @@ let test_accel_rail_shared () =
     true
     (capped < free /. 2.0);
   check_bool "accel gate armed" true
-    (Accel_driver.rate (System.gpu sys) ~app:a.System.app_id <> None);
+    (Temporal_sched.rate (Accel_driver.sched (System.gpu sys)) ~app:a.System.app_id
+     <> None);
   check_bool "co-renderer keeps going" true
     (System.counter b "batches" -. b0 > 0.0);
   Budget.stop ctl;
   check_bool "gate released on stop" true
-    (Accel_driver.rate (System.gpu sys) ~app:a.System.app_id = None);
+    (Temporal_sched.rate (Accel_driver.sched (System.gpu sys)) ~app:a.System.app_id
+     = None);
   System.shutdown sys
 
 (* An envelope squeezes harder as it is spent: the effective cap after
@@ -231,6 +234,72 @@ let test_admission_ordering () =
   Budget.stop ctl;
   System.shutdown sys
 
+(* NaN slips past a [< 0.0] check; every actuation entry point must
+   reject it by name, before a NaN throttle reaches the quota and the
+   gate rates. Infinity (no cap) and 0 (clamped to the floor) stay valid. *)
+let nan_machine () =
+  let sys =
+    System.create ~cores:2 ~cpu_governor:Psbox_hw.Dvfs.Performance ~gpu:true
+      ~wifi:true ()
+  in
+  let a = System.new_app sys ~name:"a" in
+  spin sys a;
+  System.start sys;
+  (sys, a.System.app_id, Budget.create sys ())
+
+let finish sys ctl =
+  Budget.stop ctl;
+  System.shutdown sys
+
+let test_set_cap_rejects_nan () =
+  let sys, app, ctl = nan_machine () in
+  Alcotest.check_raises "nan cap" (Invalid_argument "Budget.set_cap: NaN cap")
+    (fun () -> Budget.set_cap ctl ~app ~watts:Float.nan);
+  Budget.set_cap ctl ~app ~watts:infinity;
+  System.run_for sys (Time.ms 300);
+  check_bool "infinite cap leaves the throttle at 1" true
+    (Budget.throttle ctl ~app = 1.0);
+  Budget.set_cap ctl ~app ~watts:0.0;
+  System.run_for sys (Time.ms 300);
+  let t = Budget.throttle ctl ~app in
+  check_bool (Printf.sprintf "zero cap throttles to a finite floor (%g)" t) true
+    (Float.is_finite t && t < 1.0);
+  (match Psbox_kernel.Smp.quota (System.smp sys) ~app with
+  | Some q -> check_bool "finite quota" true (Float.is_finite q)
+  | None -> Alcotest.fail "zero cap left no quota");
+  (match Temporal_sched.rate (Accel_driver.sched (System.gpu sys)) ~app with
+  | Some r -> check_bool "finite gate rate" true (Float.is_finite r)
+  | None -> Alcotest.fail "zero cap left no gate");
+  finish sys ctl
+
+let test_set_envelope_rejects_nan () =
+  let sys, app, ctl = nan_machine () in
+  Alcotest.check_raises "nan joules"
+    (Invalid_argument "Budget.set_envelope: NaN joules") (fun () ->
+      Budget.set_envelope ctl ~app ~joules:Float.nan ~horizon:(Time.sec 1));
+  finish sys ctl
+
+let test_admit_rejects_nan () =
+  let sys, app, ctl = nan_machine () in
+  Budget.set_machine_budget ctl (Some 3.0);
+  Alcotest.check_raises "nan demand" (Invalid_argument "Budget.admit: NaN demand")
+    (fun () -> ignore (Budget.admit ctl ~app ~watts:Float.nan ()));
+  check_bool "nothing reserved" false (Budget.admitted ctl ~app);
+  check_bool "budget intact" true (Budget.remaining_w ctl = 3.0);
+  finish sys ctl
+
+let test_machine_budget_rejects_nan () =
+  let sys, _, ctl = nan_machine () in
+  Alcotest.check_raises "nan budget"
+    (Invalid_argument "Budget.set_machine_budget: NaN budget") (fun () ->
+      Budget.set_machine_budget ctl (Some Float.nan));
+  Budget.set_machine_budget ctl (Some infinity);
+  check_bool "infinite budget kept" true (Budget.remaining_w ctl = infinity);
+  Alcotest.check_raises "nan budget at create"
+    (Invalid_argument "Budget.create: NaN machine budget") (fun () ->
+      ignore (Budget.create sys ~machine_budget_w:Float.nan ()));
+  finish sys ctl
+
 (* The auto-wired CPU splitter attributes the whole rail while anyone is
    running -- its total matches the rail's own energy meter. *)
 let test_live_cpu_attribution_total () =
@@ -275,4 +344,10 @@ let suite =
       test_admission_ordering;
     Alcotest.test_case "live_cpu attributes the full rail" `Quick
       test_live_cpu_attribution_total;
+    Alcotest.test_case "set_cap rejects NaN" `Quick test_set_cap_rejects_nan;
+    Alcotest.test_case "set_envelope rejects NaN" `Quick
+      test_set_envelope_rejects_nan;
+    Alcotest.test_case "admit rejects NaN" `Quick test_admit_rejects_nan;
+    Alcotest.test_case "machine budget rejects NaN" `Quick
+      test_machine_budget_rejects_nan;
   ]

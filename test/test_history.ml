@@ -6,6 +6,7 @@ module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
+module Ts = Psbox_kernel.Temporal_sched
 module Wifi = Psbox_hw.Wifi
 module Accel = Psbox_hw.Accel
 module W = Psbox_workloads.Workload
@@ -67,22 +68,22 @@ let histories (sys, app) =
   let us x = (None, Printf.sprintf "%h" x) in
   let net = System.net sys and gpu = System.gpu sys and smp = System.smp sys in
   [
-    ("net dispatch latencies", List.map lat (Net_sched.dispatch_latencies_us net));
+    ("net dispatch latencies", List.map lat (Ts.dispatch_latencies_us (Net_sched.sched net)));
     ( "packet log",
       List.map
         (fun (p : Wifi.pkt) ->
           ( p.air_end,
             Printf.sprintf "%d %d %d %s %s" p.app p.socket p.bytes
               (opt p.air_start) (opt p.air_end) ))
-        (Net_sched.packet_log net) );
-    ("gpu dispatch latencies", List.map lat (Accel_driver.dispatch_latencies_us gpu));
+        (Ts.completed_items (Net_sched.sched net)) );
+    ("gpu dispatch latencies", List.map lat (Ts.dispatch_latencies_us (Accel_driver.sched gpu)));
     ( "gpu completed commands",
       List.map
         (fun (c : Accel.command) ->
           ( c.finished_at,
             Printf.sprintf "%d %s %d %s %s" c.app c.kind c.submitted_at
               (opt c.started_at) (opt c.finished_at) ))
-        (Accel_driver.completed_commands gpu) );
+        (Ts.completed_items (Accel_driver.sched gpu)) );
     ( "sched spans",
       List.map
         (fun (s : (int * int) Trace.span) ->

@@ -95,6 +95,28 @@ let test_model_meter_degenerate () =
     (Invalid_argument "Model_meter.fit: not enough observations") (fun () ->
       ignore (Model_meter.fit [ ([| 1.0 |], 1.0) ]))
 
+(* One solver serves both fits; the singular floor is the caller's: the
+   plain fit rejects collinear utilizations, while a 1e-20 pivot (a ridge
+   pinning a zero column) passes a 1e-30 floor. *)
+let test_solver_floor () =
+  let collinear =
+    List.init 6 (fun i ->
+        let u = float_of_int i in
+        ([| u; 2.0 *. u |], u))
+  in
+  Alcotest.check_raises "collinear rejected"
+    (Invalid_argument "Model_meter.fit: singular system (collinear inputs)")
+    (fun () -> ignore (Model_meter.fit collinear));
+  let system () = ([| [| 2.0; 0.0 |]; [| 0.0; 1e-20 |] |], [| 4.0; 0.0 |]) in
+  Alcotest.check_raises "tiny pivot under a 1e-12 floor" (Invalid_argument "tiny")
+    (fun () ->
+      let a, b = system () in
+      ignore (Model_meter.solve ~floor:1e-12 ~singular:"tiny" a b));
+  let a, b = system () in
+  let x = Model_meter.solve ~floor:1e-30 ~singular:"tiny" a b in
+  check_float 1e-12 "x0" 2.0 x.(0);
+  check_float 1e-12 "pinned x1" 0.0 x.(1)
+
 let test_daq_monitor () =
   let sim = Sim.create () in
   let rail = Psbox_hw.Power_rail.create sim ~name:"r" ~idle_w:1.0 in
@@ -180,5 +202,6 @@ let suite =
     ("model meter exact fit", `Quick, test_model_meter_fit);
     ("model meter noisy fit", `Quick, test_model_meter_noisy_fit);
     ("model meter degenerate input", `Quick, test_model_meter_degenerate);
+    ("least-squares solver floor", `Quick, test_solver_floor);
     ("model meter bus collector", `Quick, test_model_meter_collector);
   ]

@@ -2,6 +2,7 @@
 open Psbox_engine
 module Wifi = Psbox_hw.Wifi
 module Net_sched = Psbox_kernel.Net_sched
+module Ts = Psbox_kernel.Temporal_sched
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -9,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let mk ?virtual_macs () =
   let sim = Sim.create () in
   let nic = Wifi.create sim ?virtual_macs () in
-  let d = Net_sched.create sim nic () in
+  let d = Net_sched.create sim nic in
   (sim, nic, d)
 
 (* A saturating sender: resubmits a packet as soon as the last one went
@@ -45,11 +46,11 @@ let test_balloon_exclusivity () =
   feeder d ~app:1 ~bytes:8_000;
   feeder d ~app:2 ~bytes:8_000;
   Sim.run_until sim (Time.ms 200);
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.sec 2);
-  let intervals = Net_sched.balloon_intervals d in
+  let intervals = Ts.balloon_intervals (Net_sched.sched d) in
   check_bool "balloons formed" true (intervals <> []);
-  let pkts = Net_sched.packet_log d in
+  let pkts = Ts.completed_items (Net_sched.sched d) in
   let foreign_inside =
     List.exists
       (fun (b0, b1) ->
@@ -72,12 +73,13 @@ let test_lost_bytes_charged () =
   let sim, _, d = mk () in
   feeder d ~app:1 ~bytes:8_000;
   feeder d ~app:2 ~bytes:8_000;
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.sec 1);
   check_bool "no phantom lost bytes" true
     (Net_sched.lost_bytes_charged d < 16_000);
   check_bool "credits track" true
-    (Float.abs (Net_sched.credit d ~app:1 -. Net_sched.credit d ~app:2)
+    (Float.abs
+       (Ts.credit (Net_sched.sched d) ~app:1 -. Ts.credit (Net_sched.sched d) ~app:2)
      < 32_000.0)
 
 let test_sandboxed_absorbs_loss () =
@@ -86,7 +88,7 @@ let test_sandboxed_absorbs_loss () =
   feeder d ~app:2 ~bytes:8_000;
   Sim.run_until sim (Time.sec 1);
   let b2_before = Net_sched.sent_bytes d ~app:2 in
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.sec 3);
   let b2_rate_after = (Net_sched.sent_bytes d ~app:2 - b2_before) / 2 in
   check_bool
@@ -100,12 +102,12 @@ let test_rx_deferral_with_virtual_macs () =
   let sim, _, d = mk ~virtual_macs:true () in
   feeder d ~app:1 ~bytes:8_000;
   feeder d ~app:2 ~bytes:2_000;
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.ms 300);
   (* inject a foreign RX while a balloon is open; with vMACs it must not go
      on air before the balloon closes *)
   let rec wait_for_balloon () =
-    if not (Net_sched.balloon_open d) then begin
+    if not (Ts.balloon_open (Net_sched.sched d)) then begin
       Sim.run_until sim (Sim.now sim + Time.ms 1);
       wait_for_balloon ()
     end
@@ -121,7 +123,7 @@ let test_rx_deferral_with_virtual_macs () =
       let inside_that_balloon =
         List.exists
           (fun (b0, b1) -> balloon_was_open_at >= b0 && s >= b0 && s < b1)
-          (Net_sched.balloon_intervals d)
+          (Ts.balloon_intervals (Net_sched.sched d))
       in
       check_bool "foreign RX deferred out of the balloon" false inside_that_balloon
   | None -> Alcotest.fail "rx never delivered")
@@ -129,10 +131,10 @@ let test_rx_deferral_with_virtual_macs () =
 let test_rx_pollutes_without_virtual_macs () =
   let sim, _, d = mk ~virtual_macs:false () in
   feeder d ~app:1 ~bytes:8_000;
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.ms 100);
   let rec wait_for_balloon () =
-    if not (Net_sched.balloon_open d) then begin
+    if not (Ts.balloon_open (Net_sched.sched d)) then begin
       Sim.run_until sim (Sim.now sim + Time.ms 1);
       wait_for_balloon ()
     end
@@ -148,7 +150,7 @@ let test_own_rx_metered_in_balloon () =
   let sim, _, d = mk () in
   feeder d ~app:1 ~bytes:8_000;
   feeder d ~app:2 ~bytes:8_000;
-  Net_sched.sandbox d ~app:1;
+  Ts.sandbox (Net_sched.sched d) ~app:1;
   Sim.run_until sim (Time.ms 100);
   let rx = ref None in
   Net_sched.deliver_rx d ~app:1 ~socket:1 ~bytes:3_000 ~on_rx:(fun p ->
@@ -159,10 +161,31 @@ let test_own_rx_metered_in_balloon () =
       let inside =
         List.exists
           (fun (b0, b1) -> s >= b0 && s <= b1)
-          (Net_sched.balloon_intervals d)
+          (Ts.balloon_intervals (Net_sched.sched d))
       in
       check_bool "own RX lands inside a balloon" true inside
   | None -> Alcotest.fail "own rx never delivered")
+
+(* A rate-gated co-runner with less credit than the sandboxed app must not
+   make the balloon yield before its gate reopens (the balloon would
+   reopen at once and spin at one instant). *)
+let test_gated_corunner_no_livelock () =
+  let sim, _, d = mk () in
+  let s = Net_sched.sched d in
+  let sent = ref 0 in
+  let send app =
+    Net_sched.send d ~app ~socket:app ~bytes:5_000 ~on_sent:(fun _ -> incr sent)
+  in
+  Ts.set_rate s ~app:3 (Some 1e5);
+  send 3;
+  send 3;
+  ignore
+    (Sim.schedule_at sim (Time.ms 1) (fun () ->
+         Ts.sandbox s ~app:1;
+         for _ = 1 to 4 do send 1 done));
+  Sim.run_until sim (Time.ms 200);
+  check_int "all frames sent" 6 !sent;
+  check_bool "balloons formed" true (Ts.balloon_intervals s <> [])
 
 let suite =
   [
@@ -174,4 +197,7 @@ let suite =
     ("rx deferral with virtual MACs", `Quick, test_rx_deferral_with_virtual_macs);
     ("rx not deferred without virtual MACs", `Quick, test_rx_pollutes_without_virtual_macs);
     ("own rx metered in balloon", `Quick, test_own_rx_metered_in_balloon);
+    ( "gated co-runner does not livelock a balloon",
+      `Quick,
+      test_gated_corunner_no_livelock );
   ]

@@ -8,6 +8,9 @@ module Psbox = Psbox_core.Psbox
 module W = Psbox_workloads.Workload
 module Accel = Psbox_hw.Accel
 module Accel_driver = Psbox_kernel.Accel_driver
+module Net_sched = Psbox_kernel.Net_sched
+module Ts = Psbox_kernel.Temporal_sched
+module Wifi = Psbox_hw.Wifi
 
 (* A random op stream for one task. *)
 let gen_ops ~gpu =
@@ -96,9 +99,9 @@ let prop_gpu_invariants =
       System.run_for sys (Time.ms (leave_ms - enter_ms));
       Psbox.leave box;
       System.run_for sys (Time.ms 100);
-      let driver = System.gpu sys in
-      let cmds = Accel_driver.completed_commands driver in
-      let intervals = Accel_driver.balloon_intervals driver in
+      let s = Accel_driver.sched (System.gpu sys) in
+      let cmds = Ts.completed_items s in
+      let intervals = Ts.balloon_intervals s in
       let all_complete =
         List.for_all
           (fun c -> c.Accel.started_at <> None && c.Accel.finished_at <> None)
@@ -121,6 +124,125 @@ let prop_gpu_invariants =
       in
       System.shutdown sys;
       all_complete && unique && not foreign_inside)
+
+(* A random network app: CPU bursts, sleeps, blocking sends and
+   request/response exchanges, repeated a fixed number of times so every
+   frame it will ever send is known up front. *)
+let gen_net_ops =
+  QCheck.Gen.(
+    list_size (1 -- 8)
+      (oneof
+         [
+           map (fun ms -> `Compute (1 + ms)) (0 -- 8);
+           map (fun ms -> `Sleep (1 + ms)) (0 -- 8);
+           map (fun b -> `Send b) (200 -- 20_000);
+           map3
+             (fun tx rx rtt -> `Request (tx, rx, rtt))
+             (200 -- 2_000) (1 -- 12_000) (1 -- 20);
+         ]))
+
+let net_reps = 6
+
+let to_net_script ops =
+  W.repeat net_reps (fun _ ->
+      List.map
+        (function
+          | `Compute ms -> W.Compute (Time.ms ms)
+          | `Sleep ms -> W.Sleep (Time.ms ms)
+          | `Send bytes -> W.Send { socket = 1; bytes }
+          | `Request (tx_bytes, rx_bytes, rtt) ->
+              W.Request { socket = 1; tx_bytes; rx_bytes; rtt = Time.ms rtt })
+        ops)
+
+(* (TX, RX) frames the script puts on the air: responses arrive in
+   1500-byte chunks. *)
+let expected_frames ops =
+  let tx, rx =
+    List.fold_left
+      (fun (tx, rx) -> function
+        | `Send _ -> (tx + 1, rx)
+        | `Request (_, rx_bytes, _) -> (tx + 1, rx + max 1 ((rx_bytes + 1499) / 1500))
+        | `Compute _ | `Sleep _ -> (tx, rx))
+      (0, 0) ops
+  in
+  (net_reps * tx, net_reps * rx)
+
+(* WiFi invariant: every frame airs exactly once, each app's TX frames air
+   in send order, and no foreign frame is on the air inside a balloon. A
+   NIC without virtual MACs cannot defer reception (§4.2), so there only
+   foreign TX is held out of balloons; with virtual MACs foreign RX is
+   too. *)
+let prop_wifi_invariants ~virtual_macs =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "random WiFi scenarios keep temporal-balloon invariants (%s)"
+         (if virtual_macs then "virtual MACs" else "no virtual MACs"))
+    ~count:100
+    (QCheck.make
+       ~print:(fun (a, b, enter_ms, leave_ms) ->
+         Printf.sprintf "ops=%d/%d enter=%dms leave=%dms" (List.length a)
+           (List.length b) enter_ms leave_ms)
+       QCheck.Gen.(quad gen_net_ops gen_net_ops (10 -- 200) (210 -- 400)))
+    (fun (ops_a, ops_b, enter_ms, leave_ms) ->
+      let sys =
+        System.create ~cores:2 ~wifi:true ~wifi_virtual_macs:virtual_macs ()
+      in
+      let a = System.new_app sys ~name:"a" in
+      let b = System.new_app sys ~name:"b" in
+      ignore (W.spawn sys ~app:a ~name:"a0" ~core:0 (to_net_script ops_a));
+      ignore (W.spawn sys ~app:b ~name:"b0" ~core:1 (to_net_script ops_b));
+      System.start sys;
+      let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Wifi ] in
+      System.run_for sys (Time.ms enter_ms);
+      Psbox.enter box;
+      System.run_for sys (Time.ms (leave_ms - enter_ms));
+      Psbox.leave box;
+      W.run_until_idle sys ~apps:[ a; b ] ~timeout:(Time.sec 20);
+      System.run_for sys (Time.ms 100);
+      let s = Net_sched.sched (System.net sys) in
+      let frames = Ts.completed_items s in
+      let intervals = Ts.balloon_intervals s in
+      System.shutdown sys;
+      let count app dir =
+        List.length
+          (List.filter (fun p -> p.Wifi.app = app && p.Wifi.dir = dir) frames)
+      in
+      let aired_once =
+        List.for_all (fun p -> p.Wifi.air_start <> None && p.Wifi.air_end <> None) frames
+        && (let ids = List.map (fun p -> p.Wifi.id) frames in
+            List.length (List.sort_uniq compare ids) = List.length ids)
+        && List.for_all
+             (fun (app, ops) ->
+               let tx, rx = expected_frames ops in
+               count app `Tx = tx && count app `Rx = rx)
+             [ (a.System.app_id, ops_a); (b.System.app_id, ops_b) ]
+      in
+      let tx_in_order app =
+        let ids =
+          List.filter (fun p -> p.Wifi.app = app && p.Wifi.dir = `Tx) frames
+          |> List.sort (fun p q -> compare p.Wifi.air_start q.Wifi.air_start)
+          |> List.map (fun p -> p.Wifi.id)
+        in
+        ids = List.sort compare ids
+      in
+      let foreign_inside =
+        List.exists
+          (fun (b0, b1) ->
+            List.exists
+              (fun p ->
+                p.Wifi.app = b.System.app_id
+                && (virtual_macs || p.Wifi.dir = `Tx)
+                &&
+                match (p.Wifi.air_start, p.Wifi.air_end) with
+                | Some s, Some f -> min f b1 > max s b0
+                | _ -> false)
+              frames)
+          intervals
+      in
+      aired_once
+      && tx_in_order a.System.app_id
+      && tx_in_order b.System.app_id
+      && not foreign_inside)
 
 (* The virtual meter never reports below the idle floor nor above the
    physical rail's maximum. *)
@@ -193,6 +315,8 @@ let prop_observation_insulated =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_cpu_invariants; prop_gpu_invariants; prop_meter_bounded;
+      prop_cpu_invariants; prop_gpu_invariants;
+      prop_wifi_invariants ~virtual_macs:false;
+      prop_wifi_invariants ~virtual_macs:true; prop_meter_bounded;
       prop_observation_insulated;
     ]
