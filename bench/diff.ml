@@ -2,111 +2,56 @@
    directory and fail (exit 1) if any benchmark regressed by more than 20%.
    The failure message names each regressed benchmark and by how much.
 
-   The snapshot format is the fixed, line-oriented JSON that
-   [bench/main.ml --json] writes, so a scanf-grade parser is enough — no
-   JSON dependency. Lines without an "ns_per_run" key (e.g. the
-   "event_counts" rows) are skipped, and a metric present in only one
-   snapshot is reported as NEW/GONE rather than failing the diff. With
-   fewer than two snapshots there is nothing to compare and the tool exits
-   0, so it can sit on the smoke path from the first commit.
+   Snapshots are read with the tree's one JSON reader
+   (Psbox_telemetry.Json) and rows are looked up by key: every
+   { "name": ..., "<key>": <number> } object in a top-level array is a
+   row of that key, wherever the key sits in the object. A metric present
+   in only one snapshot is reported as NEW/GONE rather than failing the
+   diff. With fewer than two snapshots there is nothing to compare and the
+   tool exits 0, so it can sit on the smoke path from the first commit.
 
    Run with:  make bench-diff  (or  dune exec bench/diff.exe) *)
 
+module Json = Psbox_telemetry.Json
+
 let threshold_pct = 20.0
 
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go from
+let load path =
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok json -> json
+  | Error msg ->
+      Printf.eprintf "bench-diff: %s is not valid JSON: %s\n" path msg;
+      exit 2
 
-(* ...{ "name": "<name>", "<key>": <float> }... *)
-let parse_kv line ~key =
-  match find_sub line "\"name\": \"" 0 with
-  | None -> None
-  | Some i -> (
-      let start = i + 9 in
-      let sep = "\", \"" ^ key ^ "\": " in
-      match find_sub line sep start with
-      | None -> None
-      | Some j ->
-          let name = String.sub line start (j - start) in
-          let vstart = j + String.length sep in
-          let rest = String.sub line vstart (String.length line - vstart) in
-          let num =
-            String.to_seq rest
-            |> Seq.take_while (fun c ->
-                   (c >= '0' && c <= '9') || c = '.' || c = '-' || c = 'e')
-            |> String.of_seq
-          in
-          (try Some (name, float_of_string num) with Failure _ -> None))
+(* The (name, value) rows carrying [key], in file order. *)
+let rows json ~key =
+  match json with
+  | Json.Obj sections ->
+      List.concat_map
+        (fun (_, section) ->
+          match section with
+          | Json.Arr items ->
+              List.filter_map
+                (fun row ->
+                  match (Json.member "name" row, Json.member key row) with
+                  | Some (Json.Str name), Some (Json.Num v) -> Some (name, v)
+                  | _ -> None)
+                items
+          | _ -> [])
+        sections
+  | _ -> []
 
-let parse_line line = parse_kv line ~key:"ns_per_run"
-
-(* events_per_sec rows: simulated-event throughput, compared
-   informationally (throughput tracks how much work the scheduler does per
-   run — a shift flags an architecture change, not a perf regression) *)
-let parse_eps_line line = parse_kv line ~key:"events_per_sec"
-
-(* allocations rows: minor words allocated per simulated event — gated
-   like ns_per_run, because GC pressure is a regression dimension of its
-   own (an allocation creep shows up as tail latency long before it moves
-   the mean). Benches that fire no events carry 0 and stay 0. *)
-let parse_alloc_line line = parse_kv line ~key:"minor_words_per_event"
+(* Rows of the event_counts section ("count" key) under one metric
+   prefix. *)
+let counts json ~prefix =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix name)
+    (rows json ~key:"count")
 
 (* below this absolute growth (minor words per event) a percentage is GC
    accounting jitter, not a regression — e.g. 0.1 -> 0.2 w/event is +100%
    but meaningless *)
 let alloc_floor_words = 1.0
-
-(* audit.* rows of the event_counts section: attributed joules, compared
-   informationally (energy shifts are workload changes, not perf
-   regressions, so they never fail the diff) *)
-let parse_audit_line line =
-  match parse_kv line ~key:"count" with
-  | Some (name, _) as row
-    when String.length name >= 6 && String.sub name 0 6 = "audit." ->
-      row
-  | _ -> None
-
-(* model.* rows of the event_counts section: counter-model estimates and
-   residuals (watt gauges, MAPE percentages, drift alarms), compared
-   informationally — model error drifting across snapshots flags a
-   hardware-model or estimator change, not a perf regression *)
-let parse_model_line line =
-  match parse_kv line ~key:"count" with
-  | Some (name, _) as row
-    when String.length name >= 6 && String.sub name 0 6 = "model." ->
-      row
-  | _ -> None
-
-(* health.* rows of the event_counts section: incident-lifecycle counts
-   (evaluations, pending/firing/resolved incidents, responder actions),
-   compared informationally — an incident-count shift flags a rule or
-   threshold change, not a perf regression *)
-let parse_health_line line =
-  match parse_kv line ~key:"count" with
-  | Some (name, _) as row
-    when String.length name >= 7 && String.sub name 0 7 = "health." ->
-      row
-  | _ -> None
-
-let load_with parse path =
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       match parse (input_line ic) with
-       | Some row -> rows := row :: !rows
-       | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
-
-let load path = load_with parse_line path
 
 let () =
   let snapshots =
@@ -120,7 +65,9 @@ let () =
   in
   match List.rev snapshots with
   | newer :: older :: _ ->
-      let base = load older and cur = load newer in
+      let old_json = load older and new_json = load newer in
+      let both f = (f old_json, f new_json) in
+      let base, cur = both (rows ~key:"ns_per_run") in
       Printf.printf "bench-diff: %s -> %s (threshold %.0f%%)\n" older newer
         threshold_pct;
       let regressions = ref [] and compared = ref 0 in
@@ -148,8 +95,11 @@ let () =
           if not (List.mem_assoc name cur) then
             Printf.printf "  GONE   %s\n" name)
         base;
-      (let alloc_base = load_with parse_alloc_line older
-       and alloc_cur = load_with parse_alloc_line newer in
+      (* minor words allocated per simulated event: gated like ns_per_run,
+         because GC pressure is a regression dimension of its own (an
+         allocation creep shows up as tail latency long before it moves the
+         mean). Benches that fire no events carry 0 and stay 0. *)
+      (let alloc_base, alloc_cur = both (rows ~key:"minor_words_per_event") in
        if alloc_cur <> [] then begin
          Printf.printf "allocation per simulated event (gated):\n";
          List.iter
@@ -177,8 +127,10 @@ let () =
                    w pct)
            alloc_cur
        end);
-      (let eps_base = load_with parse_eps_line older
-       and eps_cur = load_with parse_eps_line newer in
+      (* simulated-event throughput, informational: it tracks how much
+         work the scheduler does per run, so a shift flags an architecture
+         change, not a perf regression *)
+      (let eps_base, eps_cur = both (rows ~key:"events_per_sec") in
        if eps_cur <> [] then begin
          Printf.printf "simulated-event throughput (informational):\n";
          List.iter
@@ -194,8 +146,9 @@ let () =
                    name v ratio)
            eps_cur
        end);
-      (let audit_base = load_with parse_audit_line older
-       and audit_cur = load_with parse_audit_line newer in
+      (* attributed joules, informational: energy shifts are workload
+         changes, not perf regressions *)
+      (let audit_base, audit_cur = both (counts ~prefix:"audit.") in
        if audit_cur <> [] then begin
          Printf.printf "audit totals (informational):\n";
          List.iter
@@ -209,8 +162,10 @@ let () =
                    name j pct)
            audit_cur
        end);
-      (let model_base = load_with parse_model_line older
-       and model_cur = load_with parse_model_line newer in
+      (* counter-model estimates and residuals (watt gauges, MAPE
+         percentages), informational: model error drifting across
+         snapshots flags a hardware-model or estimator change *)
+      (let model_base, model_cur = both (counts ~prefix:"model.") in
        if model_cur <> [] then begin
          Printf.printf "counter-model estimates (informational):\n";
          List.iter
@@ -224,8 +179,10 @@ let () =
                    name v delta)
            model_cur
        end);
-      (let health_base = load_with parse_health_line older
-       and health_cur = load_with parse_health_line newer in
+      (* incident-lifecycle counts (evaluations, pending/firing/resolved
+         incidents, responder actions), informational: a shift flags a rule
+         or threshold change *)
+      (let health_base, health_cur = both (counts ~prefix:"health.") in
        if health_cur <> [] then begin
          Printf.printf "health incident counts (informational):\n";
          List.iter

@@ -340,17 +340,6 @@ let microbench () =
 
 (* Machine-readable results, so perf regressions are diffable across
    commits: BENCH_<yyyy-mm-dd>.json in the current directory. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json rows eps allocs =
   let tm = Unix.localtime (Unix.time ()) in
   let date =
@@ -362,8 +351,8 @@ let write_json rows eps allocs =
   Printf.fprintf oc "{\n  \"date\": \"%s\",\n  \"unit\": \"ns/run\",\n  \"benchmarks\": [\n" date;
   List.iteri
     (fun i (name, ns) ->
-      Printf.fprintf oc "    { \"name\": \"%s\", \"ns_per_run\": %.3f }%s\n"
-        (json_escape name) ns
+      Printf.fprintf oc "    { \"name\": %s, \"ns_per_run\": %.3f }%s\n"
+        (Telemetry.Json.quote name) ns
         (if i = List.length rows - 1 then "" else ","))
     rows;
   (* Simulated-event throughput per benchmark: its own key, so
@@ -372,22 +361,22 @@ let write_json rows eps allocs =
   output_string oc "  ],\n  \"events_per_sec\": [\n";
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "    { \"name\": \"%s\", \"events_per_sec\": %.0f }%s\n"
-        (json_escape name) v
+      Printf.fprintf oc "    { \"name\": %s, \"events_per_sec\": %.0f }%s\n"
+        (Telemetry.Json.quote name) v
         (if i = List.length eps - 1 then "" else ","))
     eps;
   (* GC pressure per benchmark, from the same measured run as the
-     events_per_sec rows. "minor_words_per_event" sits directly after the
-     name so bench/diff.ml's adjacent-key parser picks it up — it is the
-     gated number; the raw words/collections ride along for forensics. *)
+     events_per_sec rows. bench/diff.ml gates "minor_words_per_event"; the
+     raw words/collections ride along for forensics. *)
   output_string oc "  ],\n  \"allocations\": [\n";
   List.iteri
     (fun i (name, a) ->
       Printf.fprintf oc
-        "    { \"name\": \"%s\", \"minor_words_per_event\": %.3f, \
+        "    { \"name\": %s, \"minor_words_per_event\": %.3f, \
          \"minor_words\": %.0f, \"promoted_words\": %.0f, \
          \"major_collections\": %d }%s\n"
-        (json_escape name) a.a_per_event a.a_minor a.a_promoted a.a_majors
+        (Telemetry.Json.quote name) a.a_per_event a.a_minor a.a_promoted
+        a.a_majors
         (if i = List.length allocs - 1 then "" else ","))
     allocs;
   (* Per-subsystem telemetry accumulated over the whole bench run: how many
@@ -408,8 +397,8 @@ let write_json rows eps allocs =
         else if Float.is_integer v then Printf.sprintf "%.0f" v
         else Printf.sprintf "%.6f" v
       in
-      Printf.fprintf oc "    { \"name\": \"%s\", \"count\": %s }%s\n"
-        (json_escape name) fmt_count
+      Printf.fprintf oc "    { \"name\": %s, \"count\": %s }%s\n"
+        (Telemetry.Json.quote name) fmt_count
         (if i = List.length counts - 1 then "" else ","))
     counts;
   output_string oc "  ]\n}\n";

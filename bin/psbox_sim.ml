@@ -477,6 +477,16 @@ let audit_check_cmd =
   in
   Cmd.v (Cmd.info "audit-check" ~doc) Term.(const run $ file)
 
+(* NaN passes every comparison gate (a NaN --max-mape never fails) and an
+   infinite --perturb turns the fitted coefficients into NaN, so the model
+   and health checks refuse non-finite values up front. *)
+let require_finite cmd flag v =
+  if not (Float.is_finite v) then begin
+    Printf.eprintf "%s: --%s must be a finite number, got %s\n" cmd flag
+      (Float.to_string v);
+    exit 2
+  end
+
 let model_check_cmd =
   let doc =
     "Fit counter-driven power models on one seed, validate on another, and \
@@ -490,13 +500,13 @@ let model_check_cmd =
          bursty apps) under $(b,--seed), records windowed power-state \
          residency counters against the kernel energy ledger, and fits one \
          per-OPP and one aggregate linear model per rail by least squares. \
-         It then re-runs the scenario under $(b,--val-seed) with the online \
-         estimator attached and reports each rail's held-out MAPE and RMSE, \
-         plus how many drift alarms the estimator raised.";
+         It then records the scenario again under $(b,--val-seed) and \
+         reports each rail's held-out MAPE and RMSE.";
       `P
         "With $(b,--perturb) the fitted coefficients are deliberately \
-         scaled before validation; the drift detector is expected to fire \
-         ($(b,--expect-drift) turns that into the exit criterion).";
+         scaled before validation, and the reported MAPE grows with the \
+         injected error. Whether the health engine's drift rule catches \
+         and heals such an error is $(b,health-check)'s job.";
     ]
   in
   let seed_a =
@@ -518,83 +528,30 @@ let model_check_cmd =
   let perturb =
     let doc =
       "Scale the fitted coefficients by (1 + $(docv)/100) before validating \
-       — an injected model error, for exercising the drift detector."
+       — an injected model error. Must be finite."
     in
     Arg.(value & opt float 0.0 & info [ "perturb" ] ~docv:"PCT" ~doc)
   in
   let max_mape =
     let doc =
       "Fail (exit 1) if any rail's per-OPP validation MAPE exceeds $(docv) \
-       percent."
+       percent. Must be finite."
     in
     Arg.(value & opt (some float) None & info [ "max-mape" ] ~docv:"PCT" ~doc)
-  in
-  let expect_drift =
-    let doc =
-      "Fail (exit 1) unless the online drift detector raised at least one \
-       alarm during validation."
-    in
-    Arg.(value & flag & info [ "expect-drift" ] ~doc)
   in
   let model_out =
     let doc = "Write the JSON report to $(docv) instead of stdout." in
     Arg.(value & opt (some string) None & info [ "model-out" ] ~docv:"FILE" ~doc)
   in
-  let self_heal =
-    let doc =
-      "Close the loop: run validation with the health engine's drift rule \
-       and the online recalibration responder attached, hot-swapping a \
-       refitted model under the estimator when drift fires. The report \
-       becomes the self-heal report; $(b,--max-mape) then gates the \
-       post-swap held-out MAPE and $(b,--expect-drift) requires at least \
-       one fired incident and one model swap."
-    in
-    Arg.(value & flag & info [ "self-heal" ] ~doc)
-  in
-  let run sched seed_a seed_b window_ms windows perturb max_mape expect_drift
-      model_out self_heal =
+  let run sched seed_a seed_b window_ms windows perturb max_mape model_out =
     Psbox_engine.Sim.set_default_backend sched;
     if window_ms <= 0 || windows <= 0 then begin
       Printf.eprintf "model-check: --window-ms and --windows must be positive\n";
       exit 2
     end;
+    require_finite "model-check" "perturb" perturb;
+    Option.iter (require_finite "model-check" "max-mape") max_mape;
     Audit.enable ();
-    if self_heal then begin
-      let report, _eng =
-        Health.Self_heal.run ~fit_seed:seed_a ~val_seed:seed_b
-          ~window:(Psbox_engine.Time.ms window_ms) ~windows
-          ~perturb_pct:perturb ()
-      in
-      let json = Health.Self_heal.json report in
-      (match model_out with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc json;
-          close_out oc;
-          Printf.printf "model-check: wrote self-heal report to %s\n" path
-      | None -> print_string json);
-      let failed = ref false in
-      (match max_mape with
-      | Some cap when report.Health.Self_heal.sh_post_max_mape_pct > cap ->
-          Printf.eprintf
-            "model-check: post-swap MAPE %.3f%% exceeds --max-mape %.3f%%\n"
-            report.Health.Self_heal.sh_post_max_mape_pct cap;
-          failed := true
-      | _ -> ());
-      if
-        expect_drift
-        && (report.Health.Self_heal.sh_incidents_fired = 0
-           || report.Health.Self_heal.sh_swaps = 0)
-      then begin
-        Printf.eprintf
-          "model-check: --expect-drift but no incident fired or no model \
-           swapped (perturb %.1f%%)\n"
-          perturb;
-        failed := true
-      end;
-      if !failed then exit 1
-    end
-    else begin
     let report =
       Psbox_model.Model.Check.run ~fit_seed:seed_a ~val_seed:seed_b
         ~window:(Psbox_engine.Time.ms window_ms) ~windows ~perturb_pct:perturb
@@ -608,28 +565,19 @@ let model_check_cmd =
         close_out oc;
         Printf.printf "model-check: wrote report to %s\n" path
     | None -> print_string json);
-    let failed = ref false in
-    (match max_mape with
+    match max_mape with
     | Some cap when report.Psbox_model.Model.Check.c_max_mape_pct > cap ->
         Printf.eprintf "model-check: max rail MAPE %.3f%% exceeds --max-mape %.3f%%\n"
           report.Psbox_model.Model.Check.c_max_mape_pct cap;
-        failed := true
-    | _ -> ());
-    if expect_drift && report.Psbox_model.Model.Check.c_drift_alarms = 0 then begin
-      Printf.eprintf
-        "model-check: --expect-drift but no drift alarm fired (perturb %.1f%%)\n"
-        perturb;
-      failed := true
-    end;
-    if !failed then exit 1
-    end
+        exit 1
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "model-check" ~doc ~man)
     (with_pool
        Term.(
          const run $ sched_arg $ seed_a $ seed_b $ window_ms $ windows
-         $ perturb $ max_mape $ expect_drift $ model_out $ self_heal))
+         $ perturb $ max_mape $ model_out))
 
 let health_check_cmd =
   let doc =
@@ -644,10 +592,12 @@ let health_check_cmd =
          coefficients by $(b,--perturb) percent, then re-runs the reference \
          scenario under $(b,--val-seed) with the perturbed estimator, the \
          health engine's default rule pack, and the online recalibration \
-         responder. The drift incident fires once per drifted rail, the \
-         responder recalibrates from the live recorder trace and hot-swaps \
-         the refit under the estimator, and the incident resolves when the \
-         MAPE gauge clears the hysteresis margin.";
+         responder. The estimator only publishes per-rail MAPE gauges; the \
+         pack's $(b,model.drift) rule is the one drift detector. Its \
+         incident fires once per drifted rail, the responder recalibrates \
+         from the live recorder trace and hot-swaps the refit under the \
+         estimator, and the incident resolves when the MAPE gauge clears \
+         the hysteresis margin.";
       `P
         "stdout (or $(b,--health-out)) is the engine's incident log: every \
          incident's open/fire/resolve timestamps, peak signal value and \
@@ -673,18 +623,21 @@ let health_check_cmd =
   let perturb =
     let doc =
       "Scale the fitted coefficients by (1 + $(docv)/100) before the \
-       monitored run — the injected drift."
+       monitored run — the injected drift. Must be finite."
     in
     Arg.(value & opt float 0.0 & info [ "perturb" ] ~docv:"PCT" ~doc)
   in
   let drift_threshold =
-    let doc = "Drift rule threshold on the rail MAPE gauges, in percent." in
+    let doc =
+      "Drift rule threshold on the rail MAPE gauges, in percent. Must be \
+       finite."
+    in
     Arg.(value & opt float 5.0 & info [ "drift-threshold" ] ~docv:"PCT" ~doc)
   in
   let max_mape =
     let doc =
       "Fail (exit 1) if the worst rail's post-swap held-out MAPE exceeds \
-       $(docv) percent."
+       $(docv) percent. Must be finite."
     in
     Arg.(value & opt (some float) None & info [ "max-mape" ] ~docv:"PCT" ~doc)
   in
@@ -713,6 +666,9 @@ let health_check_cmd =
         "health-check: --window-ms and --windows must be positive\n";
       exit 2
     end;
+    require_finite "health-check" "perturb" perturb;
+    require_finite "health-check" "drift-threshold" drift_threshold;
+    Option.iter (require_finite "health-check" "max-mape") max_mape;
     Audit.enable ();
     let report, eng =
       Health.Self_heal.run ~fit_seed:seed_a ~val_seed:seed_b

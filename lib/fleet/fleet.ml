@@ -7,6 +7,7 @@ module Budget = Psbox_budget.Budget
 module Audit = Psbox_audit.Audit
 module Health = Psbox_health.Health
 module Tm = Psbox_telemetry.Metrics
+module Json = Psbox_telemetry.Json
 
 type params = {
   p_idle_scale : float;
@@ -503,22 +504,6 @@ let json_num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let pp_dist fmt d =
   Format.fprintf fmt
     "{\"p50\":%s,\"p95\":%s,\"p99\":%s,\"mean\":%s,\"min\":%s,\"max\":%s}"
@@ -529,12 +514,12 @@ let pp_json fmt s =
   Format.fprintf fmt "{@\n";
   Format.fprintf fmt
     "  \"fleet\": {\"scenario\": %s, \"seed\": %d, \"devices\": %d},@\n"
-    (json_str s.s_scenario) s.s_seed s.s_devices;
+    (Json.quote s.s_scenario) s.s_seed s.s_devices;
   Format.fprintf fmt "  \"energy_j\": {";
   List.iteri
     (fun i (cls, d) ->
       if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s: %a" (json_str cls) pp_dist d)
+      Format.fprintf fmt "%s: %a" (Json.quote cls) pp_dist d)
     s.s_energy;
   Format.fprintf fmt "},@\n";
   Format.fprintf fmt "  \"total_j\": %a,@\n" pp_dist s.s_total;
@@ -542,7 +527,7 @@ let pp_json fmt s =
   List.iteri
     (fun i (c, share) ->
       if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s: %s" (json_str c) (json_num share))
+      Format.fprintf fmt "%s: %s" (Json.quote c) (json_num share))
     s.s_cause_share;
   Format.fprintf fmt "},@\n";
   Format.fprintf fmt
@@ -552,7 +537,7 @@ let pp_json fmt s =
   List.iteri
     (fun i (rule, rate) ->
       if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s: %s" (json_str rule) (json_num rate))
+      Format.fprintf fmt "%s: %s" (Json.quote rule) (json_num rate))
     s.s_incident_rates;
   Format.fprintf fmt "},@\n";
   Format.fprintf fmt "  \"metrics\": {";
@@ -562,10 +547,10 @@ let pp_json fmt s =
       match v with
       | Tm.Counter_v x | Tm.Gauge_v x ->
           if !first then first := false else Format.fprintf fmt ", ";
-          Format.fprintf fmt "%s: %s" (json_str name) (json_num x)
+          Format.fprintf fmt "%s: %s" (Json.quote name) (json_num x)
       | Tm.Histogram_v { edges; counts; sum } ->
           if !first then first := false else Format.fprintf fmt ", ";
-          Format.fprintf fmt "%s: {\"edges\": [" (json_str name);
+          Format.fprintf fmt "%s: {\"edges\": [" (Json.quote name);
           Array.iteri
             (fun i e ->
               if i > 0 then Format.fprintf fmt ", ";

@@ -13,6 +13,7 @@ module System = Psbox_kernel.System
 module Power_rail = Psbox_hw.Power_rail
 module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
+module Json = Psbox_telemetry.Json
 module Model = Psbox_model.Model
 module Budget = Psbox_budget.Budget
 module Audit = Psbox_audit.Audit
@@ -65,8 +66,15 @@ type rule = { r_name : string; r_subject : string; r_kind : kind }
 let rule_name r = r.r_name
 let rule_subject r = r.r_subject
 
+(* Every comparison against a NaN parameter is false, so a NaN limit,
+   rate or burn factor would build a rule that silently never fires. *)
+let check_nan fn what x =
+  if Float.is_nan x then
+    invalid_arg (Printf.sprintf "Health.%s: NaN %s" fn what)
+
 let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
   if for_windows < 1 then invalid_arg "Health.threshold: for_windows < 1";
+  check_nan "threshold" "limit" limit;
   {
     r_name = name;
     r_subject = (match subject with Some s -> s | None -> signal_label signal);
@@ -82,6 +90,7 @@ let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
 
 let rate_of_change ~name ?subject ?(for_windows = 1) signal ~per_second =
   if for_windows < 1 then invalid_arg "Health.rate_of_change: for_windows < 1";
+  check_nan "rate_of_change" "per_second" per_second;
   if per_second <= 0.0 then
     invalid_arg "Health.rate_of_change: per_second must be positive";
   {
@@ -105,6 +114,8 @@ let burn_rate ~bad ~total ~slo =
 
 let slo_burn ~name ?subject ~bad ~total ~slo ?(short_windows = 4)
     ?(long_windows = 16) ?(factor = 2.0) () =
+  check_nan "slo_burn" "slo" slo;
+  check_nan "slo_burn" "factor" factor;
   if slo <= 0.0 then invalid_arg "Health.slo_burn: slo must be positive";
   if short_windows < 1 || long_windows < short_windows then
     invalid_arg "Health.slo_burn: need 1 <= short_windows <= long_windows";
@@ -431,12 +442,10 @@ let stop t =
 
 (* ---- incident-log JSON --------------------------------------------- *)
 
+let opt_s = function None -> "null" | Some s -> Printf.sprintf "%.6f" s
+
 let json t =
   let b = Buffer.create 1024 in
-  let opt_s = function
-    | None -> "null"
-    | Some s -> Printf.sprintf "%.6f" s
-  in
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"period_ms\": %.3f,\n"
     (Time.to_sec_f t.h_period *. 1000.0);
@@ -448,11 +457,11 @@ let json t =
   List.iteri
     (fun k i ->
       Printf.bprintf b
-        "    { \"id\": %d, \"rule\": \"%s\", \"subject\": \"%s\", \
+        "    { \"id\": %d, \"rule\": %s, \"subject\": %s, \
          \"opened_s\": %.6f, \"fired_s\": %s, \"resolved_s\": %s, \"peak\": \
          %.6f, \"evals\": %d }%s\n"
-        i.i_id i.i_rule i.i_subject i.i_opened_s (opt_s i.i_fired_s)
-        (opt_s i.i_resolved_s) i.i_peak i.i_evals
+        i.i_id (Json.quote i.i_rule) (Json.quote i.i_subject) i.i_opened_s
+        (opt_s i.i_fired_s) (opt_s i.i_resolved_s) i.i_peak i.i_evals
         (if k = n - 1 then "" else ","))
     incs;
   Buffer.add_string b "  ],\n";
@@ -460,7 +469,7 @@ let json t =
   let counts = incident_counts t in
   List.iteri
     (fun k (r, c) ->
-      Printf.bprintf b "\"%s\": %d%s" r c
+      Printf.bprintf b "%s: %d%s" (Json.quote r) c
         (if k = List.length counts - 1 then "" else ", "))
     counts;
   Buffer.add_string b " }\n";
@@ -470,22 +479,21 @@ let json t =
 (* ------------------------------------------------------------------ *)
 (* Default rule pack                                                   *)
 
-let default_pack ?(drift_threshold_pct = 5.0) ?(drift_for_windows = 8)
-    ?(cap_slo = 0.05) ?(cap_factor = 2.0) sys =
+let default_pack ?(drift_threshold_pct = 5.0) sys =
+  check_nan "default_pack" "drift_threshold_pct" drift_threshold_pct;
   let rails = List.map Power_rail.name (System.rails sys) in
   let drift =
     List.map
       (fun r ->
         threshold ~name:"model.drift" ~subject:r
-          ~for_windows:drift_for_windows
+          ~for_windows:Model.Estimator.mape_windows
           (Metric (Printf.sprintf "model.rail.%s.mape_pct" r))
           drift_threshold_pct)
       rails
   in
   let cap =
     slo_burn ~name:"cap.violation" ~subject:"budget"
-      ~bad:"budget.cap_violations" ~total:"budget.ticks" ~slo:cap_slo
-      ~factor:cap_factor ()
+      ~bad:"budget.cap_violations" ~total:"budget.ticks" ~slo:0.05 ()
   in
   let dead = absence ~name:"telemetry.dead" ~subject:"sim" "sim.events_fired" in
   let conservation =
@@ -516,8 +524,7 @@ module Responder = struct
   let tighten_budget ?factor ctl ~app (_ : incident) =
     Budget.tighten ?factor ctl ~app
 
-  let recalibrate ~recorder ~estimator ?(seed = 77) ?(rounds = 12)
-      ?(samples = 48) ?(margin = 0.3) () (inc : incident) =
+  let recalibrate ~recorder ~estimator (inc : incident) =
     let rail = inc.i_subject in
     match Model.Estimator.model estimator ~rail with
     | None -> ()
@@ -530,8 +537,8 @@ module Responder = struct
         | Some tr when tr.Model.Trace.tr_windows = [] -> ()
         | Some tr ->
             let m, _rmse =
-              Model.Calibrate.calibrate_trace ~seed:(seed + inc.i_id) ~rounds
-                ~samples ~around:current ~margin tr
+              Model.Calibrate.calibrate_trace ~seed:(77 + inc.i_id) ~rounds:12
+                ~samples:48 ~around:current tr
             in
             ignore (Model.Estimator.swap_model estimator m : bool))
 end
@@ -571,26 +578,19 @@ module Self_heal = struct
     }
 
   let run ?(fit_seed = 11) ?(val_seed = 23) ?(window = Time.ms 50)
-      ?(windows = 60) ?(perturb_pct = 0.0) ?(drift_threshold_pct = 5.0)
-      ?(drift_for_windows = 8) ?(calib_seed = 77) ?(calib_rounds = 12)
-      ?(calib_samples = 48) () =
+      ?(windows = 60) ?(perturb_pct = 0.0) ?(drift_threshold_pct = 5.0) () =
     if windows <= 0 then
       invalid_arg "Health.Self_heal.run: windows must be positive";
+    check_nan "Self_heal.run" "perturb_pct" perturb_pct;
+    check_nan "Self_heal.run" "drift_threshold_pct" drift_threshold_pct;
     (* reference run: record and fit the ground-truth models, then inject
        the drift by perturbing every coefficient *)
-    let sys = Model.Check.scenario_sys ~seed:fit_seed in
-    ignore (Model.Check.install_workload sys);
-    System.start sys;
-    let rc = Model.Recorder.start sys ~window () in
-    System.run_for sys (window * windows);
-    let fit_traces = Model.Recorder.stop rc in
-    System.shutdown sys;
     let models =
       List.map
         (fun tr ->
           Model.Fit.perturb (Model.Fit.fit ~kind:Model.Fit.Per_opp tr)
             perturb_pct)
-        fit_traces
+        (Model.Check.record ~seed:fit_seed ~window ~windows)
     in
     (* validation run: live estimator under the drifted models, the default
        rule pack watching its mape gauges, and the recalibration responder
@@ -599,13 +599,11 @@ module Self_heal = struct
     ignore (Model.Check.install_workload sys);
     System.start sys;
     let rc = Model.Recorder.start sys ~window () in
-    let est = Model.Estimator.start sys ~models ~window ~drift_threshold_pct () in
+    let est = Model.Estimator.start sys ~models ~window () in
     let eng = create (System.sim sys) ~period:window () in
-    add_rules eng
-      (default_pack ~drift_threshold_pct ~drift_for_windows sys);
+    add_rules eng (default_pack ~drift_threshold_pct sys);
     on_firing eng ~rule:"model.drift"
-      (Responder.recalibrate ~recorder:rc ~estimator:est ~seed:calib_seed
-         ~rounds:calib_rounds ~samples:calib_samples ());
+      (Responder.recalibrate ~recorder:rc ~estimator:est);
     System.run_for sys (window * windows);
     let val_traces = Model.Recorder.stop rc in
     Model.Estimator.stop est;
@@ -684,13 +682,10 @@ module Self_heal = struct
     List.iteri
       (fun k rh ->
         Printf.bprintf b
-          "    { \"name\": \"%s\", \"pre_mape_pct\": %.6f, \"post_mape_pct\": \
+          "    { \"name\": %s, \"pre_mape_pct\": %.6f, \"post_mape_pct\": \
            %.6f, \"fired_s\": %s, \"swapped\": %b }%s\n"
-          rh.rh_rail rh.rh_pre_mape_pct rh.rh_post_mape_pct
-          (match rh.rh_fired_s with
-          | None -> "null"
-          | Some s -> Printf.sprintf "%.6f" s)
-          rh.rh_swapped
+          (Json.quote rh.rh_rail) rh.rh_pre_mape_pct rh.rh_post_mape_pct
+          (opt_s rh.rh_fired_s) rh.rh_swapped
           (if k = n - 1 then "" else ","))
       r.sh_rails;
     Buffer.add_string b "  ],\n";

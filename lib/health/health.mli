@@ -7,7 +7,9 @@
     continuously on a deterministic evaluation grid, turns breaches into an
     incident lifecycle, and dispatches firing incidents to responders that
     change the machine (recalibrate a drifted model, tighten a violated
-    budget).
+    budget). It is the tree's only judge of those signals: the model
+    estimator publishes its error gauges, and the [model.drift] rule of
+    {!default_pack} alone decides that a model has drifted.
 
     Determinism contract: evaluations land on the fixed grid
     [epoch + k*period] riding the simulator's timing wheel, demand-armed
@@ -30,11 +32,15 @@ type signal =
 
 (** {1 Rules}
 
-    Each combinator carries hysteresis re-arm borrowed from the model drift
-    latch: once an incident fires, the rule re-arms (resolving the
-    incident) only when the signal has cleared the threshold by a 20%
-    margin — below [0.8 * limit] for over-rules, above [1.2 * limit] for
-    under-rules — so one sustained excursion yields exactly one incident. *)
+    Each combinator carries hysteresis re-arm: once an incident fires, the
+    rule re-arms (resolving the incident) only when the signal has cleared
+    the threshold by a 20% margin — below [0.8 * limit] for over-rules,
+    above [1.2 * limit] for under-rules — so one sustained excursion yields
+    exactly one incident.
+
+    Every combinator rejects a NaN parameter with [Invalid_argument
+    "Health.<fn>: NaN <param>"]: a comparison against NaN is always false,
+    so such a rule would silently never fire. Infinite limits stay valid. *)
 
 type rule
 
@@ -153,24 +159,21 @@ val incident_counts : t -> (string * int) list
 
 val json : t -> string
 (** Deterministic incident-log JSON: fixed field order, [%.6f] floats, no
-    wall clock. *)
+    wall clock, names quoted by {!Psbox_telemetry.Json.quote}. *)
 
 (** {1 Default rule pack}
 
-    The rules [psbox_sim] wires in: per-rail model drift (threshold on the
-    estimator's [model.rail.<r>.mape_pct] gauges, for-duration
-    [drift_for_windows]), cap-violation SLO burn
-    ([budget.cap_violations] / [budget.ticks]), a dead-metric absence
-    watchdog on [sim.events_fired], and — when an audit ledger is attached
-    to [sys] — an audit-vs-kernel-ledger conservation probe that must
-    never fire. *)
+    The rules [psbox_sim] wires in: per-rail model drift ([model.drift], a
+    threshold of [drift_threshold_pct], default 5, on the estimator's
+    [model.rail.<r>.mape_pct] gauges, held for
+    {!Psbox_model.Model.Estimator.mape_windows} evaluations so the gauge's
+    window is full before an incident fires), cap-violation SLO burn
+    ([budget.cap_violations] / [budget.ticks] against a 5% SLO, factor
+    2.0), a dead-metric absence watchdog on [sim.events_fired], and — when
+    an audit ledger is attached to [sys] — an audit-vs-kernel-ledger
+    conservation probe that must never fire. *)
 val default_pack :
-  ?drift_threshold_pct:float ->
-  ?drift_for_windows:int ->
-  ?cap_slo:float ->
-  ?cap_factor:float ->
-  Psbox_kernel.System.t ->
-  rule list
+  ?drift_threshold_pct:float -> Psbox_kernel.System.t -> rule list
 
 (** {1 Shipped responders} *)
 
@@ -183,26 +186,21 @@ module Responder : sig
   val recalibrate :
     recorder:Psbox_model.Model.Recorder.t ->
     estimator:Psbox_model.Model.Estimator.t ->
-    ?seed:int ->
-    ?rounds:int ->
-    ?samples:int ->
-    ?margin:float ->
-    unit ->
     incident ->
     unit
   (** Self-healing estimation: on a fired drift incident whose subject is
       a rail the estimator observes, recalibrate that rail online with
-      {!Psbox_model.Model.Calibrate.calibrate_trace} — searching around
-      the incumbent (drifted) model within [margin] (default 0.3) — on
-      the recorder's windows so far, then hot-swap the refit under the
-      estimator ({!Psbox_model.Model.Estimator.swap_model}). Deterministic:
-      the calibration seed is [seed + incident id]. *)
+      {!Psbox_model.Model.Calibrate.calibrate_trace} — 12 rounds of 48
+      samples around the incumbent (drifted) model, within the default
+      margin — on the recorder's windows so far, then hot-swap the refit
+      under the estimator ({!Psbox_model.Model.Estimator.swap_model}).
+      Deterministic: the calibration seed is [77 + incident id]. *)
 end
 
 (** {1 Self-healing estimation check}
 
-    The end-to-end drift-injection demo behind [psbox_sim health-check]
-    and [model-check --self-heal]: fit ground-truth models on one seed,
+    The end-to-end drift-injection demo behind [psbox_sim health-check]:
+    fit ground-truth models on one {!Psbox_model.Model.Check.record} run,
     perturb them, run a fresh seed under the perturbed estimator with the
     default rule pack and the recalibration responder, and measure the
     held-out MAPE of the hot-swapped model on the windows after the
@@ -236,15 +234,13 @@ module Self_heal : sig
     ?windows:int ->
     ?perturb_pct:float ->
     ?drift_threshold_pct:float ->
-    ?drift_for_windows:int ->
-    ?calib_seed:int ->
-    ?calib_rounds:int ->
-    ?calib_samples:int ->
     unit ->
     report * t
   (** Returns the report and the (stopped) engine whose {!json} is the
       incident log. Defaults: seeds 11/23 (as [model-check]), 60 windows
-      of 50 ms, no perturbation. *)
+      of 50 ms, no perturbation, the {!default_pack} drift threshold.
+      @raise Invalid_argument on a NaN [perturb_pct] or
+      [drift_threshold_pct]. *)
 
   val json : report -> string
   (** Deterministic JSON, same conventions as the incident log. *)

@@ -16,6 +16,7 @@ module Accel_driver = Psbox_kernel.Accel_driver
 module Split = Psbox_accounting.Split
 module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
+module Json = Psbox_telemetry.Json
 module Cpu = Psbox_hw.Cpu
 module Accel = Psbox_hw.Accel
 module Wifi = Psbox_hw.Wifi
@@ -24,7 +25,6 @@ module Power_rail = Psbox_hw.Power_rail
 module W = Psbox_workloads.Workload
 
 let model_track = "model"
-let m_drift_alarms = Tm.counter "model.drift.alarms"
 let m_swaps = Tm.counter "model.swaps"
 
 (* ------------------------------------------------------------------ *)
@@ -400,9 +400,11 @@ module Recorder = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Online estimator with drift detection                                *)
+(* Online estimator: gauges only; the health engine judges them         *)
 
 module Estimator = struct
+  let mape_windows = 8
+
   type est_rail = {
     mutable er_model : Fit.fitted;
     er_s : sampler;
@@ -411,7 +413,6 @@ module Estimator = struct
     er_ring : float array; (* recent per-window APE%, circular *)
     mutable er_ring_i : int;
     mutable er_ring_n : int;
-    mutable er_latched : bool;
     er_g_est : Tm.gauge;
     er_g_mape : Tm.gauge;
     er_h_resid : Tm.histogram;
@@ -420,15 +421,12 @@ module Estimator = struct
   type t = {
     e_sys : System.t;
     e_window : Time.span;
-    e_threshold_pct : float;
     e_rails : est_rail list;
     mutable e_periodic : Sim.periodic option;
     e_splitters : Split.live list;
     e_t0 : Time.t;
     mutable e_cum_pred_j : float;
     mutable e_cum_ledger_j : float;
-    mutable e_ticks : int;
-    mutable e_alarms : int;
     mutable e_swaps : int;
     mutable e_stopped : bool;
   }
@@ -444,7 +442,6 @@ module Estimator = struct
     end
 
   let tick t () =
-    t.e_ticks <- t.e_ticks + 1;
     let dt = Time.to_sec_f t.e_window in
     List.iter
       (fun er ->
@@ -477,26 +474,10 @@ module Estimator = struct
           if er.er_ring_n < Array.length er.er_ring then
             er.er_ring_n <- er.er_ring_n + 1
         end;
-        let mape = windowed_mape er in
-        Tm.set er.er_g_mape mape;
-        (* drift latch: one alarm per excursion, released with hysteresis *)
-        if er.er_ring_n = Array.length er.er_ring then
-          if (not er.er_latched) && mape > t.e_threshold_pct then begin
-            er.er_latched <- true;
-            t.e_alarms <- t.e_alarms + 1;
-            Tm.incr m_drift_alarms;
-            if Tt.recording () then
-              Tt.instant ~track:model_track ~lane:er.er_s.s_rail ~name:"drift"
-                ~args:
-                  [ ("mape_pct", mape); ("threshold_pct", t.e_threshold_pct) ]
-                (Sim.now (System.sim t.e_sys))
-          end
-          else if er.er_latched && mape < 0.8 *. t.e_threshold_pct then
-            er.er_latched <- false)
+        Tm.set er.er_g_mape (windowed_mape er))
       t.e_rails
 
-  let start sys ~models ?(window = Time.ms 50) ?(mape_window = 8)
-      ?(drift_threshold_pct = 5.0) () =
+  let start sys ~models ?(window = Time.ms 50) () =
     let from = Sim.now (System.sim sys) in
     let rails =
       List.filter_map
@@ -514,10 +495,9 @@ module Estimator = struct
                   er_s = s;
                   er_prev_f = s.s_read ();
                   er_prev_j = System.rail_energy_j sys ~name:s.s_rail;
-                  er_ring = Array.make (max 1 mape_window) 0.0;
+                  er_ring = Array.make mape_windows 0.0;
                   er_ring_i = 0;
                   er_ring_n = 0;
-                  er_latched = false;
                   er_g_est =
                     Tm.gauge (Printf.sprintf "model.rail.%s.est_w" s.s_rail);
                   er_g_mape =
@@ -534,15 +514,12 @@ module Estimator = struct
       {
         e_sys = sys;
         e_window = window;
-        e_threshold_pct = drift_threshold_pct;
         e_rails = rails;
         e_periodic = None;
         e_splitters = splitters;
         e_t0 = from;
         e_cum_pred_j = 0.0;
         e_cum_ledger_j = 0.0;
-        e_ticks = 0;
-        e_alarms = 0;
         e_swaps = 0;
         e_stopped = false;
       }
@@ -560,18 +537,16 @@ module Estimator = struct
       List.iter Split.live_detach t.e_splitters
     end
 
-  let alarms t = t.e_alarms
-  let ticks t = t.e_ticks
   let swaps t = t.e_swaps
 
   let model t ~rail =
     List.find_opt (fun er -> er.er_s.s_rail = rail) t.e_rails
     |> Option.map (fun er -> er.er_model)
 
-  (* Hot-swap a rail's model under the live estimator: the MAPE ring and
-     drift latch restart from scratch so the published mape_pct reflects
-     only the new model, while the counter cursors (er_prev_f/er_prev_j)
-     carry over — residency is a property of the machine, not the model. *)
+  (* Hot-swap a rail's model under the live estimator: the MAPE ring
+     restarts from scratch so the published mape_pct reflects only the new
+     model, while the counter cursors (er_prev_f/er_prev_j) carry over —
+     residency is a property of the machine, not the model. *)
   let swap_model t m =
     match
       List.find_opt (fun er -> er.er_s.s_rail = m.Fit.f_rail) t.e_rails
@@ -582,7 +557,6 @@ module Estimator = struct
         Array.fill er.er_ring 0 (Array.length er.er_ring) 0.0;
         er.er_ring_i <- 0;
         er.er_ring_n <- 0;
-        er.er_latched <- false;
         t.e_swaps <- t.e_swaps + 1;
         Tm.incr m_swaps;
         if Tt.recording () then
@@ -598,10 +572,10 @@ module Estimator = struct
 
   (* Modeled history for one app: its attributed draw since the estimator
      started, scaled by the model's cumulative modeled/ledger ratio — the
-     admission-control cross-check signal. None until the first window has
-     settled, so callers fall back to declared watts. *)
+     admission-control cross-check signal. None until a window has settled
+     some ledger energy, so callers fall back to declared watts. *)
   let app_est_w t ~app =
-    if t.e_ticks = 0 || t.e_cum_ledger_j <= 0.0 then None
+    if t.e_cum_ledger_j <= 0.0 then None
     else begin
       let until = Sim.now (System.sim t.e_sys) in
       let elapsed = Time.to_sec_f (until - t.e_t0) in
@@ -746,10 +720,8 @@ module Check = struct
     c_window_ms : float;
     c_windows : int;
     c_perturb_pct : float;
-    c_drift_threshold_pct : float;
     c_rails : rail_report list;
     c_max_mape_pct : float;
-    c_drift_alarms : int;
   }
 
   (* The reference scenario: a dual-core machine with GPU and WiFi, one
@@ -798,35 +770,22 @@ module Check = struct
               | _ -> [ W.Compute (Time.us 800); W.Sleep (Time.ms 7) ])));
     (a.System.app_id, b.System.app_id)
 
-  let record_run ~seed ~window ~windows ~models ~drift_threshold_pct =
+  let record ~seed ~window ~windows =
     let sys = scenario_sys ~seed in
     ignore (install_workload sys);
     System.start sys;
     let rc = Recorder.start sys ~window () in
-    let est =
-      match models with
-      | [] -> None
-      | ms -> Some (Estimator.start sys ~models:ms ~window ~drift_threshold_pct ())
-    in
     System.run_for sys (window * windows);
     let traces = Recorder.stop rc in
-    let alarms =
-      match est with
-      | None -> 0
-      | Some e ->
-          Estimator.stop e;
-          Estimator.alarms e
-    in
     System.shutdown sys;
-    (traces, alarms)
+    traces
 
   let run ?(fit_seed = 11) ?(val_seed = 23) ?(window = Time.ms 50)
-      ?(windows = 40) ?(perturb_pct = 0.0) ?(drift_threshold_pct = 5.0) () =
+      ?(windows = 40) ?(perturb_pct = 0.0) () =
     if windows <= 0 then invalid_arg "Model.Check.run: windows must be positive";
-    let fit_traces, _ =
-      record_run ~seed:fit_seed ~window ~windows ~models:[]
-        ~drift_threshold_pct
-    in
+    if Float.is_nan perturb_pct then
+      invalid_arg "Model.Check.run: NaN perturb_pct";
+    let fit_traces = record ~seed:fit_seed ~window ~windows in
     let models =
       List.map
         (fun tr -> Fit.perturb (Fit.fit ~kind:Fit.Per_opp tr) perturb_pct)
@@ -837,9 +796,7 @@ module Check = struct
         (fun tr -> Fit.perturb (Fit.fit ~kind:Fit.Linear tr) perturb_pct)
         fit_traces
     in
-    let val_traces, alarms =
-      record_run ~seed:val_seed ~window ~windows ~models ~drift_threshold_pct
-    in
+    let val_traces = record ~seed:val_seed ~window ~windows in
     let rails =
       List.map
         (fun (tr : Trace.t) ->
@@ -873,11 +830,9 @@ module Check = struct
       c_window_ms = Time.to_sec_f window *. 1000.0;
       c_windows = windows;
       c_perturb_pct = perturb_pct;
-      c_drift_threshold_pct = drift_threshold_pct;
       c_rails = rails;
       c_max_mape_pct =
         List.fold_left (fun acc r -> Float.max acc r.rr_mape_pct) 0.0 rails;
-      c_drift_alarms = alarms;
     }
 
   (* Deterministic JSON: fixed field order, %.6f floats, no wall clock. *)
@@ -889,29 +844,26 @@ module Check = struct
     Printf.bprintf b "  \"window_ms\": %.3f,\n" r.c_window_ms;
     Printf.bprintf b "  \"windows\": %d,\n" r.c_windows;
     Printf.bprintf b "  \"perturb_pct\": %.6f,\n" r.c_perturb_pct;
-    Printf.bprintf b "  \"drift_threshold_pct\": %.6f,\n"
-      r.c_drift_threshold_pct;
     Buffer.add_string b "  \"rails\": [\n";
     let nrails = List.length r.c_rails in
     List.iteri
       (fun i rr ->
         Printf.bprintf b
-          "    { \"name\": \"%s\", \"mape_pct\": %.6f, \"rmse_w\": %.6f, \
+          "    { \"name\": %s, \"mape_pct\": %.6f, \"rmse_w\": %.6f, \
            \"max_ape_pct\": %.6f, \"linear_mape_pct\": %.6f,\n"
-          rr.rr_rail rr.rr_mape_pct rr.rr_rmse_w rr.rr_max_ape_pct
+          (Json.quote rr.rr_rail) rr.rr_mape_pct rr.rr_rmse_w rr.rr_max_ape_pct
           rr.rr_linear_mape_pct;
         Buffer.add_string b "      \"coeffs\": { ";
         List.iteri
           (fun j (n, c) ->
-            Printf.bprintf b "\"%s\": %.6f%s" n c
+            Printf.bprintf b "%s: %.6f%s" (Json.quote n) c
               (if j = List.length rr.rr_coeffs - 1 then "" else ", "))
           rr.rr_coeffs;
         Printf.bprintf b " } }%s\n" (if i = nrails - 1 then "" else ",")
       )
       r.c_rails;
     Buffer.add_string b "  ],\n";
-    Printf.bprintf b "  \"max_mape_pct\": %.6f,\n" r.c_max_mape_pct;
-    Printf.bprintf b "  \"drift_alarms\": %d\n" r.c_drift_alarms;
+    Printf.bprintf b "  \"max_mape_pct\": %.6f\n" r.c_max_mape_pct;
     Buffer.add_string b "}\n";
     Buffer.contents b
 end

@@ -6,10 +6,14 @@
     simulator: {!Recorder} captures windowed counter/joule traces from a live
     machine, {!Fit} learns per-rail linear or per-OPP models by least
     squares, {!Estimator} publishes live model estimates plus residual
-    telemetry and raises drift alarms when the model and the energy ledger
-    part ways, {!Calibrate} recovers hardware parameters by deterministic
-    random search, and {!Check} packages a fit-on-seed-A /
+    and windowed-error gauges, {!Calibrate} recovers hardware parameters by
+    deterministic random search, and {!Check} packages a fit-on-seed-A /
     validate-on-seed-B cross-check with deterministic JSON output.
+
+    This library estimates; it does not judge. Deciding that a model has
+    drifted is the health engine's [model.drift] rule
+    ({!Psbox_health.Health.default_pack}), which watches the estimator's
+    [model.rail.<r>.mape_pct] gauges.
 
     Every component is a pure observer: attaching one never changes a
     simulation decision, so experiment outputs stay byte-identical with the
@@ -76,7 +80,7 @@ module Fit : sig
 
   val perturb : fitted -> float -> fitted
   (** Scale every coefficient by [1 + pct/100] — an injected model error
-      for drift-alarm and sensitivity tests. *)
+      for drift-injection and sensitivity tests. *)
 end
 
 (** {1 Recording traces from a live machine} *)
@@ -98,37 +102,31 @@ module Recorder : sig
   (** Detach and return one trace per rail. Idempotent. *)
 end
 
-(** {1 Online estimation and drift detection} *)
+(** {1 Online estimation} *)
 
 module Estimator : sig
   type t
+
+  val mape_windows : int
+  (** How many recent windows the [mape_pct] gauge averages (8). The
+      health engine's drift rule waits this many evaluations before it
+      fires, so an incident never reads a partly filled window. *)
 
   val start :
     System.t ->
     models:Fit.fitted list ->
     ?window:Psbox_engine.Time.span ->
-    ?mape_window:int ->
-    ?drift_threshold_pct:float ->
     unit ->
     t
   (** Every [window] (default 50 ms), predict each modelled rail's window
       energy from its counters and publish:
       [model.rail.<r>.est_w] (gauge), [model.rail.<r>.mape_pct] (gauge,
-      mean over the last [mape_window] windows, default 8) and
-      [model.rail.<r>.resid_pct] (histogram of per-window absolute
-      percentage error). When a rail's windowed MAPE exceeds
-      [drift_threshold_pct] (default 5) the estimator raises one alarm for
-      the whole excursion — [model.drift.alarms] counter plus a trace
-      instant on the ["model"] track — and re-arms only after the MAPE
-      falls below 80% of the threshold. Rails without a model in [models]
-      are left unobserved. *)
+      mean absolute percentage error over the last {!mape_windows}
+      windows) and [model.rail.<r>.resid_pct] (histogram of per-window
+      absolute percentage error). Rails without a model in [models] are
+      left unobserved. *)
 
   val stop : t -> unit
-
-  val alarms : t -> int
-  (** Drift alarms raised by this estimator so far. *)
-
-  val ticks : t -> int
 
   val swaps : t -> int
   (** Model hot-swaps performed on this estimator so far. *)
@@ -138,8 +136,8 @@ module Estimator : sig
 
   val swap_model : t -> Fit.fitted -> bool
   (** Hot-swap the model for the rail named by [f_rail]: the MAPE window
-      and drift latch restart from scratch (so [mape_pct] reflects only
-      the new model) while the residency cursors carry over. Counts under
+      restarts from scratch (so [mape_pct] reflects only the new model)
+      while the residency cursors carry over. Counts under
       [model.swaps] and emits a ["swap"] trace instant. [false] if the
       estimator observes no such rail. *)
 
@@ -213,10 +211,8 @@ module Check : sig
     c_window_ms : float;
     c_windows : int;
     c_perturb_pct : float;
-    c_drift_threshold_pct : float;
     c_rails : rail_report list;
     c_max_mape_pct : float;  (** worst per-OPP rail MAPE *)
-    c_drift_alarms : int;
   }
 
   val scenario_sys : seed:int -> System.t
@@ -227,18 +223,24 @@ module Check : sig
       phases sweep DVFS OPPs, GPU autosuspend, NIC TX levels and the RX
       path so every residency feature carries signal. *)
 
+  val record :
+    seed:int -> window:Psbox_engine.Time.span -> windows:int -> Trace.t list
+  (** One recorded run of the reference scenario: boot {!scenario_sys}
+      under [seed] with {!install_workload}, record [windows] windows of
+      [window] each and shut down. One trace per rail. *)
+
   val run :
     ?fit_seed:int ->
     ?val_seed:int ->
     ?window:Psbox_engine.Time.span ->
     ?windows:int ->
     ?perturb_pct:float ->
-    ?drift_threshold_pct:float ->
     unit ->
     report
-  (** Record the scenario under [fit_seed], fit per-OPP and linear models,
-      optionally perturb them by [perturb_pct], then validate offline and
-      online (estimator + drift detection) on a fresh [val_seed] run. *)
+  (** {!record} under [fit_seed], fit per-OPP and linear models,
+      optionally perturb them by [perturb_pct], then validate them on the
+      windows of a fresh {!record} under [val_seed].
+      @raise Invalid_argument on a NaN [perturb_pct]. *)
 
   val json : report -> string
   (** Deterministic JSON (fixed field order, fixed precision). *)

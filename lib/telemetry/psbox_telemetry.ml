@@ -578,6 +578,22 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
+  let quote s =
+    let b = Buffer.create (String.length s + 2) in
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"';
+    Buffer.contents b
+
   exception Err of string
 
   let parse s =
@@ -742,22 +758,6 @@ module Json = struct
 end
 
 module Chrome_trace = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   (* ns -> us with ns precision; chrome accepts fractional microseconds *)
   let us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1000.)
 
@@ -769,7 +769,7 @@ module Chrome_trace = struct
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Format.fprintf fmt ",";
-            Format.fprintf fmt "\"%s\":%s" (escape k) (fmt_value v))
+            Format.fprintf fmt "%s:%s" (Json.quote k) (fmt_value v))
           args;
         Format.fprintf fmt "}"
 
@@ -815,15 +815,15 @@ module Chrome_trace = struct
       (fun track ->
         sep ();
         Format.fprintf fmt
-          "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-          (pid_of track) (escape track))
+          "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%s}}"
+          (pid_of track) (Json.quote track))
       (List.rev !pid_order);
     List.iter
       (fun (track, lane) ->
         sep ();
         Format.fprintf fmt
-          "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-          (pid_of track) (tid_of track lane) (escape lane))
+          "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}"
+          (pid_of track) (tid_of track lane) (Json.quote lane))
       (List.rev !tid_order);
     List.iter
       (fun (e : Tracing.event) ->
@@ -832,17 +832,18 @@ module Chrome_trace = struct
         match e.kind with
         | Tracing.Span ->
             Format.fprintf fmt
-              "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s,\"dur\":%s%a}"
-              pid tid (escape e.name) (escape e.track) (us e.ts) (us e.dur)
-              pp_args e.args
+              "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"cat\":%s,\"ts\":%s,\"dur\":%s%a}"
+              pid tid (Json.quote e.name) (Json.quote e.track) (us e.ts)
+              (us e.dur) pp_args e.args
         | Tracing.Instant ->
             Format.fprintf fmt
-              "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s,\"s\":\"t\"%a}"
-              pid tid (escape e.name) (escape e.track) (us e.ts) pp_args e.args
+              "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"cat\":%s,\"ts\":%s,\"s\":\"t\"%a}"
+              pid tid (Json.quote e.name) (Json.quote e.track) (us e.ts)
+              pp_args e.args
         | Tracing.Sample ->
             Format.fprintf fmt
-              "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"ts\":%s%a}"
-              pid tid (escape e.name) (us e.ts) pp_args e.args)
+              "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"ts\":%s%a}"
+              pid tid (Json.quote e.name) (us e.ts) pp_args e.args)
       events;
     Format.fprintf fmt "@\n]}@\n"
 

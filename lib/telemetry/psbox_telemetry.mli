@@ -257,8 +257,10 @@ end
 
 (** {1 Minimal JSON}
 
-    A tiny parser used to validate exported traces ([psbox_sim trace-check],
-    [make trace-smoke]) and for round-trip tests — no external dependency. *)
+    The tree's one JSON string quoter and one reader, with no external
+    dependency: every hand-written JSON output quotes its strings with
+    {!quote}, and [psbox_sim trace-check], [bench/diff.exe] and the
+    round-trip tests read JSON back with {!parse}. *)
 module Json : sig
   type t =
     | Null
@@ -267,6 +269,11 @@ module Json : sig
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  val quote : string -> string
+  (** [s] as a JSON string literal, surrounding double quotes included.
+      Double quote and backslash are backslash-escaped, newline becomes
+      {v \n v} and every other control character {v \u00XX v}. *)
 
   val parse : string -> (t, string) result
   val member : string -> t -> t option

@@ -2,15 +2,19 @@
    incident per excursion, re-arm below 80% of the threshold), the
    pending -> firing -> resolved lifecycle with for-durations, absence
    staleness, multi-window SLO burn and its monotone response to the
-   violation rate, responders actually acting (budget tightening,
-   self-healing recalibration), and the fleet incident rollup staying
+   violation rate, NaN rule parameters rejected by name, the model.drift
+   rule as the estimator's only drift detector, responders actually acting
+   (budget tightening, self-healing recalibration), the incident log
+   staying valid JSON for any name, and the fleet incident rollup staying
    byte-identical across job counts. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module Budget = Psbox_budget.Budget
 module Health = Psbox_health.Health
 module Fleet = Psbox_fleet.Fleet
+module Model = Psbox_model.Model
 module Tm = Psbox_telemetry.Metrics
+module Json = Psbox_telemetry.Json
 module W = Psbox_workloads.Workload
 
 let check_bool = Alcotest.(check bool)
@@ -218,6 +222,124 @@ let prop_burn_monotone_in_violation_rate =
       | Some t_lo, Some t_hi -> t_hi <= t_lo)
 
 (* ------------------------------------------------------------------ *)
+(* qcheck: rule parameters drawn with NaN and +-infinity. A NaN must be
+   rejected by the combinator's name (every comparison against it is
+   false, so the rule would silently never fire); any other value is
+   either rejected by name or builds a rule whose incidents, driven on the
+   grid by finite signals and counters, all carry finite peaks.          *)
+
+let gen_param =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Float.nan);
+        (1, return Float.infinity);
+        (1, return Float.neg_infinity);
+        (3, float_range (-20.0) 20.0);
+      ])
+
+type rule_case =
+  | Limit of bool * float  (** threshold: below?, limit *)
+  | Per_second of float  (** rate_of_change *)
+  | Burn of float * float  (** slo_burn: slo, factor *)
+
+let case_params = function
+  | Limit (_, x) | Per_second x -> [ x ]
+  | Burn (slo, factor) -> [ slo; factor ]
+
+let print_case c =
+  let fn =
+    match c with
+    | Limit (true, _) -> "threshold below"
+    | Limit (false, _) -> "threshold"
+    | Per_second _ -> "rate_of_change"
+    | Burn _ -> "slo_burn"
+  in
+  String.concat " " (fn :: List.map string_of_float (case_params c))
+
+let arbitrary_rule_case =
+  QCheck.make
+    ~print:(fun (c, vs) ->
+      Printf.sprintf "%s on [%s]" (print_case c)
+        (String.concat ";" (List.map (Printf.sprintf "%.2f") vs)))
+    QCheck.Gen.(
+      let* c =
+        oneof
+          [
+            map2 (fun b x -> Limit (b, x)) bool gen_param;
+            map (fun x -> Per_second x) gen_param;
+            map2 (fun slo f -> Burn (slo, f)) gen_param gen_param;
+          ]
+      in
+      let* vs = list_size (20 -- 40) (float_range 0.0 20.0) in
+      return (c, vs))
+
+let build_case c signal =
+  match c with
+  | Limit (below, x) ->
+      ( "Health.threshold:",
+        fun () -> Health.threshold ~name:"r" ~below signal x )
+  | Per_second x ->
+      ( "Health.rate_of_change:",
+        fun () -> Health.rate_of_change ~name:"r" signal ~per_second:x )
+  | Burn (slo, factor) ->
+      ( "Health.slo_burn:",
+        fun () ->
+          Health.slo_burn ~name:"r" ~bad:"bad" ~total:"total" ~slo
+            ~short_windows:2 ~long_windows:4 ~factor () )
+
+let prop_rule_params_nan_rejected =
+  QCheck.Test.make ~name:"rule parameters: NaN rejected, peaks finite"
+    ~count:300 arbitrary_rule_case (fun (c, values) ->
+      Tm.with_fresh_store (fun () ->
+          let cell = ref None in
+          let prefix, build =
+            build_case c (Health.Probe ("p", fun () -> !cell))
+          in
+          let has_nan = List.exists Float.is_nan (case_params c) in
+          match build () with
+          | exception Invalid_argument msg ->
+              String.starts_with ~prefix msg
+              && ((not has_nan)
+                 || String.starts_with ~prefix:(prefix ^ " NaN") msg)
+          | _ when has_nan -> false
+          | rule ->
+              let sim = Sim.create () in
+              let eng = Health.create sim ~period:(Time.ms 10) () in
+              let bad = Tm.counter "bad" and total = Tm.counter "total" in
+              Health.add_rule eng rule;
+              List.iteri
+                (fun k v ->
+                  cell := Some v;
+                  Tm.add bad (v /. 2.0);
+                  Tm.add total 10.0;
+                  Sim.run_until sim (Time.ms (10 * (k + 1))))
+                values;
+              Health.stop eng;
+              List.for_all
+                (fun i -> Float.is_finite i.Health.i_peak)
+                (Health.incidents eng)))
+
+(* The non-rule entry points that take a drift or perturbation figure
+   reject NaN by name too, before any simulation runs. *)
+let test_drift_entry_points_reject_nan () =
+  Alcotest.check_raises "default_pack"
+    (Invalid_argument "Health.default_pack: NaN drift_threshold_pct")
+    (fun () ->
+      Tm.with_fresh_store (fun () ->
+          let sys = System.create ~cores:1 () in
+          ignore (Health.default_pack ~drift_threshold_pct:Float.nan sys)));
+  Alcotest.check_raises "self-heal perturbation"
+    (Invalid_argument "Health.Self_heal.run: NaN perturb_pct") (fun () ->
+      ignore (Health.Self_heal.run ~perturb_pct:Float.nan ()));
+  Alcotest.check_raises "self-heal threshold"
+    (Invalid_argument "Health.Self_heal.run: NaN drift_threshold_pct")
+    (fun () -> ignore (Health.Self_heal.run ~drift_threshold_pct:Float.nan ()));
+  Alcotest.check_raises "model-check perturbation"
+    (Invalid_argument "Model.Check.run: NaN perturb_pct") (fun () ->
+      ignore (Model.Check.run ~perturb_pct:Float.nan ()))
+
+(* ------------------------------------------------------------------ *)
 (* rate_of_change needs real timestamps: run it on the evaluation grid. *)
 
 let test_rate_of_change_on_grid () =
@@ -313,6 +435,89 @@ let test_budget_tighten_direct () =
       System.shutdown sys)
 
 (* ------------------------------------------------------------------ *)
+(* The model.drift rule is the only drift detector: the estimator
+   publishes model.rail.<r>.mape_pct and the default pack judges it.     *)
+
+(* A uniformly perturbed model keeps every rail's MAPE gauge above the
+   threshold for the whole held-out run, watched by the default pack with
+   no responder: one incident per rail (one excursion each), not one per
+   window. *)
+let test_drift_rule_once_per_rail () =
+  Tm.with_fresh_store (fun () ->
+      let window = Time.ms 50 in
+      let models =
+        List.map
+          (fun tr ->
+            Model.Fit.perturb (Model.Fit.fit ~kind:Model.Fit.Per_opp tr) 10.0)
+          (Model.Check.record ~seed:11 ~window ~windows:20)
+      in
+      let sys = Model.Check.scenario_sys ~seed:23 in
+      ignore (Model.Check.install_workload sys);
+      System.start sys;
+      let est = Model.Estimator.start sys ~models ~window () in
+      let eng = Health.create (System.sim sys) ~period:window () in
+      Health.add_rules eng (Health.default_pack sys);
+      System.run_for sys (window * 20);
+      Model.Estimator.stop est;
+      Health.stop eng;
+      System.shutdown sys;
+      check_int "one drift incident per rail" 3 (fired_count eng "model.drift");
+      check_bool "one per rail, not per window" true
+        (List.sort compare
+           (List.map (fun i -> i.Health.i_subject) (Health.incidents eng))
+        = [ "cpu"; "gpu"; "wifi" ]))
+
+(* Bad model, then a hot swap to the faithful one, then bad again: the
+   swap's clean gauge resolves the first incident, and the second
+   excursion fires a second one. *)
+let test_drift_rule_rearms_after_swap () =
+  Tm.with_fresh_store (fun () ->
+      let sys = System.create ~cores:1 () in
+      let a = System.new_app sys ~name:"a" in
+      ignore
+        (W.spawn sys ~app:a ~name:"spin"
+           (W.forever (fun () -> [ W.Compute (Time.ms 2) ])));
+      System.start sys;
+      let window = Time.ms 10 in
+      let rc = Model.Recorder.start sys ~window () in
+      System.run_for sys (Time.ms 300);
+      let good =
+        Model.Fit.fit ~kind:Model.Fit.Per_opp
+          (List.hd (Model.Recorder.stop rc))
+      in
+      let bad = Model.Fit.perturb good 25.0 in
+      let est = Model.Estimator.start sys ~models:[ bad ] ~window () in
+      let eng = Health.create (System.sim sys) ~period:window () in
+      Health.add_rules eng (Health.default_pack sys);
+      System.run_for sys (Time.ms 300);
+      check_int "first excursion fires once" 1 (fired_count eng "model.drift");
+      check_bool "swapped in" true (Model.Estimator.swap_model est good);
+      System.run_for sys (Time.ms 300);
+      check_int "faithful model resolves it" 0
+        (List.length (Health.open_incidents eng));
+      check_bool "swapped back" true (Model.Estimator.swap_model est bad);
+      System.run_for sys (Time.ms 300);
+      check_int "second excursion fires again" 2
+        (fired_count eng "model.drift");
+      (match
+         List.filter
+           (fun i -> i.Health.i_rule = "model.drift")
+           (Health.incidents eng)
+       with
+      | [ first; second ] ->
+          check_bool "first resolved" true (first.Health.i_resolved_s <> None);
+          check_bool "second open" true (second.Health.i_resolved_s = None);
+          check_bool "same rail" true
+            (first.Health.i_subject = good.Model.Fit.f_rail
+            && second.Health.i_subject = good.Model.Fit.f_rail)
+      | incs ->
+          Alcotest.failf "expected two drift incidents, got %d"
+            (List.length incs));
+      Model.Estimator.stop est;
+      Health.stop eng;
+      System.shutdown sys)
+
+(* ------------------------------------------------------------------ *)
 (* Self-healing estimation, end to end: inject drift, the incident fires
    once per rail, the responder hot-swaps a refit, post-swap MAPE is back
    under the drift threshold.                                           *)
@@ -391,10 +596,42 @@ let test_json_deterministic () =
   check_bool "fired counts present" true (contains j1 "\"fired\"");
   check_bool "incident rows present" true (contains j1 "\"rule\": \"t\"")
 
+(* Rule and subject names are quoted, not pasted: a name with a double
+   quote, a backslash or a newline still yields a log that parses, and
+   the names read back unchanged. *)
+let test_json_quotes_names () =
+  let name = {|say "hi"\|} and subject = "line\nbreak" in
+  Tm.with_fresh_store (fun () ->
+      let sim = Sim.create () in
+      let eng = Health.create sim () in
+      Health.add_rule eng
+        (Health.threshold ~name ~subject
+           (Health.Probe ("p", fun () -> Some 12.0))
+           10.0);
+      Health.eval_now eng;
+      match Json.parse (Health.json eng) with
+      | Error msg -> Alcotest.failf "incident log does not parse: %s" msg
+      | Ok log -> (
+          (match Json.member "incidents" log with
+          | Some (Json.Arr [ inc ]) ->
+              check_bool "rule round-trips" true
+                (Json.member "rule" inc = Some (Json.Str name));
+              check_bool "subject round-trips" true
+                (Json.member "subject" inc = Some (Json.Str subject))
+          | _ -> Alcotest.fail "expected one incident");
+          match Json.member "fired" log with
+          | Some fired ->
+              check_bool "fired count keyed by the name" true
+                (Json.member name fired = Some (Json.Num 1.0))
+          | None -> Alcotest.fail "no fired counts"))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_hysteresis_once_per_excursion;
     QCheck_alcotest.to_alcotest prop_burn_monotone_in_violation_rate;
+    QCheck_alcotest.to_alcotest prop_rule_params_nan_rejected;
+    Alcotest.test_case "drift entry points reject NaN" `Quick
+      test_drift_entry_points_reject_nan;
     Alcotest.test_case "for-windows gate" `Quick test_for_windows_gate;
     Alcotest.test_case "missing signal holds state" `Quick
       test_missing_signal_holds_state;
@@ -409,6 +646,10 @@ let suite =
     Alcotest.test_case "tighten responder" `Quick test_tighten_responder;
     Alcotest.test_case "budget tighten direct" `Quick
       test_budget_tighten_direct;
+    Alcotest.test_case "drift rule fires once per rail" `Slow
+      test_drift_rule_once_per_rail;
+    Alcotest.test_case "drift rule re-arms after a model swap" `Quick
+      test_drift_rule_rearms_after_swap;
     Alcotest.test_case "self-heal recovers from drift" `Slow
       test_self_heal_recovers;
     Alcotest.test_case "self-heal silent on clean run" `Quick
@@ -420,4 +661,6 @@ let suite =
     Alcotest.test_case "default pack rules" `Quick test_default_pack_rules;
     Alcotest.test_case "incident-log JSON deterministic" `Quick
       test_json_deterministic;
+    Alcotest.test_case "incident-log JSON quotes names" `Quick
+      test_json_quotes_names;
   ]

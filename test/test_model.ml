@@ -1,7 +1,8 @@
 (* Tests for the counter-driven power models: least-squares recovery of
    known coefficients, held-out model-check error and its monotone response
-   to injected perturbation, drift-alarm latching (once per excursion),
-   deterministic calibration search, and model-priced admission. *)
+   to injected perturbation, deterministic calibration search, and
+   model-priced admission. Drift detection on the estimator's gauges is
+   the health engine's job and is tested in test_health.ml. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module W = Psbox_workloads.Workload
@@ -11,7 +12,6 @@ module Fit = Model.Fit
 module Tm = Psbox_telemetry.Metrics
 
 let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: fitting synthetic counter traces generated from a known linear
@@ -81,9 +81,7 @@ let test_check_validates_within_tolerance () =
     (Printf.sprintf "held-out MAPE %.4f%% within 5%%"
        r.Model.Check.c_max_mape_pct)
     true
-    (r.Model.Check.c_max_mape_pct <= 5.0);
-  check_int "no drift alarm on a faithful model" 0
-    r.Model.Check.c_drift_alarms
+    (r.Model.Check.c_max_mape_pct <= 5.0)
 
 let test_check_error_monotone_in_perturbation () =
   let mape p = (run_check ~perturb_pct:p ()).Model.Check.c_max_mape_pct in
@@ -92,50 +90,6 @@ let test_check_error_monotone_in_perturbation () =
     (Printf.sprintf "monotone: %.3f < %.3f < %.3f < %.3f" e0 e1 e2 e3)
     true
     (e0 < e1 && e1 < e2 && e2 < e3)
-
-(* A uniformly perturbed model keeps every rail's windowed MAPE above the
-   threshold for the whole run: the latch must fire exactly once per rail
-   (one excursion each), not once per window. *)
-let test_drift_alarm_once_per_excursion () =
-  let r = run_check ~perturb_pct:10.0 () in
-  check_int "one alarm per rail-excursion" 3 r.Model.Check.c_drift_alarms
-
-(* Driving the MAPE over the threshold twice, with a clean recovery in
-   between, must raise exactly two alarms: the latch re-arms only after
-   the error falls below the hysteresis floor. *)
-let test_drift_alarm_rearms_after_recovery () =
-  let sys = System.create ~cores:1 () in
-  let a = System.new_app sys ~name:"a" in
-  ignore
-    (W.spawn sys ~app:a ~name:"spin"
-       (W.forever (fun () -> [ W.Compute (Time.ms 2) ])));
-  System.start sys;
-  let rc = Model.Recorder.start sys ~window:(Time.ms 10) () in
-  System.run_for sys (Time.ms 300);
-  let traces = Model.Recorder.stop rc in
-  let good = List.map (Fit.fit ~kind:Fit.Per_opp) traces in
-  (* the estimator's own windowed MAPE is what we perturb: swap the rail
-     model under it by scaling predictions via a wrapper model list *)
-  let bad = List.map (fun m -> Fit.perturb m 25.0) good in
-  let run_with models span =
-    let est =
-      Model.Estimator.start sys ~models ~window:(Time.ms 10) ~mape_window:4
-        ~drift_threshold_pct:5.0 ()
-    in
-    System.run_for sys span;
-    Model.Estimator.stop est;
-    Model.Estimator.alarms est
-  in
-  (* first excursion: bad model, MAPE ~25% for many windows -> 1 alarm *)
-  let a1 = run_with bad (Time.ms 300) in
-  check_int "first excursion latches once" 1 a1;
-  (* recovery: good model -> 0 alarms *)
-  let a2 = run_with good (Time.ms 300) in
-  check_int "faithful model raises none" 0 a2;
-  (* second excursion with a fresh estimator fires again *)
-  let a3 = run_with bad (Time.ms 300) in
-  check_int "second excursion latches once" 1 a3;
-  System.shutdown sys
 
 (* ------------------------------------------------------------------ *)
 (* Calibration search                                                    *)
@@ -244,10 +198,6 @@ let suite =
       test_check_validates_within_tolerance;
     Alcotest.test_case "model-check: error monotone in perturbation" `Slow
       test_check_error_monotone_in_perturbation;
-    Alcotest.test_case "drift alarm fires once per excursion" `Slow
-      test_drift_alarm_once_per_excursion;
-    Alcotest.test_case "drift latch re-arms after recovery" `Quick
-      test_drift_alarm_rearms_after_recovery;
     Alcotest.test_case "calibration search finds the minimum, deterministically"
       `Quick test_search_recovers_quadratic_minimum;
     Alcotest.test_case "calibrate_trace beats the mid-box start" `Slow
