@@ -13,7 +13,7 @@ type span = {
 
 val of_sched_trace :
   cores:int -> (int * int) Psbox_engine.Trace.span list -> span list
-(** From {!Psbox_kernel.Smp.sched_trace} spans tagged [(core, app)]; idle
+(** From {!Psbox_kernel.Smp.sched_spans} spans tagged [(core, app)]; idle
     pseudo-apps ([-1], [-2]) are dropped. Each span's share is [1/cores]. *)
 
 val of_commands : units:int -> Psbox_hw.Accel.command list -> span list

@@ -39,13 +39,12 @@ type binding = {
   b_target : target;
   b_rail : Power_rail.t;
   b_idle : idle_model;
-  b_vstate : Power_vstate.t option;
-      (* devices with entanglement-free attribution (display, GPS) need no
-         state virtualization *)
-  mutable b_closed : (Time.t * Time.t) list; (* newest first *)
-  mutable b_open : Time.t option;
-  mutable b_attach : unit -> unit;
-  mutable b_detach : unit -> unit;
+  b_balloons : (unit -> (Time.t * Time.t) list * Time.t option) option;
+      (* the device scheduler's balloons: the completed ones, oldest first,
+         and the start of the open one. [None] for Display and GPS, which
+         have none: the stay itself is their interval. *)
+  b_attach : unit -> unit;
+  b_detach : Time.t -> unit; (* given the stay's start *)
 }
 
 (* Virtual idle power at [t], given the end of the psbox's most recent
@@ -77,6 +76,7 @@ type t = {
   bindings : binding list;
   mutable inside : bool;
   mutable entered_at : Time.t;
+  mutable left_at : Time.t;
   mutable blame_at_enter : (Audit.cause * float) list;
   mutable last_stay_blame : (string * float) list;
 }
@@ -110,99 +110,82 @@ let unregister sys app target =
 
 let now psbox = Sim.now (System.sim psbox.sys)
 
-let record_start binding t = binding.b_open <- Some t
-
-let record_stop binding t =
-  match binding.b_open with
-  | Some t0 ->
-      binding.b_closed <- (t0, t) :: binding.b_closed;
-      Tm.incr m_balloons;
-      if Tt.recording () then
-        Tt.span ~track:psbox_track ~lane:(target_label binding.b_target)
-          ~name:"balloon" ~start:t0 ~stop:t ();
-      binding.b_open <- None
-  | None -> ()
-
 let make_binding sys ~app ~virtualize target =
   let sim = System.sim sys in
-  let vs_start vstate () = if virtualize then Power_vstate.on_balloon_start vstate in
-  let vs_stop vstate () = if virtualize then Power_vstate.on_balloon_stop vstate in
+  (* A balloon ended (for Display and GPS, a stay): count it and draw it. *)
+  let closed target t0 =
+    Tm.incr m_balloons;
+    if Tt.recording () then
+      Tt.span ~track:psbox_track ~lane:(target_label target) ~name:"balloon"
+        ~start:t0 ~stop:(Sim.now sim) ()
+  in
   (* Display and GPS power is entanglement-free (§7): the per-app rail is
      already an exact, insulated view, so the binding's "balloon" is simply
      the whole stay inside the box. *)
   let direct_view ~target ~rail ~idle =
-    let binding =
-      {
-        b_target = target;
-        b_rail = rail;
-        b_idle = Flat idle;
-        b_vstate = None;
-        b_closed = [];
-        b_open = None;
-        b_attach = (fun () -> ());
-        b_detach = (fun () -> ());
-      }
-    in
-    binding.b_attach <- (fun () -> record_start binding (Sim.now sim));
-    binding.b_detach <- (fun () -> record_stop binding (Sim.now sim));
-    binding
-  in
-  (* Devices with balloons: the listener drives the power-state
-     virtualization and records the exclusive intervals. *)
-  let balloon_view ~target ~rail ~idle vstate =
     {
       b_target = target;
       b_rail = rail;
-      b_idle = idle;
-      b_vstate = Some vstate;
-      b_closed = [];
-      b_open = None;
-      b_attach = (fun () -> ());
-      b_detach = (fun () -> ());
+      b_idle = Flat idle;
+      b_balloons = None;
+      b_attach = ignore;
+      b_detach = closed target;
     }
   in
-  let on_start binding vstate () =
-    vs_start vstate ();
-    record_start binding (Sim.now sim)
+  (* Devices with balloons: the listener drives the power-state
+     virtualization; the scheduler keeps the intervals. *)
+  let on_start vstate () =
+    if virtualize then Power_vstate.on_balloon_start vstate
   in
-  let on_stop binding vstate () =
-    record_stop binding (Sim.now sim);
-    vs_stop vstate ()
+  let on_stop target vstate t0 =
+    closed target t0;
+    if virtualize then Power_vstate.on_balloon_stop vstate
   in
   (* GPU, DSP and NIC: temporal balloons from the device's scheduler *)
   let temporal ~target ~idle vstate s =
-    let binding = balloon_view ~target ~rail:(Temporal_sched.rail s) ~idle vstate in
-    binding.b_attach <-
-      (fun () ->
-        Temporal_sched.set_balloon_listener s ~on_start:(on_start binding vstate)
-          ~on_stop:(on_stop binding vstate);
-        Temporal_sched.sandbox s ~app);
-    binding.b_detach <- (fun () -> Temporal_sched.unsandbox s);
-    binding
+    {
+      b_target = target;
+      b_rail = Temporal_sched.rail s;
+      b_idle = idle;
+      b_balloons =
+        Some
+          (fun () ->
+            ( Temporal_sched.balloon_intervals s,
+              Temporal_sched.balloon_open_since s ));
+      b_attach =
+        (fun () ->
+          Temporal_sched.set_balloon_listener s ~on_start:(on_start vstate)
+            ~on_stop:(on_stop target vstate);
+          Temporal_sched.sandbox s ~app);
+      b_detach = (fun _ -> Temporal_sched.unsandbox s);
+    }
   in
   match target with
   | Cpu ->
       let cpu = System.cpu sys in
       let vstate = Power_vstate.create sim (Power_vstate.Cpu_dev cpu) in
       let rail = Psbox_hw.Cpu.rail cpu in
-      let binding =
-        balloon_view ~target ~rail ~idle:(Flat (Power_rail.idle_w rail)) vstate
-      in
+      (* a stay's balloon, kept after [leave] for the stay's readings *)
       let balloon = ref None in
-      binding.b_attach <-
-        (fun () ->
-          let b = Smp.sandbox (System.smp sys) ~app in
-          Smp.set_balloon_listener b ~on_start:(on_start binding vstate)
-            ~on_stop:(on_stop binding vstate);
-          balloon := Some b);
-      binding.b_detach <-
-        (fun () ->
-          match !balloon with
-          | Some b ->
-              Smp.unsandbox (System.smp sys) b;
-              balloon := None
-          | None -> ());
-      binding
+      {
+        b_target = target;
+        b_rail = rail;
+        b_idle = Flat (Power_rail.idle_w rail);
+        b_balloons =
+          Some
+            (fun () ->
+              match !balloon with
+              | Some b -> (Smp.balloon_intervals b, Smp.balloon_open_since b)
+              | None -> ([], None));
+        b_attach =
+          (fun () ->
+            let b = Smp.sandbox (System.smp sys) ~app in
+            Smp.set_balloon_listener b ~on_start:(on_start vstate)
+              ~on_stop:(on_stop target vstate);
+            balloon := Some b);
+        b_detach =
+          (fun _ -> Option.iter (Smp.unsandbox (System.smp sys)) !balloon);
+      }
   | Gpu | Dsp ->
       let driver = if target = Gpu then System.gpu sys else System.dsp sys in
       let dev = Accel_driver.device driver in
@@ -262,6 +245,7 @@ let create ?(virtualize_power_state = true) sys ~app ~hw =
     bindings;
     inside = false;
     entered_at = Time.zero;
+    left_at = Time.zero;
     blame_at_enter = [];
     last_stay_blame = [];
   }
@@ -286,8 +270,9 @@ let enter psbox =
 
 let leave psbox =
   if psbox.inside then begin
-    List.iter (fun b -> b.b_detach ()) psbox.bindings;
+    List.iter (fun b -> b.b_detach psbox.entered_at) psbox.bindings;
     psbox.inside <- false;
+    psbox.left_at <- now psbox;
     (match Audit.lookup psbox.sys with
     | Some a ->
         let after = Audit.app_blame a ~app:psbox.p_app in
@@ -319,17 +304,27 @@ let stay_blame psbox = psbox.last_stay_blame
 let app psbox = psbox.p_app
 let targets psbox = List.map (fun b -> b.b_target) psbox.bindings
 
+(* The current stay, or the last one once left. *)
+let stay psbox =
+  (psbox.entered_at, if psbox.inside then now psbox else psbox.left_at)
+
 (* Balloon intervals of one binding clipped to [from, until], oldest
    first. *)
 let clipped_intervals binding ~from ~until =
   let all =
-    (match binding.b_open with Some t0 -> [ (t0, until) ] | None -> [])
-    @ binding.b_closed
+    match binding.b_balloons with
+    | None -> [ (from, until) ]
+    | Some balloons -> (
+        let closed, live = balloons () in
+        match live with
+        | Some t0 -> closed @ [ (t0, until) ]
+        | None -> closed)
   in
-  List.rev all
-  |> List.filter_map (fun (t0, t1) ->
-         let t0 = max t0 from and t1 = min t1 until in
-         if t1 > t0 then Some (t0, t1) else None)
+  List.filter_map
+    (fun (t0, t1) ->
+      let t0 = max t0 from and t1 = min t1 until in
+      if t1 > t0 then Some (t0, t1) else None)
+    all
 
 (* Energy of one binding over a window under the virtual meter's masking
    rules: rail power (clamped up to the suspend floor when the device is
@@ -422,7 +417,7 @@ let sample ?(period = Time.us 10) psbox =
         first
 
 let exclusive_us psbox =
-  let from = psbox.entered_at and until = now psbox in
+  let from, until = stay psbox in
   List.fold_left
     (fun acc b ->
       acc
@@ -433,7 +428,7 @@ let exclusive_us psbox =
     0.0 psbox.bindings
 
 let exclusive_intervals psbox =
-  let from = psbox.entered_at and until = now psbox in
+  let from, until = stay psbox in
   List.concat_map (fun b -> clipped_intervals b ~from ~until) psbox.bindings
 
 let destroy psbox =

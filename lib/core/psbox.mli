@@ -79,7 +79,9 @@ val sample_target :
 
 val exclusive_us : t -> float
 (** Total microseconds of exclusive (balloon) hardware time granted to this
-    psbox since {!enter} (diagnostics). *)
+    psbox over its stay: since {!enter}, and once left, up to {!leave}
+    (diagnostics). The balloons are read from the device schedulers; a
+    Display or GPS binding is exclusive for the whole stay. *)
 
 val stay_blame : t -> (string * float) list
 (** The joule-audit view of the app's last completed stay: per-cause
@@ -91,7 +93,8 @@ val stay_blame : t -> (string * float) list
 
 val exclusive_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 (** The exclusive intervals themselves (all bound components merged,
-    unsorted across components), since {!enter}. *)
+    unsorted across components), clipped to the stay as for
+    {!exclusive_us}. *)
 
 val destroy : t -> unit
 (** Leave if necessary and unregister the psbox. *)

@@ -46,9 +46,7 @@ let run_job sys ~rail ~main ?psbox ?(timeout = Time.sec 30) () =
 let cpu_usages sys =
   let smp = System.smp sys in
   Smp.stop smp;
-  Usage.of_sched_trace
-    ~cores:(Smp.cores smp)
-    (Trace.to_spans (Smp.sched_trace smp))
+  Usage.of_sched_trace ~cores:(Smp.cores smp) (Smp.sched_spans smp)
 
 let accel_usages driver =
   Usage.of_commands

@@ -74,7 +74,7 @@ let cpu_part ~seed ~with_psbox =
   in
   (match box with Some b -> Psbox.leave b | None -> ());
   Smp.stop (System.smp sys);
-  let spans = Trace.to_spans (Smp.sched_trace (System.smp sys)) in
+  let spans = Smp.sched_spans (System.smp sys) in
   let forced_idle_ms =
     List.fold_left
       (fun acc s ->

@@ -11,9 +11,6 @@ let app_label = function
   | -2 -> "forced-idle"
   | a -> "app" ^ string_of_int a
 
-let pp_span_tag fmt (core, app) =
-  Format.fprintf fmt "(core %d, %s)" core (app_label app)
-
 type config = {
   tick : Time.span;
   wakeup_granularity : float;
@@ -58,12 +55,16 @@ type balloon = {
   b_app : int;
   b_entities : Entity.t array;
   mutable b_live : bool;
+  mutable b_period : int;
+      (* numbers the coscheduling periods; a join IPI carries the number
+         of the period that sent it, so one that lands after its period
+         ended cannot count toward the next *)
   mutable b_started : Time.t;
   mutable b_joined : int;
   mutable b_metering : bool;
   mutable b_intervals : (Time.t * Time.t) list; (* newest first *)
   mutable b_on_start : unit -> unit;
-  mutable b_on_stop : unit -> unit;
+  mutable b_on_stop : Time.t -> unit;
   mutable b_total_loan : float;
 }
 
@@ -87,14 +88,19 @@ type t = {
       (* single machine-wide wakeup at the live balloon's next boundary:
          min(max_period expiry, earliest loan-cap crossing, the instant the
          balloon loses the credit race on its last winning core) *)
-  span_tag : int option array; (* app code of the open trace span per core *)
+  span_tag : int option array; (* app code of the open span per core *)
+  span_start : Time.t array; (* when each core's open span began *)
+  span_opened : int array;
+      (* opening order of each core's open span, from [spans_opened]:
+         [stop] closes the open spans most recent first, the order the
+         tie rule of [sched_spans] was defined by *)
+  mutable spans_opened : int;
   task_entities : (int, Entity.t) Hashtbl.t; (* tid -> entity when unsandboxed *)
   apps : (int, Task.t list ref) Hashtbl.t;
   mutable balloons : balloon list;
   mutable live : balloon option;
-  trace : (int * int) Trace.spans;
+  spans : (int * int) Trace.span Trace.events; (* completed, stamped at stop *)
   latencies : (int * float) Trace.events; (* (app, wake-to-run us) *)
-  mutable on_task_exit : Task.t -> unit;
   mutable stopped : bool;
   share_bus : Temporal_sched.share_change Bus.t;
   share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
@@ -137,13 +143,15 @@ let create sim cpu ?(config = default_config) () =
     plan_events = Array.make n Sim.none;
     balloon_event = Sim.none;
     span_tag = Array.make n None;
+    span_start = Array.make n Time.zero;
+    span_opened = Array.make n 0;
+    spans_opened = 0;
     task_entities = Hashtbl.create 64;
     apps = Hashtbl.create 16;
     balloons = [];
     live = None;
-    trace = Trace.spans ?retention ();
+    spans = Trace.events ?retention ();
     latencies = Trace.events ?retention ();
-    on_task_exit = (fun _ -> ());
     stopped = false;
     share_bus = Bus.create ();
     share_counts = Hashtbl.create 16;
@@ -169,12 +177,19 @@ let create sim cpu ?(config = default_config) () =
 
 let cpu smp = smp.cpu
 let cores smp = Array.length smp.rqs
-let set_on_task_exit smp f = smp.on_task_exit <- f
 
 let app_tasks smp ~app =
   match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
 
-let sched_trace smp = smp.trace
+(* By start, then stop; of two spans with equal bounds, the one completed
+   later comes first (a stable sort of the newest-first list). *)
+let sched_spans smp =
+  let by_bounds (a : _ Trace.span) (b : _ Trace.span) =
+    let c = Int.compare a.start b.start in
+    if c <> 0 then c else Int.compare a.stop b.stop
+  in
+  List.stable_sort by_bounds (List.rev (Trace.values smp.spans))
+
 let wakeup_latencies_us smp =
   Array.of_list (List.map snd (Trace.values smp.latencies))
 
@@ -199,7 +214,7 @@ let running_app smp ~core =
       match running_task_of e with Some t -> Some t.Task.app | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Trace spans                                                          *)
+(* Scheduling spans                                                     *)
 
 let share_bus smp = smp.share_bus
 
@@ -226,6 +241,10 @@ let note_share smp app delta =
 let shares_of smp app =
   match Hashtbl.find_opt smp.share_counts app with Some c -> c | None -> 0
 
+let complete_span smp core app now =
+  Trace.emit smp.spans now
+    { Trace.start = smp.span_start.(core); stop = now; tag = (core, app) }
+
 let set_span smp core tag =
   let now = Sim.now smp.sim in
   match (smp.span_tag.(core), tag) with
@@ -233,18 +252,17 @@ let set_span smp core tag =
   | old, _ ->
       (match old with
       | Some a ->
-          (if Tt.recording () then
-             match Trace.open_since smp.trace (core, a) with
-             | Some t0 ->
-                 Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
-                   ~name:(app_label a) ~start:t0 ~stop:now ()
-             | None -> ());
-          Trace.close_span ~pp:pp_span_tag smp.trace now (core, a);
+          if Tt.recording () then
+            Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
+              ~name:(app_label a) ~start:smp.span_start.(core) ~stop:now ();
+          complete_span smp core a now;
           note_share smp a (-1)
       | None -> ());
       (match tag with
       | Some b ->
-          Trace.open_span smp.trace now (core, b);
+          smp.span_start.(core) <- now;
+          smp.span_opened.(core) <- smp.spans_opened;
+          smp.spans_opened <- smp.spans_opened + 1;
           note_share smp b 1
       | None -> ());
       Tm.incr smp.tm_switch;
@@ -436,8 +454,7 @@ and reap smp t =
                 List.filter (fun t' -> t'.Task.tid <> t.Task.tid) g.Entity.gtasks
           | Entity.ETask _ -> ())
         b.b_entities
-  | None -> Hashtbl.remove smp.task_entities t.Task.tid);
-  smp.on_task_exit t
+  | None -> Hashtbl.remove smp.task_entities t.Task.tid)
 
 and start_task smp core t =
   t.Task.state <- Task.Running;
@@ -567,6 +584,7 @@ and resched smp core =
 
 and start_balloon smp core b =
   b.b_live <- true;
+  b.b_period <- b.b_period + 1;
   b.b_joined <- 1;
   b.b_metering <- false;
   Array.iter
@@ -583,15 +601,16 @@ and start_balloon smp core b =
     replan_balloon smp b
   end
   else
+    let period = b.b_period in
     for j = 0 to cores smp - 1 do
       if j <> core then
         ignore
           (Sim.schedule_after smp.sim smp.cfg.ipi_delay (fun () ->
-               join_balloon smp b j))
+               join_balloon smp b j period))
     done
 
-and join_balloon smp b j =
-  if b.b_live then begin
+and join_balloon smp b j period =
+  if b.b_live && b.b_period = period then begin
     update_curr smp j;
     put_prev smp j;
     let e = b.b_entities.(j) in
@@ -645,7 +664,7 @@ and cosched_out smp ?(local = 0) b =
     if Tt.recording () then
       Tt.span ~track:cfs_track ~lane:"balloon" ~name:(app_label b.b_app)
         ~start:b.b_started ~stop:(Sim.now smp.sim) ();
-    b.b_on_stop ()
+    b.b_on_stop b.b_started
   end;
   (* loan redistribution: entities evenly split the period's total loan *)
   let groups =
@@ -983,20 +1002,33 @@ let start smp =
     resched smp core
   done
 
+(* Scheduling out a live balloon reschedules, which may start the next
+   period; a second stop must not schedule that one out again. *)
 let stop smp =
-  smp.stopped <- true;
-  Array.iter (fun h -> Sim.cancel smp.sim h) smp.plan_events;
-  Array.iter (fun h -> Sim.cancel smp.sim h) smp.work_events;
-  cancel_balloon_event smp;
-  Hashtbl.iter
-    (fun _ q ->
-      Sim.cancel smp.sim q.q_event;
-      q.q_event <- Sim.none)
-    smp.quotas;
-  Sim.cancel smp.sim smp.quota_next;
-  smp.quota_next <- Sim.none;
-  (match smp.live with Some b -> cosched_out smp b | None -> ());
-  Trace.close_all smp.trace (Sim.now smp.sim)
+  if not smp.stopped then begin
+    smp.stopped <- true;
+    Array.iter (fun h -> Sim.cancel smp.sim h) smp.plan_events;
+    Array.iter (fun h -> Sim.cancel smp.sim h) smp.work_events;
+    cancel_balloon_event smp;
+    Hashtbl.iter
+      (fun _ q ->
+        Sim.cancel smp.sim q.q_event;
+        q.q_event <- Sim.none)
+      smp.quotas;
+    Sim.cancel smp.sim smp.quota_next;
+    smp.quota_next <- Sim.none;
+    (match smp.live with Some b -> cosched_out smp b | None -> ());
+    (* complete the open spans, without a Chrome span or a share change *)
+    let now = Sim.now smp.sim in
+    List.init (cores smp) Fun.id
+    |> List.sort (fun c c' ->
+           Int.compare smp.span_opened.(c') smp.span_opened.(c))
+    |> List.iter (fun core ->
+           Option.iter
+             (fun app -> complete_span smp core app now)
+             smp.span_tag.(core);
+           smp.span_tag.(core) <- None)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Wakeups and spawning                                                 *)
@@ -1275,8 +1307,6 @@ let quota smp ~app =
   | Some q -> Some q.q_limit
   | None -> None
 
-let quota_throttled smp ~app = throttled_app smp app
-
 (* ------------------------------------------------------------------ *)
 (* Sandbox / unsandbox                                                  *)
 
@@ -1290,12 +1320,13 @@ let sandbox smp ~app =
       b_app = app;
       b_entities = entities;
       b_live = false;
+      b_period = 0;
       b_started = Time.zero;
       b_joined = 0;
       b_metering = false;
       b_intervals = [];
       b_on_start = (fun () -> ());
-      b_on_stop = (fun () -> ());
+      b_on_stop = ignore;
       b_total_loan = 0.0;
     }
   in
@@ -1401,33 +1432,6 @@ let set_balloon_listener b ~on_start ~on_stop =
   b.b_on_stop <- on_stop
 
 let balloon_intervals b = List.rev b.b_intervals
-let balloon_live b = b.b_live
-let total_loan_issued b = b.b_total_loan
 
-let debug_dump smp =
-  let buf = Buffer.create 256 in
-  for core = 0 to cores smp - 1 do
-    let rq = smp.rqs.(core) in
-    Buffer.add_string buf (Printf.sprintf "core%d curr=" core);
-    (match Cfs.curr rq with
-    | Some e ->
-        Buffer.add_string buf
-          (Printf.sprintf "eid%d(%s,vrt=%.0f,onrq=%b) " e.Entity.eid
-             (match e.Entity.kind with
-             | Entity.ETask t -> "task" ^ string_of_int t.Task.tid
-             | Entity.EGroup g -> "grp" ^ string_of_int g.Entity.psbox_id)
-             e.Entity.vruntime e.Entity.on_rq)
-    | None -> Buffer.add_string buf "none ");
-    Buffer.add_string buf "q=[";
-    List.iter
-      (fun e ->
-        Buffer.add_string buf
-          (Printf.sprintf "eid%d(%s,vrt=%.0f,onrq=%b);" e.Entity.eid
-             (match e.Entity.kind with
-             | Entity.ETask t -> "task" ^ string_of_int t.Task.tid
-             | Entity.EGroup g -> "grp" ^ string_of_int g.Entity.psbox_id)
-             e.Entity.vruntime e.Entity.on_rq))
-      (Cfs.queued rq);
-    Buffer.add_string buf "]\n"
-  done;
-  Buffer.contents buf
+let balloon_open_since b = if b.b_metering then Some b.b_started else None
+let total_loan_issued b = b.b_total_loan

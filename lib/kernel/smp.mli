@@ -14,8 +14,11 @@
       past its credit; at schedule-out the entities of the psbox evenly split
       the accumulated loans, disadvantaging the app in future competition.
 
-    The scheduler reports coscheduling (balloon) intervals to listeners so a
-    psbox virtual power meter can attribute rail power. *)
+    The scheduler records each coscheduling (balloon) period once and
+    tells a listener at its edges, so a psbox virtual power meter reads its
+    exclusive intervals here. It also records the per-core schedule as
+    spans in a {!Psbox_engine.Trace.events} ring, stamped at their end and
+    kept for the CPU rail's retention window. *)
 
 type config = {
   tick : Psbox_engine.Time.span;
@@ -64,8 +67,6 @@ val wake : t -> Task.t -> unit
 (** Make a blocked task runnable (no-op with a pending-wake mark if it has
     not blocked yet — the race where completion beats the block). *)
 
-val set_on_task_exit : t -> (Task.t -> unit) -> unit
-
 val app_tasks : t -> app:int -> Task.t list
 
 (** {1 Per-app CPU quotas (power-budget actuation)}
@@ -87,9 +88,6 @@ val set_quota : t -> app:int -> float option -> unit
 
 val quota : t -> app:int -> float option
 
-val quota_throttled : t -> app:int -> bool
-(** The app is currently off the runqueues waiting for a refill. *)
-
 (** {1 Share bus (live attribution)} *)
 
 val share_bus : t -> Temporal_sched.share_change Psbox_engine.Bus.t
@@ -110,14 +108,21 @@ val unsandbox : t -> balloon -> unit
 (** End any live coscheduling period, release the app's tasks back to normal
     scheduling. *)
 
-val set_balloon_listener : balloon -> on_start:(unit -> unit) -> on_stop:(unit -> unit) -> unit
+val set_balloon_listener :
+  balloon ->
+  on_start:(unit -> unit) ->
+  on_stop:(Psbox_engine.Time.t -> unit) ->
+  unit
 (** Callbacks at the start/end of each coscheduling period (after shootdown
-    completes / at schedule-out), used by the psbox virtual meter. *)
+    completes / at schedule-out); [on_stop] is given the period's start.
+    Used by the psbox virtual meter. *)
 
 val balloon_intervals : balloon -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 (** Completed coscheduling periods, oldest first. *)
 
-val balloon_live : balloon -> bool
+val balloon_open_since : balloon -> Psbox_engine.Time.t option
+(** Start of the coscheduling period in progress, once every core has
+    joined it. *)
 
 val total_loan_issued : balloon -> float
 (** Cumulative vruntime loaned over all completed periods (diagnostics and
@@ -129,9 +134,12 @@ val total_loan_issued : balloon -> float
     rail's retention window (see {!System.create}); without one, they keep
     everything. *)
 
-val sched_trace : t -> (int * int) Psbox_engine.Trace.spans
-(** Spans tagged [(core, app)]; [app = -1] is true idle, [-2] is
-    balloon-forced idle. *)
+val sched_spans : t -> (int * int) Psbox_engine.Trace.span list
+(** Completed scheduling spans tagged [(core, app)]; [app = -1] is true
+    idle, [-2] is balloon-forced idle. Ordered by start, then end; of two
+    spans with equal bounds, the one completed later comes first. A
+    core's current span completes when the core switches, or at
+    {!stop}. *)
 
 val wakeup_latencies_us : t -> float array
 (** Wake-to-run latencies observed so far, in microseconds. *)
@@ -143,9 +151,5 @@ val running_app : t -> core:int -> int option
 (** App of the task actually executing on a core right now (idle = None). *)
 
 val stop : t -> unit
-(** Cancel all armed timers (end of simulation). *)
-
-(**/**)
-
-val debug_dump : t -> string
-(** Internal diagnostics; subject to change. *)
+(** Cancel all armed timers and complete each core's current span (end of
+    simulation). A second call does nothing. *)

@@ -39,9 +39,8 @@ type 'item t = {
   mutable phase : phase;
   mutable serve_started : Time.t;
   mutable intervals : (Time.t * Time.t) list; (* newest first *)
-  mutable interval_open : Time.t option;
   mutable on_start : unit -> unit;
-  mutable on_stop : unit -> unit;
+  mutable on_stop : Time.t -> unit;
   latencies : (int * float) Trace.events; (* stamped at dispatch *)
   log : 'item Trace.events; (* completed items *)
   share_bus : share_change Bus.t;
@@ -253,26 +252,21 @@ and enter_serve t =
   (match t.sandboxed with Some app -> t.hooks.on_serve t app | None -> ());
   t.phase <- Serve;
   t.serve_started <- Sim.now t.sim;
-  t.interval_open <- Some (Sim.now t.sim);
   t.on_start ();
   pump t
 
 and exit_serve t =
   (match t.sandboxed with Some app -> t.hooks.on_serve_end t app | None -> ());
-  (match t.interval_open with
-  | Some t0 ->
-      let now = Sim.now t.sim in
-      t.intervals <- (t0, now) :: t.intervals;
-      (if Tt.recording () then
-         let name =
-           match t.sandboxed with
-           | Some a -> "serve app" ^ string_of_int a
-           | None -> "serve"
-         in
-         Tt.span ~track:t.track ~lane:"balloon" ~name ~start:t0 ~stop:now ());
-      t.interval_open <- None
-  | None -> ());
-  t.on_stop ();
+  let t0 = t.serve_started and now = Sim.now t.sim in
+  t.intervals <- (t0, now) :: t.intervals;
+  (if Tt.recording () then
+     let name =
+       match t.sandboxed with
+       | Some a -> "serve app" ^ string_of_int a
+       | None -> "serve"
+     in
+     Tt.span ~track:t.track ~lane:"balloon" ~name ~start:t0 ~stop:now ());
+  t.on_stop t0;
   t.phase <- Normal;
   if t.unsandboxing then begin
     t.sandboxed <- None;
@@ -329,9 +323,8 @@ let create sim ~rail ~window ~wake_bonus ~name ~rate_arg dev hooks =
     phase = Normal;
     serve_started = Time.zero;
     intervals = [];
-    interval_open = None;
     on_start = (fun () -> ());
-    on_stop = (fun () -> ());
+    on_stop = ignore;
     latencies = Trace.events ?retention ();
     log = Trace.events ?retention ();
     share_bus = Bus.create ();
@@ -413,6 +406,13 @@ let set_balloon_listener t ~on_start ~on_stop =
   t.on_stop <- on_stop
 
 let balloon_intervals t = List.rev t.intervals
-let balloon_open t = t.interval_open <> None
+(* The balloon opens as the phase turns to [Serve] and closes as
+   drain-psbox ends. *)
+let balloon_open_since t =
+  match t.phase with
+  | Serve | Drain_psbox -> Some t.serve_started
+  | Normal | Drain_others -> None
+
+let balloon_open t = balloon_open_since t <> None
 let dispatch_latencies_us t = Trace.values t.latencies
 let completed_items t = Trace.values t.log

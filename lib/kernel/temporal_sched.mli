@@ -163,10 +163,18 @@ val unsandbox : 'item t -> unit
 val sandboxed : 'item t -> int option
 
 val set_balloon_listener :
-  'item t -> on_start:(unit -> unit) -> on_stop:(unit -> unit) -> unit
+  'item t ->
+  on_start:(unit -> unit) ->
+  on_stop:(Psbox_engine.Time.t -> unit) ->
+  unit
+(** [on_stop] is given the balloon's start. *)
 
 val balloon_intervals : 'item t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 (** Completed exclusive intervals, oldest first. *)
+
+val balloon_open_since : 'item t -> Psbox_engine.Time.t option
+(** Start of the balloon in progress: {!serve_started} while the phase is
+    [Serve] or [Drain_psbox]. *)
 
 val balloon_open : 'item t -> bool
 

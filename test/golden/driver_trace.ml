@@ -21,7 +21,7 @@ let stamp = function Some t -> string_of_int t | None -> "-"
 let listen sim s =
   Ts.set_balloon_listener s
     ~on_start:(fun () -> say sim "balloon start")
-    ~on_stop:(fun () -> say sim "balloon stop")
+    ~on_stop:(fun _ -> say sim "balloon stop")
 
 let probe sim s in_flight name =
   say sim "%s open=%b sandboxed=%s in_flight=%d" name (Ts.balloon_open s)

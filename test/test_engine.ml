@@ -273,71 +273,27 @@ let test_trace_events () =
   Alcotest.(check (list (pair int string))) "order" [ (10, "a"); (20, "b") ]
     (Trace.to_list tr)
 
-let test_trace_spans () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 "x";
-  Trace.open_span tr 5 "y";
-  Trace.close_span tr 10 "x";
-  Trace.close_span tr 20 "y";
-  let spans = Trace.to_spans tr in
-  Alcotest.(check int) "two spans" 2 (List.length spans);
-  check_int "x duration" 10 (Trace.total_duration tr (fun t -> t = "x"));
-  check_int "y duration" 15 (Trace.total_duration tr (fun t -> t = "y"))
-
-let test_trace_double_open () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 "x";
-  Alcotest.check_raises "double open"
-    (Invalid_argument "Trace.open_span: tag already open") (fun () ->
-      Trace.open_span tr 5 "x")
-
-let test_trace_close_all () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 1;
-  Trace.open_span tr 2 2;
-  Trace.close_all tr 10;
-  Alcotest.(check int) "both closed" 2 (List.length (Trace.to_spans tr));
-  Alcotest.(check bool) "none open" false (Trace.is_open tr 1)
-
-let test_trace_overlaps () =
-  let s1 = { Trace.start = 0; stop = 10; tag = () } in
-  let s2 = { Trace.start = 5; stop = 15; tag = () } in
-  let s3 = { Trace.start = 10; stop = 20; tag = () } in
-  check_bool "overlap" true (Trace.overlaps s1 s2);
-  check_bool "touching is not overlap" false (Trace.overlaps s1 s3)
-
 (* A retention window keeps exactly the entries stamped no more than R
-   before the newest, across ring chunks and their reuse; to_spans keeps
-   the order of a stable sort of the newest-first list, so of two spans
-   with equal bounds the later-completed one comes first. *)
+   before the newest, across ring chunks and their reuse. *)
 let prop_trace_retention =
   QCheck.Test.make ~name:"trace retention keeps the window" ~count:200
     QCheck.(
-      pair (int_range 1 200)
-        (list_of_size Gen.(0 -- 400) (pair (int_range 0 3) (int_range 0 12))))
-    (fun (r, steps) ->
-      let ev = Trace.events ~retention:r () and sp = Trace.spans ~retention:r () in
+      pair (int_range 1 200) (list_of_size Gen.(0 -- 400) (int_range 0 3)))
+    (fun (r, gaps) ->
+      let ev = Trace.events ~retention:r () in
       let now = ref 0 in
       let all =
         List.mapi
-          (fun i (gap, len) ->
+          (fun i gap ->
             now := !now + gap;
             Trace.emit ev !now i;
-            Trace.open_span sp (!now - len) i;
-            Trace.close_span sp !now i;
-            { Trace.start = !now - len; stop = !now; tag = i })
-          steps
+            (!now, i))
+          gaps
       in
-      let kept = List.filter (fun s -> s.Trace.stop >= !now - r) all in
-      let by_bounds a b =
-        compare (a.Trace.start, a.Trace.stop) (b.Trace.start, b.Trace.stop)
-      in
-      Trace.to_list ev = List.map (fun s -> (s.Trace.stop, s.Trace.tag)) kept
-      && Trace.values ev = List.map (fun s -> s.Trace.tag) kept
-      && Trace.count ev = List.length kept
-      && Trace.to_spans sp = List.stable_sort by_bounds (List.rev kept)
-      && Trace.total_duration sp (fun _ -> true)
-         = List.fold_left (fun acc s -> acc + s.Trace.stop - s.Trace.start) 0 kept)
+      let kept = List.filter (fun (t, _) -> t >= !now - r) all in
+      Trace.to_list ev = kept
+      && Trace.values ev = List.map snd kept
+      && Trace.count ev = List.length kept)
 
 (* ---- Bus ----------------------------------------------------------- *)
 
@@ -789,10 +745,6 @@ let suite =
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats histogram", `Quick, test_stats_histogram);
     ("trace events", `Quick, test_trace_events);
-    ("trace spans", `Quick, test_trace_spans);
-    ("trace double open", `Quick, test_trace_double_open);
-    ("trace close_all", `Quick, test_trace_close_all);
-    ("trace overlaps", `Quick, test_trace_overlaps);
     ("bus order and unsubscribe", `Quick, test_bus_order_and_unsubscribe);
     ("bus unsubscribe mid-publish", `Quick, test_bus_unsubscribe_mid_publish);
     ("bus subscribe mid-publish", `Quick, test_bus_subscribe_mid_publish);

@@ -89,7 +89,7 @@ let histories (sys, app) =
         (fun (s : (int * int) Trace.span) ->
           let core, a = s.tag in
           (Some s.stop, Printf.sprintf "%d %d %d %d" core a s.start s.stop))
-        (Trace.to_spans (Smp.sched_trace smp)) );
+        (Smp.sched_spans smp) );
     ("wake latencies", List.map us (Array.to_list (Smp.wakeup_latencies_us smp)));
     ( "wake latencies of one app",
       List.map us (Array.to_list (Smp.wakeup_latencies_of smp ~app)) );

@@ -42,44 +42,94 @@ let arbitrary_scenario ~gpu =
     QCheck.Gen.(
       quad (gen_ops ~gpu) (gen_ops ~gpu) (10 -- 200) (210 -- 400))
 
+(* Apps a and b each run the same script on both cores of a 2-core
+   machine; a sits in a CPU psbox from [enter_ms] until [leave_ms], where
+   the run pauses with a still inside. *)
+let cpu_scenario ops_a ops_b ~enter_ms ~leave_ms =
+  let sys = System.create ~cores:2 () in
+  let a = System.new_app sys ~name:"a" in
+  let b = System.new_app sys ~name:"b" in
+  ignore (W.spawn sys ~app:a ~name:"a0" ~core:0 (to_script ops_a));
+  ignore (W.spawn sys ~app:a ~name:"a1" ~core:1 (to_script ops_a));
+  ignore (W.spawn sys ~app:b ~name:"b0" ~core:0 (to_script ops_b));
+  ignore (W.spawn sys ~app:b ~name:"b1" ~core:1 (to_script ops_b));
+  System.start sys;
+  let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ] in
+  System.run_for sys (Time.ms enter_ms);
+  Psbox.enter box;
+  System.run_for sys (Time.ms (leave_ms - enter_ms));
+  (sys, box, b)
+
 (* Invariant bundle for the CPU: the simulation terminates, busy core-time
    never exceeds wall capacity, and foreign tasks never run inside the
    sandboxed app's balloons. *)
+let cpu_invariants_hold (ops_a, ops_b, enter_ms, leave_ms) =
+  let sys, box, b = cpu_scenario ops_a ops_b ~enter_ms ~leave_ms in
+  let intervals = Psbox.exclusive_intervals box in
+  Psbox.leave box;
+  System.run_for sys (Time.ms 50);
+  let wall = Time.to_sec_f (System.now sys) in
+  let busy = Psbox_hw.Cpu.busy_core_seconds (System.cpu sys) in
+  Smp.stop (System.smp sys);
+  let spans = Smp.sched_spans (System.smp sys) in
+  let foreign_inside =
+    List.exists
+      (fun (b0, b1) ->
+        List.exists
+          (fun s ->
+            snd s.Trace.tag = b.System.app_id
+            && min s.Trace.stop b1 > max s.Trace.start b0)
+          spans)
+      intervals
+  in
+  System.shutdown sys;
+  busy <= (2.0 *. wall) +. 1e-9 && not foreign_inside
+
 let prop_cpu_invariants =
   QCheck.Test.make ~name:"random CPU scenarios keep balloon invariants"
+    ~count:40 (arbitrary_scenario ~gpu:false) cpu_invariants_hold
+
+(* A case the property once drew: core 0 opens a coscheduling period and
+   closes it at once, and core 1 reopens it one IPI delay later, just as
+   the first period's join IPI reaches core 1. That stale IPI must not
+   count toward the new period, or metering starts while core 0 still
+   runs b. *)
+let test_stale_join_ipi () =
+  let c ms = `Compute ms and s ms = `Sleep ms in
+  Alcotest.(check bool)
+    "no foreign span inside a balloon" true
+    (cpu_invariants_hold
+       ( [ c 9; c 9; s 8; s 4; s 3 ],
+         [ s 5; c 5; c 4; s 2; c 1; c 2; s 3; c 2; s 3; s 6; s 7 ],
+         182,
+         367 ))
+
+(* The schedule recorder: stopped with a balloon possibly live, each
+   core's spans, in start order, run from its first span's start to the
+   stop instant with no gap or overlap, and a second stop adds none. *)
+let prop_sched_spans_tile =
+  QCheck.Test.make ~name:"scheduling spans tile each core up to stop"
     ~count:40 (arbitrary_scenario ~gpu:false)
     (fun (ops_a, ops_b, enter_ms, leave_ms) ->
-      let sys = System.create ~cores:2 () in
-      let a = System.new_app sys ~name:"a" in
-      let b = System.new_app sys ~name:"b" in
-      ignore (W.spawn sys ~app:a ~name:"a0" ~core:0 (to_script ops_a));
-      ignore (W.spawn sys ~app:a ~name:"a1" ~core:1 (to_script ops_a));
-      ignore (W.spawn sys ~app:b ~name:"b0" ~core:0 (to_script ops_b));
-      ignore (W.spawn sys ~app:b ~name:"b1" ~core:1 (to_script ops_b));
-      System.start sys;
-      let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ] in
-      System.run_for sys (Time.ms enter_ms);
-      Psbox.enter box;
-      System.run_for sys (Time.ms (leave_ms - enter_ms));
-      let intervals = Psbox.exclusive_intervals box in
-      Psbox.leave box;
-      System.run_for sys (Time.ms 50);
-      let wall = Time.to_sec_f (System.now sys) in
-      let busy = Psbox_hw.Cpu.busy_core_seconds (System.cpu sys) in
-      Smp.stop (System.smp sys);
-      let spans = Trace.to_spans (Smp.sched_trace (System.smp sys)) in
-      let foreign_inside =
-        List.exists
-          (fun (b0, b1) ->
-            List.exists
-              (fun s ->
-                snd s.Trace.tag = b.System.app_id
-                && min s.Trace.stop b1 > max s.Trace.start b0)
-              spans)
-          intervals
-      in
+      let sys, _, _ = cpu_scenario ops_a ops_b ~enter_ms ~leave_ms in
+      let smp = System.smp sys in
+      Smp.stop smp;
+      let spans = Smp.sched_spans smp in
+      Smp.stop smp;
+      let again = Smp.sched_spans smp in
+      let stop_at = System.now sys in
       System.shutdown sys;
-      busy <= (2.0 *. wall) +. 1e-9 && not foreign_inside)
+      let rec tiles t = function
+        | [] -> t = stop_at
+        | s :: rest ->
+            s.Trace.start = t && s.Trace.stop >= t && tiles s.Trace.stop rest
+      in
+      let core_tiles core =
+        match List.filter (fun s -> fst s.Trace.tag = core) spans with
+        | [] -> false
+        | first :: _ as mine -> tiles first.Trace.start mine
+      in
+      core_tiles 0 && core_tiles 1 && again = spans)
 
 (* GPU invariant: every submitted command completes exactly once, even
    across sandbox churn, and no foreign command executes inside a balloon. *)
@@ -313,10 +363,12 @@ let prop_observation_insulated =
       Float.abs (co -. alone) /. alone < 0.15)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      prop_cpu_invariants; prop_gpu_invariants;
-      prop_wifi_invariants ~virtual_macs:false;
-      prop_wifi_invariants ~virtual_macs:true; prop_meter_bounded;
-      prop_observation_insulated;
-    ]
+  Alcotest.test_case "a stale join IPI does not open a balloon" `Quick
+    test_stale_join_ipi
+  :: List.map QCheck_alcotest.to_alcotest
+       [
+         prop_cpu_invariants; prop_sched_spans_tile; prop_gpu_invariants;
+         prop_wifi_invariants ~virtual_macs:false;
+         prop_wifi_invariants ~virtual_macs:true; prop_meter_bounded;
+         prop_observation_insulated;
+       ]

@@ -271,26 +271,6 @@ let test_experiment_identical_when_disabled () =
   in
   Alcotest.(check string) "byte-identical output" with_telemetry without
 
-(* ---- Trace.close_span diagnostics (engine) -------------------------- *)
-
-let test_close_span_message () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 "running";
-  Alcotest.check_raises "names the tag"
-    (Invalid_argument
-       "Trace.close_span: no open span with tag \"ghost\" (1 span(s) open)")
-    (fun () ->
-      Trace.close_span ~pp:(fun fmt s -> Format.fprintf fmt "%S" s) tr 10
-        "ghost");
-  Alcotest.check_raises "says when no printer is given"
-    (Invalid_argument
-       "Trace.close_span: no open span with tag <no printer given> (1 \
-        span(s) open)")
-    (fun () -> Trace.close_span tr 10 "ghost");
-  check_bool "original span untouched" true (Trace.is_open tr "running");
-  Alcotest.(check (option int)) "open_since" (Some 0)
-    (Trace.open_since tr "running")
-
 let suite =
   [
     Alcotest.test_case "registry: counters and gauges" `Quick test_counter_gauge;
@@ -312,6 +292,4 @@ let suite =
       test_sim_counters;
     Alcotest.test_case "experiments: byte-identical with telemetry off" `Quick
       test_experiment_identical_when_disabled;
-    Alcotest.test_case "trace: close_span names the missing tag" `Quick
-      test_close_span_message;
   ]
