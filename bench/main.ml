@@ -379,9 +379,11 @@ let write_json rows eps allocs =
         a.a_majors
         (if i = List.length allocs - 1 then "" else ","))
     allocs;
-  (* Per-subsystem telemetry accumulated over the whole bench run: how many
-     events each kernel path handled while producing the numbers above. The
-     key is "count", not "ns_per_run", so bench/diff.ml skips these rows. *)
+  (* Per-subsystem telemetry of the measured pass: the metrics are reset
+     after the Bechamel timing loops, so these count what one run of each
+     case plus the fleet throughput run handled, and repeat exactly from
+     run to run. The key is "count", not "ns_per_run", so bench/diff.ml
+     skips these rows. *)
   let counts = Telemetry.Metrics.values () in
   output_string oc "  ],\n  \"event_counts\": [\n";
   List.iteri
@@ -432,6 +434,9 @@ let () =
   Audit.enable ();
   if not micro_only then regenerate ();
   let rows = microbench () in
+  (* the timing loops ran each case as often as the wall clock allowed;
+     count only the measured pass below *)
+  Telemetry.Metrics.reset ();
   let eps, allocs = events_and_allocs () in
   let eps = eps @ [ fleet_throughput () ] in
   print_endline "  simulated-event throughput (one run each):";

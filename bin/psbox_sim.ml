@@ -112,12 +112,13 @@ let pool_arg =
     & info [ "pool" ] ~docv:"on|off" ~doc)
 
 (* Evaluated before any command body runs (cmdliner applies term arguments
-   left to right), so wrapping a command term in [with_pool] gives it the
-   --pool flag without threading one more parameter through its run
+   left to right), so wrapping a command term in [with_engine] gives it the
+   --sched and --pool flags without threading them through its run
    function. *)
-let with_pool t =
+let with_engine t =
   Term.(
-    const (fun () r -> r)
+    const (fun () () r -> r)
+    $ (const Psbox_engine.Sim.set_default_backend $ sched_arg)
     $ (const Psbox_engine.Sim.set_default_pooling $ pool_arg)
     $ t)
 
@@ -145,9 +146,8 @@ let with_formatter_to path f =
   Format.pp_print_flush fmt ();
   close_out oc
 
-let run_ids sched seed trace_out metrics metrics_out audit_out flame_out
-    health_out ids =
-  Psbox_engine.Sim.set_default_backend sched;
+let run_ids seed trace_out metrics metrics_out audit_out flame_out health_out
+    ids =
   (* Auditing is the default: a pure observer whose cost perfbench's layer
      ladder prices. Report mode (which retains every machine for the final
      report) is only armed when a report was actually requested. *)
@@ -240,24 +240,22 @@ let run_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc:"experiment id")
   in
   Cmd.v (Cmd.info "run" ~doc)
-    (with_pool
+    (with_engine
        Term.(
-         const run_ids $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
+         const run_ids $ seed_arg $ trace_out_arg $ metrics_arg
          $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg
          $ ids))
 
 let all_cmd =
   let doc = "Run every experiment in paper order." in
-  let run sched seed trace_out metrics metrics_out audit_out flame_out
-      health_out =
-    run_ids sched seed trace_out metrics metrics_out audit_out flame_out
-      health_out
+  let run seed trace_out metrics metrics_out audit_out flame_out health_out =
+    run_ids seed trace_out metrics metrics_out audit_out flame_out health_out
       (List.map (fun e -> e.Registry.e_id) Registry.all)
   in
   Cmd.v (Cmd.info "all" ~doc)
-    (with_pool
+    (with_engine
        Term.(
-         const run $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
+         const run $ seed_arg $ trace_out_arg $ metrics_arg
          $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg))
 
 let fleet_cmd =
@@ -282,7 +280,7 @@ let fleet_cmd =
     ]
   in
   let devices_arg =
-    let doc = "Number of devices to simulate." in
+    let doc = "Number of devices to simulate; at least 1." in
     Arg.(value & opt int 64 & info [ "devices" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
@@ -321,15 +319,14 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "health" ] ~doc)
   in
-  let run sched devices jobs seed scenario fleet_out health =
-    Psbox_engine.Sim.set_default_backend sched;
+  let run devices jobs seed scenario fleet_out health =
     if not (List.mem scenario Fleet.scenario_ids) then begin
       Printf.eprintf "unknown scenario %S; available: %s\n" scenario
         (String.concat ", " Fleet.scenario_ids);
       exit 2
     end;
-    if devices < 0 || jobs < 1 then begin
-      Printf.eprintf "fleet: --devices must be >= 0 and --jobs >= 1\n";
+    if devices < 1 || jobs < 1 then begin
+      Printf.eprintf "fleet: --devices and --jobs must be >= 1\n";
       exit 2
     end;
     let summary = Fleet.run ~jobs ~health ~scenario ~devices ~seed () in
@@ -358,9 +355,9 @@ let fleet_cmd =
   in
   Cmd.v
     (Cmd.info "fleet" ~doc ~man)
-    (with_pool
+    (with_engine
        Term.(
-         const run $ sched_arg $ devices_arg $ jobs_arg $ fleet_seed_arg
+         const run $ devices_arg $ jobs_arg $ fleet_seed_arg
          $ scenario_arg $ fleet_out_arg $ health_arg))
 
 let trace_check_cmd =
@@ -477,13 +474,24 @@ let audit_check_cmd =
   in
   Cmd.v (Cmd.info "audit-check" ~doc) Term.(const run $ file)
 
-(* NaN passes every comparison gate (a NaN --max-mape never fails) and an
-   infinite --perturb turns the fitted coefficients into NaN, so the model
-   and health checks refuse non-finite values up front. *)
-let require_finite cmd flag v =
-  if not (Float.is_finite v) then begin
-    Printf.eprintf "%s: --%s must be a finite number, got %s\n" cmd flag
-      (Float.to_string v);
+(* The model and health checks refuse a numeric flag up front, by name,
+   unless it is finite and in range. NaN passes every comparison gate (a
+   NaN --max-mape never fails), an infinite --perturb turns the fitted
+   coefficients into NaN, and out-of-range values give a silently wrong
+   answer: a --perturb of -100 or less zeroes or negates the coefficients,
+   a --drift-threshold of 0 fires on a perfect model, and a negative
+   --max-mape is a gate that cannot pass. *)
+type bound = Above of float | At_least of float
+
+let require_in_range cmd flag bound v =
+  let ok, op, lo =
+    match bound with
+    | Above lo -> (v > lo, ">", lo)
+    | At_least lo -> (v >= lo, ">=", lo)
+  in
+  if not (Float.is_finite v && ok) then begin
+    Printf.eprintf "%s: --%s must be finite and %s %g, got %s\n" cmd flag op
+      lo (Float.to_string v);
     exit 2
   end
 
@@ -528,14 +536,14 @@ let model_check_cmd =
   let perturb =
     let doc =
       "Scale the fitted coefficients by (1 + $(docv)/100) before validating \
-       — an injected model error. Must be finite."
+       — an injected model error. Must be finite and above -100."
     in
     Arg.(value & opt float 0.0 & info [ "perturb" ] ~docv:"PCT" ~doc)
   in
   let max_mape =
     let doc =
       "Fail (exit 1) if any rail's per-OPP validation MAPE exceeds $(docv) \
-       percent. Must be finite."
+       percent. Must be finite and at least 0."
     in
     Arg.(value & opt (some float) None & info [ "max-mape" ] ~docv:"PCT" ~doc)
   in
@@ -543,14 +551,15 @@ let model_check_cmd =
     let doc = "Write the JSON report to $(docv) instead of stdout." in
     Arg.(value & opt (some string) None & info [ "model-out" ] ~docv:"FILE" ~doc)
   in
-  let run sched seed_a seed_b window_ms windows perturb max_mape model_out =
-    Psbox_engine.Sim.set_default_backend sched;
+  let run seed_a seed_b window_ms windows perturb max_mape model_out =
     if window_ms <= 0 || windows <= 0 then begin
       Printf.eprintf "model-check: --window-ms and --windows must be positive\n";
       exit 2
     end;
-    require_finite "model-check" "perturb" perturb;
-    Option.iter (require_finite "model-check" "max-mape") max_mape;
+    require_in_range "model-check" "perturb" (Above (-100.0)) perturb;
+    Option.iter
+      (require_in_range "model-check" "max-mape" (At_least 0.0))
+      max_mape;
     Audit.enable ();
     let report =
       Psbox_model.Model.Check.run ~fit_seed:seed_a ~val_seed:seed_b
@@ -574,9 +583,9 @@ let model_check_cmd =
   in
   Cmd.v
     (Cmd.info "model-check" ~doc ~man)
-    (with_pool
+    (with_engine
        Term.(
-         const run $ sched_arg $ seed_a $ seed_b $ window_ms $ windows
+         const run $ seed_a $ seed_b $ window_ms $ windows
          $ perturb $ max_mape $ model_out))
 
 let health_check_cmd =
@@ -623,21 +632,21 @@ let health_check_cmd =
   let perturb =
     let doc =
       "Scale the fitted coefficients by (1 + $(docv)/100) before the \
-       monitored run — the injected drift. Must be finite."
+       monitored run — the injected drift. Must be finite and above -100."
     in
     Arg.(value & opt float 0.0 & info [ "perturb" ] ~docv:"PCT" ~doc)
   in
   let drift_threshold =
     let doc =
       "Drift rule threshold on the rail MAPE gauges, in percent. Must be \
-       finite."
+       finite and above 0."
     in
     Arg.(value & opt float 5.0 & info [ "drift-threshold" ] ~docv:"PCT" ~doc)
   in
   let max_mape =
     let doc =
       "Fail (exit 1) if the worst rail's post-swap held-out MAPE exceeds \
-       $(docv) percent. Must be finite."
+       $(docv) percent. Must be finite and at least 0."
     in
     Arg.(value & opt (some float) None & info [ "max-mape" ] ~docv:"PCT" ~doc)
   in
@@ -658,17 +667,19 @@ let health_check_cmd =
     Arg.(
       value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
-  let run sched seed_a seed_b window_ms windows perturb drift_threshold
-      max_mape expect_heal health_out report_out =
-    Psbox_engine.Sim.set_default_backend sched;
+  let run seed_a seed_b window_ms windows perturb drift_threshold max_mape
+      expect_heal health_out report_out =
     if window_ms <= 0 || windows <= 0 then begin
       Printf.eprintf
         "health-check: --window-ms and --windows must be positive\n";
       exit 2
     end;
-    require_finite "health-check" "perturb" perturb;
-    require_finite "health-check" "drift-threshold" drift_threshold;
-    Option.iter (require_finite "health-check" "max-mape") max_mape;
+    require_in_range "health-check" "perturb" (Above (-100.0)) perturb;
+    require_in_range "health-check" "drift-threshold" (Above 0.0)
+      drift_threshold;
+    Option.iter
+      (require_in_range "health-check" "max-mape" (At_least 0.0))
+      max_mape;
     Audit.enable ();
     let report, eng =
       Health.Self_heal.run ~fit_seed:seed_a ~val_seed:seed_b
@@ -713,9 +724,9 @@ let health_check_cmd =
   in
   Cmd.v
     (Cmd.info "health-check" ~doc ~man)
-    (with_pool
+    (with_engine
        Term.(
-         const run $ sched_arg $ seed_a $ seed_b $ window_ms $ windows
+         const run $ seed_a $ seed_b $ window_ms $ windows
          $ perturb $ drift_threshold $ max_mape $ expect_heal $ health_out
          $ report_out))
 
@@ -723,19 +734,19 @@ let health_check_cmd =
    (`psbox_sim --trace-out t.json budget`). *)
 let default_term =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
-  let run sched seed trace_out metrics metrics_out audit_out flame_out
-      health_out ids =
+  let run seed trace_out metrics metrics_out audit_out flame_out health_out
+      ids =
     match ids with
     | [] -> `Help (`Pager, None)
     | ids ->
-        run_ids sched seed trace_out metrics metrics_out audit_out flame_out
+        run_ids seed trace_out metrics metrics_out audit_out flame_out
           health_out ids;
         `Ok ()
   in
   Term.(
     ret
-      (with_pool
-         (const run $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
+      (with_engine
+         (const run $ seed_arg $ trace_out_arg $ metrics_arg
         $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg
         $ ids)))
 

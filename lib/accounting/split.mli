@@ -109,12 +109,6 @@ val live_cpu : Psbox_kernel.Smp.t -> from:Psbox_engine.Time.t -> live
     {!Psbox_kernel.Smp.share_bus}. Shares are seeded from whatever is
     on-core at [from], so mid-run attachment starts correct. *)
 
-val live_sched : _ Psbox_kernel.Temporal_sched.t -> from:Psbox_engine.Time.t -> live
-(** Split a scheduled device's rail (an accelerator's or the NIC's) by
-    per-app in-flight item counts from
-    {!Psbox_kernel.Temporal_sched.share_bus}. Items already on the device
-    at [from] are picked up at their next dispatch/completion event. *)
-
 val live_system : Psbox_kernel.System.t -> from:Psbox_engine.Time.t -> live list
 (** One auto-wired splitter per scheduled rail of the machine: the CPU,
     then the GPU, DSP and NIC where present. *)

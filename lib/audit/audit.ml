@@ -275,15 +275,9 @@ let enable () =
 let disable () = (sw ()).sw_on <- false
 let enabled () = (sw ()).sw_on
 
-let reset () =
-  let s = sw () in
-  Hashtbl.reset s.sw_live;
-  s.sw_registry <- []
-
 let set_report_mode b = (sw ()).sw_report <- b
 let report_mode () = (sw ()).sw_report
 let instances () = List.rev (sw ()).sw_registry
-let system a = a.a_sys
 
 (* ---- reading the blame matrix ------------------------------------- *)
 

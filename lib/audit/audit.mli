@@ -75,11 +75,6 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val reset : unit -> unit
-(** Forget all bookkeeping of past machines (both the strong report
-    registry and the weak lookup table). Ledgers attached to live machines
-    keep running; they are merely no longer reachable from here. *)
-
 val set_report_mode : bool -> unit
 (** In report mode every subsequently attached ledger is also retained in
     a strong registry (creation order) so a one-shot CLI can render a
@@ -101,8 +96,6 @@ val lookup : Psbox_kernel.System.t -> t option
 val instances : unit -> t list
 (** Report-mode registry, creation order. *)
 
-val system : t -> Psbox_kernel.System.t
-
 (** {1 Reading the blame matrix} *)
 
 type row = {
@@ -118,10 +111,6 @@ type row = {
 
 val rails : t -> string list
 (** Audited physical rails, sorted by name. *)
-
-val subsystem : t -> rail:string -> string
-(** The kernel subsystem label this rail is billed under (e.g. ["cpu"],
-    ["accel.gpu"], ["net"]). *)
 
 val rows : t -> rail:string -> row list
 (** The rail's blame rows at the current instant, in canonical order:

@@ -31,6 +31,12 @@ type admission = Admitted | Queued | Rejected
    gracefully instead of starving. *)
 let throttle_floor = 0.02
 
+(* The control period, the measurement window in periods and the
+   hysteresis band around the cap. *)
+let period = Time.ms 50
+let window_periods = 4
+let hysteresis = 0.05
+
 type entry = {
   e_app : int;
   mutable e_demand : demand;
@@ -52,10 +58,6 @@ type entry = {
 
 type t = {
   sys : System.t;
-  period : Time.span;
-  window_periods : int;
-  hysteresis : float;
-  dvfs_bias : bool;
   entries : (int, entry) Hashtbl.t;
   splitters : Split.live list; (* one per actuated rail, auto-wired *)
   epoch : Time.t; (* anchor of the control-period grid (creation time) *)
@@ -90,7 +92,7 @@ let app_total_j ctl ~app =
       | None -> acc)
     0.0 ctl.splitters
 
-let windowed_mean_w ctl e =
+let windowed_mean_w e =
   let n = e.e_ring_n in
   if n = 0 then 0.0
   else begin
@@ -98,7 +100,7 @@ let windowed_mean_w ctl e =
     for i = 0 to n - 1 do
       j := !j +. e.e_ring.(i)
     done;
-    !j /. (float_of_int n *. Time.to_sec_f ctl.period)
+    !j /. (float_of_int n *. Time.to_sec_f period)
   end
 
 let effective_cap_of ctl e =
@@ -160,7 +162,7 @@ let control_entry ctl e =
   e.e_ring.(e.e_ring_i) <- period_j;
   e.e_ring_i <- (e.e_ring_i + 1) mod Array.length e.e_ring;
   if e.e_ring_n < Array.length e.e_ring then e.e_ring_n <- e.e_ring_n + 1;
-  let meas = windowed_mean_w ctl e in
+  let meas = windowed_mean_w e in
   let cap = effective_cap_of ctl e in
   e.e_history <- (now ctl, meas, cap) :: e.e_history;
   Tm.set e.e_g_measured meas;
@@ -178,7 +180,7 @@ let control_entry ctl e =
           ("cap_w", (if Float.is_finite cap then cap else -1.0));
           ("throttle", e.e_throttle);
         ]
-      ~start:(max 0 (now ctl - ctl.period))
+      ~start:(max 0 (now ctl - period))
       ~stop:(now ctl) ();
   (* multiplicative-proportional law with a deadband, steered by the
      {e last period's} draw (the windowed mean above is what we report and
@@ -187,9 +189,9 @@ let control_entry ctl e =
      throttle down by the overshoot ratio (at most halving per period);
      under it, relax back up by the same ratio (at most 10% per period).
      Inside the hysteresis band the throttle holds. *)
-  let meas_p = period_j /. Time.to_sec_f ctl.period in
-  let over = cap *. (1.0 +. ctl.hysteresis) in
-  let under = cap *. (1.0 -. ctl.hysteresis) in
+  let meas_p = period_j /. Time.to_sec_f period in
+  let over = cap *. (1.0 +. hysteresis) in
+  let under = cap *. (1.0 -. hysteresis) in
   let t0 = e.e_throttle in
   if meas_p > over && meas_p > 0.0 then
     e.e_throttle <-
@@ -200,46 +202,18 @@ let control_entry ctl e =
   Tm.set e.e_g_throttle e.e_throttle;
   if e.e_throttle <> t0 then actuate ctl e
 
-let bias_dvfs ctl =
-  if ctl.dvfs_bias then begin
-    let dvfs = Psbox_hw.Cpu.dvfs (System.cpu ctl.sys) in
-    (* lower the machine's OPP ceiling only when per-app throttling has hit
-       its floor and an app still overshoots — i.e. the shared uncore draw
-       itself is the problem; creep back up while everyone fits *)
-    let stuck_over = ref false and all_within = ref true in
-    Hashtbl.iter
-      (fun _ e ->
-        let meas = windowed_mean_w ctl e in
-        let cap = effective_cap_of ctl e in
-        if meas > cap *. (1.0 +. ctl.hysteresis) then begin
-          all_within := false;
-          if e.e_throttle <= throttle_floor +. 1e-9 then stuck_over := true
-        end)
-      ctl.entries;
-    let c = Psbox_hw.Dvfs.ceiling dvfs in
-    if !stuck_over && c > 0 then Psbox_hw.Dvfs.set_ceiling dvfs (c - 1)
-    else if !all_within && c < Psbox_hw.Dvfs.max_index dvfs then
-      Psbox_hw.Dvfs.set_ceiling dvfs (c + 1)
-  end
-
 (* The control tick is demand-armed on the fixed grid [epoch + k*period]:
-   it runs only while there is something to control — a registered entry,
-   or a biased-down DVFS ceiling that still has to creep back to the top.
-   An idle controller costs no simulator events, and because skipped
-   periods would have iterated zero entries they are exact no-ops. *)
-let tick_needed ctl =
-  Hashtbl.length ctl.entries > 0
-  || ctl.dvfs_bias
-     &&
-     let d = Psbox_hw.Cpu.dvfs (System.cpu ctl.sys) in
-     Psbox_hw.Dvfs.ceiling d < Psbox_hw.Dvfs.max_index d
-
+   it runs only while there is an entry to control. An idle controller
+   costs no simulator events, and because skipped periods would have
+   iterated zero entries they are exact no-ops. *)
 let rec arm_tick ctl =
-  if Sim.is_none ctl.tick && (not ctl.stopped) && tick_needed ctl then begin
-    let k = ((now ctl - ctl.epoch) / ctl.period) + 1 in
+  if Sim.is_none ctl.tick && (not ctl.stopped)
+     && Hashtbl.length ctl.entries > 0
+  then begin
+    let k = ((now ctl - ctl.epoch) / period) + 1 in
     ctl.tick <-
       Sim.schedule_at (sim ctl) ~label:l_tick
-        (ctl.epoch + (k * ctl.period))
+        (ctl.epoch + (k * period))
         (fun () -> tick_fired ctl)
   end
 
@@ -248,7 +222,6 @@ and tick_fired ctl =
   if not ctl.stopped then begin
     Tm.incr m_ticks;
     Hashtbl.iter (fun _ e -> control_entry ctl e) ctl.entries;
-    bias_dvfs ctl;
     arm_tick ctl
   end
 
@@ -265,21 +238,13 @@ let check_watts fn what x =
   if Float.is_nan x then invalid_arg (Printf.sprintf "Budget.%s: NaN %s" fn what);
   if x < 0.0 then invalid_arg (Printf.sprintf "Budget.%s: negative %s" fn what)
 
-let create sys ?(period = Time.ms 50) ?(window_periods = 4)
-    ?(hysteresis = 0.05) ?(dvfs_bias = false) ?machine_budget_w () =
-  if window_periods <= 0 then
-    invalid_arg "Budget.create: window_periods must be positive";
-  if hysteresis < 0.0 then invalid_arg "Budget.create: negative hysteresis";
+let create sys ?machine_budget_w () =
   Option.iter (check_watts "create" "machine budget") machine_budget_w;
   let from = Sim.now (System.sim sys) in
   let splitters = Split.live_system sys ~from in
   let ctl =
     {
       sys;
-      period;
-      window_periods;
-      hysteresis;
-      dvfs_bias;
       entries = Hashtbl.create 8;
       splitters;
       epoch = from;
@@ -294,8 +259,6 @@ let create sys ?(period = Time.ms 50) ?(window_periods = 4)
   (* no periodic timer: the first entry arms the control loop *)
   ctl
 
-let period ctl = ctl.period
-
 let entry ctl app =
   match Hashtbl.find_opt ctl.entries app with
   | Some e -> e
@@ -308,7 +271,7 @@ let entry ctl app =
           e_env_base_j = 0.0;
           e_throttle = 1.0;
           e_prev_j = app_total_j ctl ~app;
-          e_ring = Array.make ctl.window_periods 0.0;
+          e_ring = Array.make window_periods 0.0;
           e_ring_i = 0;
           e_ring_n = 0;
           e_history = [];
@@ -351,17 +314,9 @@ let tighten ?(factor = 0.9) ctl ~app =
       | Envelope { joules; horizon } ->
           e.e_demand <- Envelope { joules = joules *. factor; horizon })
 
-let clear ctl ~app =
-  match Hashtbl.find_opt ctl.entries app with
-  | Some _ ->
-      Hashtbl.remove ctl.entries app;
-      release_actuation ctl app;
-      if not (tick_needed ctl) then cancel_tick ctl
-  | None -> ()
-
 let measured_w ctl ~app =
   match Hashtbl.find_opt ctl.entries app with
-  | Some e -> windowed_mean_w ctl e
+  | Some e -> windowed_mean_w e
   | None -> 0.0
 
 let effective_cap_w ctl ~app =

@@ -12,9 +12,7 @@
     - accelerators and network: a leaky-bucket dispatch rate on the
       device's scheduler ({!Psbox_kernel.Temporal_sched.set_rate}), in
       unit-seconds per second for an accelerator and TX bytes per second
-      for the NIC,
-    - optionally the DVFS ceiling ({!Psbox_hw.Dvfs.set_ceiling}) when
-      per-app throttling alone cannot reach a cap.
+      for the NIC.
 
     The control law is a deterministic, sim-clock-periodic
     multiplicative-proportional loop with a hysteresis deadband: each
@@ -43,20 +41,14 @@ type admission = Admitted | Queued | Rejected
 
 val create :
   Psbox_kernel.System.t ->
-  ?period:Psbox_engine.Time.span ->
-  ?window_periods:int ->
-  ?hysteresis:float ->
-  ?dvfs_bias:bool ->
   ?machine_budget_w:float ->
   unit ->
   t
-(** Attach a controller to a machine. Defaults: 50 ms control period, a
-    4-period measurement window, 5% hysteresis band, no DVFS biasing, no
+(** Attach a controller to a machine, with a 50 ms control period, a
+    4-period measurement window and a 5% hysteresis band. Default: no
     machine budget (admission always admits). Splitters are wired to
-    whatever rails the machine has; the control tick is armed immediately
+    whatever rails the machine has; the first budget arms the control tick
     on the machine's simulator. *)
-
-val period : t -> Psbox_engine.Time.span
 
 val set_cap : t -> app:int -> watts:float -> unit
 (** Cap [app]'s windowed mean attributed draw at [watts]. Takes effect at
@@ -79,9 +71,6 @@ val tighten : ?factor:float -> t -> app:int -> unit
     to ratchet. This is the knob health responders pull on sustained
     cap-violation incidents. @raise Invalid_argument unless
     [factor] is in (0, 1). *)
-
-val clear : t -> app:int -> unit
-(** Drop [app]'s budget and release all of its actuators. *)
 
 val measured_w : t -> app:int -> float
 (** [app]'s windowed mean attributed draw, watts (0 before the first

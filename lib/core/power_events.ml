@@ -67,8 +67,11 @@ type subscription = {
   mutable tick : Sim.periodic option;
 }
 
-let subscribe ?hub ?(period = Time.ms 50) ?(sample_period = Time.ms 1) sys box
-    ~predicate callback =
+(* The polling period and the sample period within it. *)
+let period = Time.ms 50
+let sample_period = Time.ms 1
+
+let subscribe ?hub sys box ~predicate callback =
   let sub = { live = true; count = 0; tick = None } in
   let sim = System.sim sys in
   let fire t =

@@ -27,15 +27,13 @@ type subscription
 
 val subscribe :
   ?hub:Psbox_meter.Sensor_hub.t ->
-  ?period:Psbox_engine.Time.span ->
-  ?sample_period:Psbox_engine.Time.span ->
   Psbox_kernel.System.t ->
   Psbox.t ->
   predicate:predicate ->
   (Psbox_engine.Time.t -> unit) ->
   subscription
-(** Evaluate the predicate over each polling [period] (default 50 ms) of
-    psbox samples (default 1 ms sample period); the callback receives the
+(** Evaluate the predicate over each 50 ms polling period of psbox
+    samples taken at a 1 ms period; the callback receives the
     trigger instant, at most once per period. With [hub], evaluation
     completes only after the hub has chewed through the batch (its power
     shows on the hub rail). *)

@@ -179,10 +179,10 @@ let make_binding sys ~app ~virtualize target =
               | None -> ([], None));
         b_attach =
           (fun () ->
-            let b = Smp.sandbox (System.smp sys) ~app in
-            Smp.set_balloon_listener b ~on_start:(on_start vstate)
-              ~on_stop:(on_stop target vstate);
-            balloon := Some b);
+            balloon :=
+              Some
+                (Smp.sandbox (System.smp sys) ~app ~on_start:(on_start vstate)
+                   ~on_stop:(on_stop target vstate)));
         b_detach =
           (fun _ -> Option.iter (Smp.unsandbox (System.smp sys)) !balloon);
       }
@@ -301,7 +301,6 @@ let leave psbox =
 
 let inside psbox = psbox.inside
 let stay_blame psbox = psbox.last_stay_blame
-let app psbox = psbox.p_app
 let targets psbox = List.map (fun b -> b.b_target) psbox.bindings
 
 (* The current stay, or the last one once left. *)
@@ -392,12 +391,12 @@ let samples_of_binding ?(period = Time.us 10) binding ~from ~until =
       in
       Sample.make t w)
 
-let sample_target ?period psbox target =
+let sample_target psbox target =
   if not psbox.inside then raise Not_in_psbox;
   match List.find_opt (fun b -> b.b_target = target) psbox.bindings with
   | None -> invalid_arg "Psbox.sample_target: target not bound"
   | Some b ->
-      samples_of_binding ?period b ~from:psbox.entered_at ~until:(now psbox)
+      samples_of_binding b ~from:psbox.entered_at ~until:(now psbox)
 
 let sample ?(period = Time.us 10) psbox =
   if not psbox.inside then raise Not_in_psbox;

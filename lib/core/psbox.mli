@@ -58,7 +58,6 @@ val leave : t -> unit
 
 val inside : t -> bool
 
-val app : t -> int
 val targets : t -> target list
 
 val read_mj : t -> float
@@ -73,9 +72,9 @@ val sample : ?period:Psbox_engine.Time.span -> t -> Psbox_meter.Sample.t array
     the 100 kHz of the paper's prototype), summed over bound components.
     @raise Not_in_psbox when called outside the box. *)
 
-val sample_target :
-  ?period:Psbox_engine.Time.span -> t -> target -> Psbox_meter.Sample.t array
-(** Per-component samples. @raise Not_in_psbox when outside. *)
+val sample_target : t -> target -> Psbox_meter.Sample.t array
+(** Per-component samples at the 10 us period.
+    @raise Not_in_psbox when outside. *)
 
 val exclusive_us : t -> float
 (** Total microseconds of exclusive (balloon) hardware time granted to this

@@ -86,17 +86,6 @@ let drop_oldest r =
     r.spare <- c
   end
 
-let iter r f =
-  let c = ref r.first and i = ref r.first_idx in
-  for _ = 1 to r.len do
-    if !i = chunk_size then begin
-      c := !c.next;
-      i := 0
-    end;
-    f !c.stamps.(!i) !c.items.(!i);
-    incr i
-  done
-
 let fold_back f r init =
   if r.len = 0 then init
   else begin

@@ -28,9 +28,6 @@ val drop_oldest : 'a t -> unit
 (** Remove the oldest entry; the ring no longer references it.
     @raise Invalid_argument if the ring is empty. *)
 
-val iter : 'a t -> (Time.t -> 'a -> unit) -> unit
-(** Oldest first. *)
-
 val fold_back : (Time.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** Newest first, like [List.fold_right]: consing builds an oldest-first
     list. *)

@@ -40,7 +40,6 @@ let float rng x =
   v /. 9007199254740992.0 *. x
 
 let bool rng = Int64.logand (bits64 rng) 1L = 1L
-let bernoulli rng ~p = float rng 1.0 < p
 let uniform rng ~lo ~hi = lo +. float rng (hi -. lo)
 
 let exponential rng ~mean =
@@ -51,10 +50,6 @@ let gaussian rng ~mu ~sigma =
   let u1 = 1.0 -. float rng 1.0 in
   let u2 = float rng 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let pick rng a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int rng (Array.length a))
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do

@@ -18,9 +18,6 @@ val derive : seed:int -> int -> int
     agree. This is how a fleet seed fans out into per-device seeds.
     @raise Invalid_argument if [i < 0]. *)
 
-val bits64 : t -> int64
-(** The next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int rng n] is uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
 
@@ -29,9 +26,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val bernoulli : t -> p:float -> bool
-(** [bernoulli rng ~p] is [true] with probability [p]. *)
-
 val uniform : t -> lo:float -> hi:float -> float
 
 val exponential : t -> mean:float -> float
@@ -39,9 +33,6 @@ val exponential : t -> mean:float -> float
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed (Box-Muller). *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly pick an array element. @raise Invalid_argument on [[||]]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

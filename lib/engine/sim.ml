@@ -33,7 +33,6 @@ let no_label = -1
 let label_mu = Mutex.create ()
 let label_ids : (string, int) Hashtbl.t = Hashtbl.create 16
 let label_cells : Tm.counter array Atomic.t = Atomic.make [||]
-let label_names : string array Atomic.t = Atomic.make [||]
 
 let label name =
   Mutex.protect label_mu (fun () ->
@@ -44,12 +43,9 @@ let label name =
           let id = Array.length cells in
           let c = Tm.counter ("sim.events." ^ name) in
           Atomic.set label_cells (Array.append cells [| c |]);
-          Atomic.set label_names
-            (Array.append (Atomic.get label_names) [| name |]);
           Hashtbl.add label_ids name id;
           id)
 
-let label_name l = (Atomic.get label_names).(l)
 let count_label l = Tm.incr (Atomic.get label_cells).(l)
 
 (* ------------------------------------------------------------------ *)
@@ -159,9 +155,6 @@ let make ~backend ~pool =
     depth_max = 0;
     gauges_dirty = false;
   }
-
-let backend sim = match sim.q with QHeap _ -> `Heap | QWheel _ -> `Wheel
-let pooling sim = sim.pool
 
 let create ?backend ?pooling () =
   let backend =
@@ -322,8 +315,7 @@ let schedule_at sim ?(label = no_label) time fn =
   Tm.incr m_scheduled;
   handle_of_slot sim s
 
-let schedule_after sim ?label span fn =
-  schedule_at sim ?label (sim.clock + span) fn
+let schedule_after sim span fn = schedule_at sim (sim.clock + span) fn
 
 (* Periodic-timer churn (governor sampling, re-armed demand wakeups) cancels
    events constantly; reap the tombstones in bulk once they outnumber live
@@ -441,19 +433,19 @@ let queue_length sim = q_size sim
 
 type periodic = { p_sim : t; mutable current : handle; mutable stopped : bool }
 
-let schedule_every sim ?start ?label span fn =
+let schedule_every sim ?start span fn =
   if span <= 0 then invalid_arg "Sim.schedule_every: period must be positive";
   let p = { p_sim = sim; current = none; stopped = false } in
   let rec fire () =
     if not p.stopped then begin
       (* re-arm before running the body, so events the body schedules for
          the same future instant fire after the next tick (FIFO order) *)
-      p.current <- schedule_after sim ?label span fire;
+      p.current <- schedule_after sim span fire;
       fn ()
     end
   in
   let first = match start with Some t -> t | None -> sim.clock + span in
-  p.current <- schedule_at sim ?label first fire;
+  p.current <- schedule_at sim first fire;
   p
 
 let cancel_every p =

@@ -71,12 +71,6 @@ val set_default_pooling : bool -> unit
 
 val default_pooling : unit -> bool
 
-val backend : t -> backend
-(** The queue implementation this simulator is running on. *)
-
-val pooling : t -> bool
-(** Whether this simulator recycles event-slot records. *)
-
 val now : t -> Time.t
 (** The current simulated time. *)
 
@@ -91,16 +85,13 @@ val label : string -> label
     safe from any domain. Resolve once at subsystem creation, not per
     schedule call. *)
 
-val label_name : label -> string
-(** The name [l] was interned from (diagnostics). *)
-
 val schedule_at : t -> ?label:label -> Time.t -> (unit -> unit) -> handle
 (** [schedule_at sim t f] runs [f] when the clock reaches [t]. [?label]
     counts the fire under the label's [sim.events.<name>] counter.
 
     @raise Invalid_argument if [t] is in the past. *)
 
-val schedule_after : t -> ?label:label -> Time.span -> (unit -> unit) -> handle
+val schedule_after : t -> Time.span -> (unit -> unit) -> handle
 (** [schedule_after sim d f] runs [f] after [d] has elapsed. *)
 
 val cancel : t -> handle -> unit
@@ -147,12 +138,9 @@ type periodic
 (** A recurring event, usable to stop the recurrence. *)
 
 val schedule_every :
-  t -> ?start:Time.t -> ?label:label -> Time.span -> (unit -> unit) -> periodic
+  t -> ?start:Time.t -> Time.span -> (unit -> unit) -> periodic
 (** [schedule_every sim ~start span f] runs [f] at [start] (default: one
     period from now) and every [span] thereafter until {!cancel_every}.
-    [?label] counts fires under the label's [sim.events.<name>] counter;
-    re-arming stores the interned id, so labelling periodics is free on
-    the hot path.
     @raise Invalid_argument if [span] is not positive. *)
 
 val cancel_every : periodic -> unit

@@ -31,34 +31,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
-
-let summarize xs =
-  {
-    n = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = min xs;
-    p50 = percentile xs 50.0;
-    p95 = percentile xs 95.0;
-    p99 = percentile xs 99.0;
-    max = max xs;
-  }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
 type histogram = { lo : float; hi : float; counts : int array }
 
 let histogram xs ~bins =

@@ -17,21 +17,6 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
-
-val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit
-
 type histogram = { lo : float; hi : float; counts : int array }
 
 val histogram : float array -> bins:int -> histogram

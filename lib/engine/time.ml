@@ -2,7 +2,6 @@ type t = int
 type span = int
 
 let zero = 0
-let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000

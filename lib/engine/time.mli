@@ -13,9 +13,6 @@ type span = int
 
 val zero : t
 
-val ns : int -> span
-(** [ns n] is a span of [n] nanoseconds. *)
-
 val us : int -> span
 (** [us n] is a span of [n] microseconds. *)
 

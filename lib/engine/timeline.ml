@@ -100,17 +100,6 @@ let set tl t v =
 
 let value_at tl t = if t < tl.times.(0) then tl.values.(0) else tl.values.(index_at tl t)
 
-let breakpoints tl =
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) ((tl.times.(i), tl.values.(i)) :: acc)
-  in
-  build (tl.len - 1) []
-
-let iter_breakpoints tl ~f =
-  for i = 0 to tl.len - 1 do
-    f tl.times.(i) tl.values.(i)
-  done
-
 let energy_at tl t =
   let i = if t < tl.times.(0) then 0 else index_at tl t in
   tl.dropped_j +. tl.cum.(i) +. (tl.values.(i) *. Time.to_sec_f (t - tl.times.(i)))

@@ -30,18 +30,8 @@ val set : t -> Time.t -> float -> unit
 val value_at : t -> Time.t -> float
 (** The value in effect at instant [t]. *)
 
-val last_time : t -> Time.t
-(** Time of the most recent breakpoint. *)
-
 val length : t -> int
 (** Number of retained breakpoints. *)
-
-val breakpoints : t -> (Time.t * float) list
-(** All retained breakpoints, oldest first. *)
-
-val iter_breakpoints : t -> f:(Time.t -> float -> unit) -> unit
-(** Apply [f time value] to each retained breakpoint, oldest first, without
-    materializing the tuple list {!breakpoints} builds. *)
 
 val energy_at : t -> Time.t -> float
 (** [energy_at tl t] is the cumulative integral of the step function from

@@ -4,43 +4,26 @@ module Temporal_sched = Psbox_kernel.Temporal_sched
 module Smp = Psbox_kernel.Smp
 module Accel_driver = Psbox_kernel.Accel_driver
 module Net_sched = Psbox_kernel.Net_sched
-module Psbox = Psbox_core.Psbox
 module Usage = Psbox_accounting.Usage
 module W = Psbox_workloads.Workload
-
-let measure_rate sys app ~key span =
-  let c0 = System.counter app key in
-  System.run_for sys span;
-  (System.counter app key -. c0) /. Time.to_sec_f span
 
 type job = {
   t0 : Time.t;
   t1 : Time.t;
   dur_s : float;
   rail_mj : float;
-  psbox_mj : float option;
 }
 
-let run_job sys ~rail ~main ?psbox ?(timeout = Time.sec 30) () =
+let run_job sys ~rail ~main =
   System.start sys;
-  (match psbox with Some b -> Psbox.enter b | None -> ());
   let t0 = System.now sys in
-  W.run_until_idle sys ~apps:[ main ] ~timeout;
+  W.run_until_idle sys ~apps:[ main ] ~timeout:(Time.sec 30);
   let t1 = System.now sys in
-  let psbox_mj =
-    match psbox with
-    | Some b ->
-        let mj = Psbox.read_mj b in
-        Psbox.leave b;
-        Some mj
-    | None -> None
-  in
   {
     t0;
     t1;
     dur_s = Time.to_sec_f (t1 - t0);
     rail_mj = Psbox_hw.Power_rail.energy_j rail ~from:t0 ~until:t1 *. 1e3;
-    psbox_mj;
   }
 
 let cpu_usages sys =

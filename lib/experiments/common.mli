@@ -2,29 +2,16 @@
 
 module System = Psbox_kernel.System
 
-val measure_rate :
-  System.t -> System.app -> key:string -> Psbox_engine.Time.span -> float
-(** Advance the simulation by a span and return the app's counter rate per
-    second over it. *)
-
 type job = {
   t0 : Psbox_engine.Time.t;
   t1 : Psbox_engine.Time.t;
   dur_s : float;
   rail_mj : float;  (** full rail energy over the job *)
-  psbox_mj : float option;  (** virtual-meter energy, when a psbox was used *)
 }
 
-val run_job :
-  System.t ->
-  rail:Psbox_hw.Power_rail.t ->
-  main:System.app ->
-  ?psbox:Psbox_core.Psbox.t ->
-  ?timeout:Psbox_engine.Time.span ->
-  unit ->
-  job
-(** Start the system (if needed), enter the psbox (when given), run until
-    the main app's tasks exit, read the meters, leave the psbox. *)
+val run_job : System.t -> rail:Psbox_hw.Power_rail.t -> main:System.app -> job
+(** Start the system (if needed), run until the main app's tasks exit
+    (at most 30 s) and read the rail. *)
 
 (** {1 Prior-approach attribution per hardware class} *)
 

@@ -36,7 +36,7 @@ let measure ~seed ~make_sys ~rail_of ~spawn_main ~spawn_co ~psbox_target
   let rail = rail_of sys in
   match mode with
   | `Alone | `Prior ->
-      let job = Common.run_job sys ~rail ~main () in
+      let job = Common.run_job sys ~rail ~main in
       let mj =
         match mode with
         | `Psbox -> assert false

@@ -19,7 +19,4 @@ type hw_result = {
 }
 
 val cpu : ?seed:int -> unit -> hw_result
-val dsp : ?seed:int -> unit -> hw_result
-val gpu : ?seed:int -> unit -> hw_result
-val wifi : ?seed:int -> unit -> hw_result
 val run : ?seed:int -> unit -> Report.t * hw_result list

@@ -13,7 +13,7 @@ type result = {
    DCH/FACH the whole time. *)
 let per_transfer_mj ~chatter =
   let sim = Sim.create () in
-  let radio = Lte.create sim () in
+  let radio = Lte.create sim in
   let tl = Psbox_hw.Power_rail.timeline (Lte.rail radio) in
   if chatter then begin
     let rec ping () =

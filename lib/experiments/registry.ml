@@ -82,4 +82,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.e_id = id) all
-let ids = List.map (fun e -> e.e_id) all

@@ -128,8 +128,6 @@ val pp_device : Format.formatter -> device -> unit
 (** Canonical textual form, floats [%.17g] — two equal devices render to
     equal bytes (the byte-equality tests compare this). *)
 
-val pp_json : Format.formatter -> summary -> unit
+val json_string : summary -> string
 (** The fleet report as deterministic JSON: fixed key order, floats
     [%.17g], independent of [~jobs]. *)
-
-val json_string : summary -> string

@@ -50,7 +50,7 @@ type kind =
       t_limit : float;
       t_for : int;
     }
-  | Rate_of_change of { rc_signal : signal; rc_per_s : float; rc_for : int }
+  | Rate_of_change of { rc_signal : signal; rc_per_s : float }
   | Absence of { a_metric : string; a_stale : int }
   | Slo_burn of {
       b_bad : string;
@@ -64,7 +64,6 @@ type kind =
 type rule = { r_name : string; r_subject : string; r_kind : kind }
 
 let rule_name r = r.r_name
-let rule_subject r = r.r_subject
 
 (* Every comparison against a NaN parameter is false, so a NaN limit,
    rate or burn factor would build a rule that silently never fires. *)
@@ -88,17 +87,14 @@ let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
         };
   }
 
-let rate_of_change ~name ?subject ?(for_windows = 1) signal ~per_second =
-  if for_windows < 1 then invalid_arg "Health.rate_of_change: for_windows < 1";
+let rate_of_change ~name signal ~per_second =
   check_nan "rate_of_change" "per_second" per_second;
   if per_second <= 0.0 then
     invalid_arg "Health.rate_of_change: per_second must be positive";
   {
     r_name = name;
-    r_subject = (match subject with Some s -> s | None -> signal_label signal);
-    r_kind =
-      Rate_of_change
-        { rc_signal = signal; rc_per_s = per_second; rc_for = for_windows };
+    r_subject = signal_label signal;
+    r_kind = Rate_of_change { rc_signal = signal; rc_per_s = per_second };
   }
 
 let absence ~name ?subject ?(stale_windows = 4) metric =
@@ -180,7 +176,6 @@ type t = {
   mutable h_stopped : bool;
 }
 
-let period t = t.h_period
 let evals t = t.h_evals
 let incidents t = List.rev t.h_incidents
 
@@ -290,8 +285,7 @@ let dispatch t lv inc =
 
 let for_windows_of = function
   | Threshold { t_for; _ } -> t_for
-  | Rate_of_change { rc_for; _ } -> rc_for
-  | Absence _ | Slo_burn _ -> 1
+  | Rate_of_change _ | Absence _ | Slo_burn _ -> 1
 
 let maybe_fire t lv ~now_s =
   if lv.lv_streak >= for_windows_of lv.lv_rule.r_kind then begin
@@ -429,7 +423,6 @@ let add_rule t r =
   arm_tick t
 
 let add_rules t rs = List.iter (add_rule t) rs
-let rules t = List.map (fun lv -> lv.lv_rule) t.h_rules
 
 let on_firing t ~rule fn = t.h_responders <- t.h_responders @ [ (rule, fn) ]
 
@@ -521,9 +514,13 @@ let default_pack ?(drift_threshold_pct = 5.0) sys =
 (* Shipped responders                                                  *)
 
 module Responder = struct
-  let tighten_budget ?factor ctl ~app (_ : incident) =
-    Budget.tighten ?factor ctl ~app
+  let tighten_budget ctl ~app (_ : incident) = Budget.tighten ctl ~app
 
+  (* Self-healing estimation: on a fired drift incident whose subject is a
+     rail the estimator observes, recalibrate that rail online (12 rounds
+     of 48 samples around the incumbent, drifted model) on the recorder's
+     windows so far, then hot-swap the refit under the estimator. The
+     calibration seed is [77 + incident id]. *)
   let recalibrate ~recorder ~estimator (inc : incident) =
     let rail = inc.i_subject in
     match Model.Estimator.model estimator ~rail with

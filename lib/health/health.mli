@@ -45,7 +45,6 @@ type signal =
 type rule
 
 val rule_name : rule -> string
-val rule_subject : rule -> string
 
 val threshold :
   name:string ->
@@ -60,15 +59,10 @@ val threshold :
     evaluations (default 1). [subject] defaults to the signal's label;
     incidents are deduplicated per rule x subject. *)
 
-val rate_of_change :
-  name:string ->
-  ?subject:string ->
-  ?for_windows:int ->
-  signal ->
-  per_second:float ->
-  rule
+val rate_of_change : name:string -> signal -> per_second:float -> rule
 (** Breaches when the signal's absolute per-second derivative (between
-    consecutive evaluations) exceeds [per_second]. *)
+    consecutive evaluations) exceeds [per_second]; the subject is the
+    signal's label. *)
 
 val absence : name:string -> ?subject:string -> ?stale_windows:int -> string -> rule
 (** [absence ~name metric] breaches when [metric] has been unregistered or
@@ -129,7 +123,6 @@ val create : Psbox_engine.Sim.t -> ?period:Psbox_engine.Time.span -> unit -> t
 
 val add_rule : t -> rule -> unit
 val add_rules : t -> rule list -> unit
-val rules : t -> rule list
 
 val on_firing : t -> rule:string -> (incident -> unit) -> unit
 (** Register a responder for incidents of the named rule. Responders run
@@ -145,7 +138,6 @@ val stop : t -> unit
 (** Cancel the pending evaluation; the engine never evaluates again.
     Incident history stays readable. *)
 
-val period : t -> Psbox_engine.Time.span
 val evals : t -> int
 
 val incidents : t -> incident list
@@ -178,23 +170,9 @@ val default_pack :
 (** {1 Shipped responders} *)
 
 module Responder : sig
-  val tighten_budget :
-    ?factor:float -> Psbox_budget.Budget.t -> app:int -> incident -> unit
+  val tighten_budget : Psbox_budget.Budget.t -> app:int -> incident -> unit
   (** On each firing incident, ratchet [app]'s cap or envelope down one
-      step ({!Psbox_budget.Budget.tighten}, default factor 0.9). *)
-
-  val recalibrate :
-    recorder:Psbox_model.Model.Recorder.t ->
-    estimator:Psbox_model.Model.Estimator.t ->
-    incident ->
-    unit
-  (** Self-healing estimation: on a fired drift incident whose subject is
-      a rail the estimator observes, recalibrate that rail online with
-      {!Psbox_model.Model.Calibrate.calibrate_trace} — 12 rounds of 48
-      samples around the incumbent (drifted) model, within the default
-      margin — on the recorder's windows so far, then hot-swap the refit
-      under the estimator ({!Psbox_model.Model.Estimator.swap_model}).
-      Deterministic: the calibration seed is [77 + incident id]. *)
+      step ({!Psbox_budget.Budget.tighten} at its default factor 0.9). *)
 end
 
 (** {1 Self-healing estimation check}

@@ -54,9 +54,7 @@ type t = {
   mutable busy_mark : Time.t;
   mutable active_accum : Time.span; (* time with any unit busy *)
   mutable active_since : Time.t;
-  suspend_w : float;
   autosuspend : Time.span option;
-  resume_delay : Time.span;
   mutable suspended : bool;
   mutable resuming : bool;
   mutable suspend_timer : Sim.handle;
@@ -66,6 +64,10 @@ type t = {
   mutable util_mark : Time.t;
   mutable util_mark_accum : Time.span;
 }
+
+(* The suspended draw and the resume latency out of it. *)
+let suspend_w = 0.01
+let resume_delay = Time.ms 5
 
 let default_opps =
   [|
@@ -92,7 +94,7 @@ let accumulate_busy dev =
 let update_power dev =
   let opp = Dvfs.current (dvfs_exn dev) in
   let w =
-    if dev.suspended then dev.suspend_w
+    if dev.suspended then suspend_w
     else begin
       let active =
         List.fold_left
@@ -167,8 +169,7 @@ and arm_autosuspend dev =
 
 let create sim ?retention ~name ~units ?(opps = default_opps)
     ?(governor = Dvfs.Ondemand { up_threshold = 0.6; sampling = Time.ms 20 })
-    ?(idle_w = 0.1) ?(suspend_w = 0.01) ?autosuspend
-    ?(resume_delay = Time.ms 5) () =
+    ?(idle_w = 0.1) ?autosuspend () =
   if units <= 0 then invalid_arg "Accel.create: units must be positive";
   let dev =
     {
@@ -192,9 +193,7 @@ let create sim ?retention ~name ~units ?(opps = default_opps)
       busy_mark = Sim.now sim;
       active_accum = 0;
       active_since = Sim.now sim;
-      suspend_w;
       autosuspend;
-      resume_delay;
       suspended = false;
       resuming = false;
       suspend_timer = Sim.none;
@@ -250,7 +249,7 @@ let submit dev cmd =
     dev.resuming <- true;
     update_power dev;
     ignore
-      (Sim.schedule_after dev.sim dev.resume_delay (fun () ->
+      (Sim.schedule_after dev.sim resume_delay (fun () ->
            dev.resuming <- false;
            start_waiting dev))
   end
@@ -282,6 +281,4 @@ let suspended_seconds dev =
   in
   Time.to_sec_f (dev.suspended_accum + extra)
 
-let suspend_w dev = dev.suspend_w
-let idle_w dev = Power_rail.idle_w dev.rail
 let stop dev = Dvfs.stop (dvfs_exn dev)

@@ -40,13 +40,12 @@ val create :
   ?opps:Dvfs.opp array ->
   ?governor:Dvfs.governor ->
   ?idle_w:float ->
-  ?suspend_w:float ->
   ?autosuspend:Psbox_engine.Time.span ->
-  ?resume_delay:Psbox_engine.Time.span ->
   unit ->
   t
 (** Defaults: a 4-OPP table, ondemand governor (20 ms sampling), 0.1 W idle.
-    Autosuspend is disabled unless a span is given. [retention] bounds the
+    Autosuspend is disabled unless a span is given; a suspended device
+    draws 0.01 W and takes 5 ms to resume. [retention] bounds the
     rail's power history (see {!Power_rail.create}). *)
 
 val name : t -> string
@@ -84,11 +83,5 @@ val suspended_seconds : t -> float
     current stretch — a power-state residency counter, like a real driver's
     runtime-PM [suspended_time]. Counter-driven power models
     ({!Psbox_model}) fit the idle/suspend floor split from it. *)
-
-val suspend_w : t -> float
-(** The suspended-state draw (ground truth, for tests). *)
-
-val idle_w : t -> float
-(** The idle (powered, no command) draw of the device's rail. *)
 
 val stop : t -> unit

@@ -60,7 +60,7 @@ let total_active_time cpu =
   let now = Sim.now cpu.sim in
   cpu.active_accum + (if busy_cores cpu > 0 then now - cpu.active_since else 0)
 
-let create sim ?retention ?(name = "cpu") ?(opps = default_opps)
+let create sim ?retention
     ?(governor = Dvfs.Ondemand { up_threshold = 0.7; sampling = Time.ms 50 })
     ?(idle_w = 0.3) ~cores () =
   if cores <= 0 then invalid_arg "Cpu.create: cores must be positive";
@@ -75,7 +75,7 @@ let create sim ?retention ?(name = "cpu") ?(opps = default_opps)
       active_since = Time.zero;
       util_mark = Sim.now sim;
       util_mark_accum = 0;
-      rail = Power_rail.create ?retention sim ~name ~idle_w;
+      rail = Power_rail.create ?retention sim ~name:"cpu" ~idle_w;
       activity = Bus.create ();
       dvfs = None;
     }
@@ -93,8 +93,8 @@ let create sim ?retention ?(name = "cpu") ?(opps = default_opps)
     util
   in
   let d =
-    Dvfs.create sim ~name:"cpu" ~activity:cpu.activity ~opps ~governor
-      ~get_util ()
+    Dvfs.create sim ~name:"cpu" ~activity:cpu.activity ~opps:default_opps
+      ~governor ~get_util ()
   in
   cpu.dvfs <- Some d;
   ignore (Bus.subscribe (Dvfs.changes d) (fun _ -> update_power cpu));
@@ -122,7 +122,6 @@ let set_core_busy cpu ~core busy =
     if (not was_active) && is_active then Bus.publish cpu.activity ()
   end
 
-let core_busy cpu ~core = cpu.busy.(core)
 let freq_mhz cpu = (Dvfs.current (dvfs_exn cpu)).Dvfs.freq_mhz
 
 let busy_core_seconds cpu = Time.to_sec_f (total_busy_time cpu)

@@ -9,23 +9,19 @@
 
 type t
 
-val default_opps : Dvfs.opp array
-(** Five OPPs from 500 MHz to 1.5 GHz with Cortex-A15-like per-core and
-    uncore draws. *)
-
 val create :
   Psbox_engine.Sim.t ->
   ?retention:Psbox_engine.Time.span ->
-  ?name:string ->
-  ?opps:Dvfs.opp array ->
   ?governor:Dvfs.governor ->
   ?idle_w:float ->
   cores:int ->
   unit ->
   t
-(** Default governor is ondemand with an 80% up-threshold and 50 ms sampling
-    period; default idle draw 0.3 W. [retention] bounds the rail's power
-    history (see {!Power_rail.create}). *)
+(** A CPU on a rail named ["cpu"], with five OPPs from 500 MHz to 1.5 GHz
+    and Cortex-A15-like per-core and uncore draws. Default governor is
+    ondemand with a 70% up-threshold and 50 ms sampling period; default idle
+    draw 0.3 W. [retention] bounds the rail's power history (see
+    {!Power_rail.create}). *)
 
 val cores : t -> int
 val rail : t -> Power_rail.t
@@ -35,7 +31,6 @@ val set_core_busy : t -> core:int -> bool -> unit
 (** Mark a core as executing (or idle). Drives rail power and governor
     utilization. Idempotent. *)
 
-val core_busy : t -> core:int -> bool
 val busy_cores : t -> int
 val freq_mhz : t -> int
 

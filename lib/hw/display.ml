@@ -4,7 +4,6 @@ type surface = { pixels : int; luminance : float }
 
 type t = {
   sim : Sim.t;
-  name : string;
   retention : Time.span option;
   width : int;
   height : int;
@@ -16,17 +15,16 @@ type t = {
   mutable on_app_rail : Power_rail.t -> unit;
 }
 
-let create sim ?retention ?(name = "display") ?(width = 1920) ?(height = 1080)
+let create sim ?retention ?(width = 1920) ?(height = 1080)
     ?(base_w = 0.25) ?(w_per_mnit_pixel = 0.35) () =
   {
     sim;
-    name;
     retention;
     width;
     height;
     base_w;
     w_per_mnit_pixel;
-    rail = Power_rail.create ?retention sim ~name ~idle_w:0.0;
+    rail = Power_rail.create ?retention sim ~name:"display" ~idle_w:0.0;
     surfaces = Hashtbl.create 8;
     app_rails = Hashtbl.create 8;
     on_app_rail = (fun _ -> ());
@@ -34,7 +32,6 @@ let create sim ?retention ?(name = "display") ?(width = 1920) ?(height = 1080)
 
 let rail d = d.rail
 let lit_pixels d = Hashtbl.fold (fun _ s acc -> acc + s.pixels) d.surfaces 0
-let on d = lit_pixels d > 0
 
 (* Emission power of one surface. *)
 let emission d s =
@@ -46,7 +43,7 @@ let app_rail d ~app =
   | None ->
       let r =
         Power_rail.create ?retention:d.retention d.sim
-          ~name:(Printf.sprintf "%s.app%d" d.name app)
+          ~name:(Printf.sprintf "display.app%d" app)
           ~idle_w:0.0
       in
       Hashtbl.add d.app_rails app r;

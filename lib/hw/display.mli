@@ -16,17 +16,16 @@ type t
 val create :
   Psbox_engine.Sim.t ->
   ?retention:Psbox_engine.Time.span ->
-  ?name:string ->
   ?width:int ->
   ?height:int ->
   ?base_w:float ->
   ?w_per_mnit_pixel:float ->
   unit ->
   t
-(** Defaults: 1920x1080, 0.25 W panel base, 0.35 W per megapixel at full
-    luminance. The panel starts off (0 W). [retention] bounds the power
-    history of the panel rail and every per-app rail (see
-    {!Power_rail.create}). *)
+(** A panel named ["display"]. Defaults: 1920x1080, 0.25 W panel base,
+    0.35 W per megapixel at full luminance. The panel starts off (0 W).
+    [retention] bounds the power history of the panel rail and every
+    per-app rail (see {!Power_rail.create}). *)
 
 val rail : t -> Power_rail.t
 (** The physical panel rail (all apps' surfaces combined). *)
@@ -38,11 +37,6 @@ val set_surface : t -> app:int -> pixels:int -> luminance:float -> unit
     outside [0, 1]. *)
 
 val remove_surface : t -> app:int -> unit
-
-val lit_pixels : t -> int
-
-val on : t -> bool
-(** The panel is on while any surface is lit. *)
 
 val app_rail : t -> app:int -> Power_rail.t
 (** The app's exact attributed power: its emission term plus its pixel

@@ -22,14 +22,13 @@ type t = {
   lbl_sample : Sim.label; (* interned: samples are hot one-shot events *)
   epoch : Time.t; (* anchor of the sampling grid (creation time) *)
   mutable index : int;
-  mutable ceiling : int;
   mutable next : Sim.handle; (* armed sample; Sim.none while parked *)
   mutable stopped : bool;
   mutable frozen : bool;
 }
 
 let set_index d i =
-  let i = max 0 (min i (min d.ceiling (Array.length d.opps - 1))) in
+  let i = max 0 (min i (Array.length d.opps - 1)) in
   if i <> d.index then begin
     let before = d.index in
     d.index <- i;
@@ -73,11 +72,6 @@ and sample d ~up_threshold ~sampling =
       arm d ~up_threshold ~sampling
   end
 
-let parked d =
-  match d.governor with
-  | Ondemand _ -> Sim.is_none d.next && not d.stopped
-  | _ -> false
-
 let unpark d =
   match d.governor with
   | Ondemand { up_threshold; sampling } ->
@@ -96,7 +90,7 @@ let create sim ?(name = "dvfs") ?activity ~opps ~governor ~get_util () =
     { sim; opps; governor; get_util; changes = Bus.create (); name;
       tm_transitions = Tm.counter (Printf.sprintf "dvfs.%s.transitions" name);
       lbl_sample = Sim.label ("dvfs." ^ name);
-      epoch = Sim.now sim; index; ceiling = Array.length opps - 1;
+      epoch = Sim.now sim; index;
       next = Sim.none; stopped = false; frozen = false }
   in
   (match governor with
@@ -106,8 +100,6 @@ let create sim ?(name = "dvfs") ?activity ~opps ~governor ~get_util () =
   | Some bus -> ignore (Bus.subscribe bus (fun () -> unpark d))
   | None -> ());
   d
-
-let name d = d.name
 
 let opp_index d = d.index
 let current d = d.opps.(d.index)
@@ -120,13 +112,6 @@ let set_opp d i =
 
 let max_index d = Array.length d.opps - 1
 let changes d = d.changes
-
-let ceiling d = d.ceiling
-
-let set_ceiling d i =
-  let i = max 0 (min i (Array.length d.opps - 1)) in
-  d.ceiling <- i;
-  if d.index > i then set_index d i
 
 let freeze d = d.frozen <- true
 

@@ -63,12 +63,6 @@ val create :
     [sim.events.dvfs.<name>], and traced transitions appear as a lane
     of the ["hw.dvfs"] track with a [<name>.freq_mhz] counter timeline. *)
 
-val parked : t -> bool
-(** An ondemand governor with no armed sample (idle device at the bottom
-    OPP, waiting for activity). Always [false] for other governors. *)
-
-val name : t -> string
-
 val changes : t -> change Psbox_engine.Bus.t
 (** The OPP-change bus. Subscribers run synchronously, in subscription
     order, after the index has moved. *)
@@ -82,14 +76,6 @@ val set_opp : t -> int -> unit
     resets the ondemand decay so the state lingers from this point. *)
 
 val max_index : t -> int
-
-val set_ceiling : t -> int -> unit
-(** Clamp the reachable OPP range to [0..i] (power-budget bias): the
-    governor's top jump and {!set_opp} both saturate at the ceiling, and a
-    current OPP above it is stepped down immediately. Defaults to
-    {!max_index}, which changes nothing. *)
-
-val ceiling : t -> int
 
 val freeze : t -> unit
 (** Suspend the governor's own decisions (e.g. while a psbox balloon holds

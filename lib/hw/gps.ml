@@ -2,14 +2,15 @@ open Psbox_engine
 
 type state = Off | Acquiring | Tracking
 
+(* The receiver's draw while acquiring, tracking and off. *)
+let acquire_w = 0.18
+let track_w = 0.09
+let off_w = 0.002
+
 type t = {
   sim : Sim.t;
-  name : string;
   retention : Time.span option;
   cold_start : Time.span;
-  acquire_w : float;
-  track_w : float;
-  off_w : float;
   rail : Power_rail.t;
   mutable st : state;
   mutable fix_timer : Sim.handle;
@@ -18,17 +19,12 @@ type t = {
   mutable on_app_rail : Power_rail.t -> unit;
 }
 
-let create sim ?retention ?(name = "gps") ?(cold_start = Time.sec 8)
-    ?(acquire_w = 0.18) ?(track_w = 0.09) ?(off_w = 0.002) () =
+let create sim ?retention ?(cold_start = Time.sec 8) () =
   {
     sim;
-    name;
     retention;
     cold_start;
-    acquire_w;
-    track_w;
-    off_w;
-    rail = Power_rail.create ?retention sim ~name ~idle_w:off_w;
+    rail = Power_rail.create ?retention sim ~name:"gps" ~idle_w:off_w;
     st = Off;
     fix_timer = Sim.none;
     subs = Hashtbl.create 4;
@@ -43,7 +39,7 @@ let subscribers g = Hashtbl.length g.subs
 let has_fix g = g.st = Tracking
 
 let device_w g =
-  match g.st with Off -> g.off_w | Acquiring -> g.acquire_w | Tracking -> g.track_w
+  match g.st with Off -> off_w | Acquiring -> acquire_w | Tracking -> track_w
 
 let app_rail g ~app =
   match Hashtbl.find_opt g.app_rails app with
@@ -51,8 +47,8 @@ let app_rail g ~app =
   | None ->
       let r =
         Power_rail.create ?retention:g.retention g.sim
-          ~name:(Printf.sprintf "%s.app%d" g.name app)
-          ~idle_w:g.off_w
+          ~name:(Printf.sprintf "gps.app%d" app)
+          ~idle_w:off_w
       in
       Hashtbl.add g.app_rails app r;
       g.on_app_rail r;
@@ -66,7 +62,7 @@ let update g =
   Power_rail.set_power g.rail (device_w g);
   Hashtbl.iter
     (fun app r ->
-      let w = if subscribed g ~app then device_w g else g.off_w in
+      let w = if subscribed g ~app then device_w g else off_w in
       Power_rail.set_power r w)
     g.app_rails
 

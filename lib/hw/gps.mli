@@ -18,14 +18,11 @@ type t
 val create :
   Psbox_engine.Sim.t ->
   ?retention:Psbox_engine.Time.span ->
-  ?name:string ->
   ?cold_start:Psbox_engine.Time.span ->
-  ?acquire_w:float ->
-  ?track_w:float ->
-  ?off_w:float ->
   unit ->
   t
-(** Defaults: 8 s cold start at 0.18 W, 0.09 W tracking, 2 mW off.
+(** A receiver named ["gps"] that draws 0.18 W while acquiring, 0.09 W
+    tracking and 2 mW off. The cold start defaults to 8 s.
     [retention] bounds the power history of the device rail and every
     per-app rail (see {!Power_rail.create}). *)
 
@@ -39,12 +36,11 @@ val subscribe : t -> app:int -> unit
 val unsubscribe : t -> app:int -> unit
 (** The last unsubscribe powers the receiver off immediately. *)
 
-val subscribed : t -> app:int -> bool
 val subscribers : t -> int
 
 val app_rail : t -> app:int -> Power_rail.t
 (** The per-app view a psbox exposes: the device's power while this app is
-    subscribed, [off_w] otherwise — other apps' fixes never show. *)
+    subscribed, the off draw otherwise — other apps' fixes never show. *)
 
 val set_on_app_rail : t -> (Power_rail.t -> unit) -> unit
 (** Install a hook fired for every lazily-created per-app rail, so machine

@@ -4,16 +4,18 @@ type state = Idle | Promoting | Dch | Fach
 
 type pending = { p_app : int; p_bytes : int; p_done : unit -> unit }
 
+(* The radio's link rate, per-state draw and RRC timers. *)
+let rate_bps = 20.0 *. 1e6
+let idle_w = 0.02
+let fach_w = 0.4
+let dch_w = 1.0
+let promoting_w = 0.45
+let promotion = Time.sec 2
+let dch_tail = Time.sec 5
+let fach_tail = Time.sec 12
+
 type t = {
   sim : Sim.t;
-  rate_bps : float;
-  idle_w : float;
-  fach_w : float;
-  dch_w : float;
-  promoting_w : float;
-  promotion : Time.span;
-  dch_tail : Time.span;
-  fach_tail : Time.span;
   rail : Power_rail.t;
   mutable st : state;
   mutable on_air : bool;
@@ -22,21 +24,10 @@ type t = {
   sent : (int, int) Hashtbl.t;
 }
 
-let create sim ?(name = "lte") ?(rate_mbps = 20.0) ?(idle_w = 0.02)
-    ?(fach_w = 0.4) ?(dch_w = 1.0) ?(promoting_w = 0.45)
-    ?(promotion = Time.sec 2) ?(dch_tail = Time.sec 5)
-    ?(fach_tail = Time.sec 12) () =
+let create sim =
   {
     sim;
-    rate_bps = rate_mbps *. 1e6;
-    idle_w;
-    fach_w;
-    dch_w;
-    promoting_w;
-    promotion;
-    dch_tail;
-    fach_tail;
-    rail = Power_rail.create sim ~name ~idle_w;
+    rail = Power_rail.create sim ~name:"lte" ~idle_w;
     st = Idle;
     on_air = false;
     queue = Queue.create ();
@@ -50,10 +41,10 @@ let state r = r.st
 let update_power r =
   let w =
     match r.st with
-    | Idle -> r.idle_w
-    | Promoting -> r.promoting_w
-    | Dch -> r.dch_w
-    | Fach -> r.fach_w
+    | Idle -> idle_w
+    | Promoting -> promoting_w
+    | Dch -> dch_w
+    | Fach -> fach_w
   in
   Power_rail.set_power r.rail w
 
@@ -67,7 +58,7 @@ let rec arm_demotion r =
   match r.st with
   | Dch ->
       r.demote <-
-        Sim.schedule_after r.sim r.dch_tail (fun () ->
+        Sim.schedule_after r.sim dch_tail (fun () ->
             if r.st = Dch && not r.on_air && Queue.is_empty r.queue then begin
               r.st <- Fach;
               update_power r;
@@ -75,7 +66,7 @@ let rec arm_demotion r =
             end)
   | Fach ->
       r.demote <-
-        Sim.schedule_after r.sim r.fach_tail (fun () ->
+        Sim.schedule_after r.sim fach_tail (fun () ->
             if r.st = Fach then begin
               r.st <- Idle;
               update_power r
@@ -89,7 +80,7 @@ let rec transmit_next r =
     | Some p ->
         r.on_air <- true;
         let airtime =
-          Time.of_sec_f (float_of_int (p.p_bytes * 8) /. r.rate_bps)
+          Time.of_sec_f (float_of_int (p.p_bytes * 8) /. rate_bps)
         in
         ignore
           (Sim.schedule_after r.sim (max 1 airtime) (fun () ->
@@ -114,7 +105,7 @@ let promote r =
       r.st <- Promoting;
       update_power r;
       ignore
-        (Sim.schedule_after r.sim r.promotion (fun () ->
+        (Sim.schedule_after r.sim promotion (fun () ->
              if r.st = Promoting then begin
                r.st <- Dch;
                update_power r;

@@ -18,19 +18,8 @@ type state = Idle | Promoting | Dch | Fach
 
 type t
 
-val create :
-  Psbox_engine.Sim.t ->
-  ?name:string ->
-  ?rate_mbps:float ->
-  ?idle_w:float ->
-  ?fach_w:float ->
-  ?dch_w:float ->
-  ?promoting_w:float ->
-  ?promotion:Psbox_engine.Time.span ->
-  ?dch_tail:Psbox_engine.Time.span ->
-  ?fach_tail:Psbox_engine.Time.span ->
-  unit ->
-  t
+val create : Psbox_engine.Sim.t -> t
+(** A radio named ["lte"] at 20 Mbit/s, idle. *)
 
 val rail : t -> Power_rail.t
 val state : t -> state

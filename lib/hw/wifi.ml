@@ -175,24 +175,21 @@ let rec send_next nic =
                nic.on_sent p;
                send_next nic))
 
-let create sim ?retention ?(name = "wifi") ?(rate_mbps = 40.0)
-    ?(overhead = Time.us 200) ?(tail = Time.ms 80) ?(ps_w = 0.03)
-    ?(awake_w = 0.25) ?(tx_levels = [| 0.5; 0.7; 0.9 |]) ?(rx_w = 0.45)
-    ?(virtual_macs = false) ?(reassoc_delay = Time.ms 150) () =
-  if Array.length tx_levels = 0 then invalid_arg "Wifi.create: no TX levels";
+let create sim ?retention ?(tail = Time.ms 80) ?(virtual_macs = false) () =
+  let tx_levels = [| 0.5; 0.7; 0.9 |] in
   let nic =
     {
       sim;
-      rail = Power_rail.create ?retention sim ~name ~idle_w:ps_w;
-      rate_bps = rate_mbps *. 1e6;
-      overhead;
+      rail = Power_rail.create ?retention sim ~name:"wifi" ~idle_w:0.03;
+      rate_bps = 40.0 *. 1e6;
+      overhead = Time.us 200;
       tail;
-      ps_w;
-      awake_w;
+      ps_w = 0.03;
+      awake_w = 0.25;
       tx_levels;
-      rx_w;
+      rx_w = 0.45;
       vmacs = virtual_macs;
-      reassoc_delay;
+      reassoc_delay = Time.ms 150;
       level = Array.length tx_levels - 1;
       awake = false;
       on_air = None;
@@ -255,8 +252,6 @@ let awake_seconds nic =
   Time.to_sec_f (nic.awake_accum + extra)
 
 let tx_level_count nic = Array.length nic.tx_levels
-let tx_level_w nic i = nic.tx_levels.(i)
-let rx_w nic = nic.rx_w
 
 let tx_airtime_by_level_seconds nic =
   Array.init (Array.length nic.tx_levels) (fun i ->
@@ -299,7 +294,6 @@ let restore_power_state nic st =
   end
 
 let virtual_macs nic = nic.vmacs
-let current_mac nic = nic.mac
 
 let switch_mac nic ~mac =
   if mac <> nic.mac then begin

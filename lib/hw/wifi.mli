@@ -37,21 +37,14 @@ type t
 val create :
   Psbox_engine.Sim.t ->
   ?retention:Psbox_engine.Time.span ->
-  ?name:string ->
-  ?rate_mbps:float ->
-  ?overhead:Psbox_engine.Time.span ->
   ?tail:Psbox_engine.Time.span ->
-  ?ps_w:float ->
-  ?awake_w:float ->
-  ?tx_levels:float array ->
-  ?rx_w:float ->
   ?virtual_macs:bool ->
-  ?reassoc_delay:Psbox_engine.Time.span ->
   unit ->
   t
-(** Defaults: 40 Mbit/s, 200 us per-frame overhead, 80 ms tail, 0.03 W
-    power-save, 0.25 W awake, TX levels [0.5; 0.7; 0.9] W (level 2 initial),
-    0.45 W RX, no virtual MACs, 150 ms reassociation. *)
+(** A NIC named ["wifi"] at 40 Mbit/s with 200 us per-frame overhead,
+    drawing 0.03 W in power-save, 0.25 W awake, TX levels [0.5; 0.7; 0.9] W
+    on top (level 2 initial) and 0.45 W RX, with a 150 ms reassociation.
+    Defaults: 80 ms tail, no virtual MACs. *)
 
 val rail : t -> Power_rail.t
 
@@ -119,11 +112,6 @@ val rx_airtime_seconds : t -> float
 
 val tx_level_count : t -> int
 
-val tx_level_w : t -> int -> float
-(** The extra on-air draw of TX level [i] (ground truth, for tests). *)
-
-val rx_w : t -> float
-
 (** {1 Power-state virtualization support} *)
 
 type power_state = { tx_level : int; awake : bool }
@@ -138,7 +126,6 @@ val restore_power_state : t -> power_state -> unit
 (** {1 Virtual MACs} *)
 
 val virtual_macs : t -> bool
-val current_mac : t -> int
 
 val switch_mac : t -> mac:int -> unit
 (** No-op if already on [mac]. Without virtual-MAC support this resets the

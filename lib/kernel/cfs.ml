@@ -7,7 +7,6 @@ module ESet = Set.Make (struct
 end)
 
 type t = {
-  core_id : int;
   mutable set : ESet.t;
   mutable running : Entity.t option;
   mutable min_vrt : float;
@@ -16,8 +15,7 @@ type t = {
 let nice0_weight = 1024.0
 let wakeup_bonus = 1_000_000.0 (* 1 ms of vruntime headroom for wakers *)
 
-let create ~core = { core_id = core; set = ESet.empty; running = None; min_vrt = 0.0 }
-let core rq = rq.core_id
+let create () = { set = ESet.empty; running = None; min_vrt = 0.0 }
 
 let key e = (e.Entity.vruntime, e.Entity.eid, e)
 

@@ -8,9 +8,7 @@
 
 type t
 
-val create : core:int -> t
-
-val core : t -> int
+val create : unit -> t
 
 val nice0_weight : float
 (** The weight against which vruntime deltas are normalized (1024.). *)

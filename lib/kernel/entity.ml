@@ -34,11 +34,11 @@ let of_task task =
     on_rq = false;
   }
 
-let group ~psbox_id ~core ?(weight = 1024.0) () =
+let group ~psbox_id ~core =
   {
     eid = fresh_eid ();
     kind = EGroup { psbox_id; gcore = core; gtasks = []; gcurr = None; loan = 0.0 };
-    weight;
+    weight = 1024.0;
     vruntime = 0.0;
     on_rq = false;
   }
@@ -62,10 +62,3 @@ let group_pick g =
       | Some b -> if t.Task.vruntime < b.Task.vruntime then Some t else acc
   in
   List.fold_left best None g.gtasks
-
-let pp fmt e =
-  match e.kind with
-  | ETask t -> Format.fprintf fmt "E[%a]" Task.pp t
-  | EGroup g ->
-      Format.fprintf fmt "E[psbox%d core%d vrt=%.0f loan=%.0f |tasks|=%d]"
-        g.psbox_id g.gcore e.vruntime g.loan (List.length g.gtasks)

@@ -30,7 +30,8 @@ val reset_ids : unit -> unit
 
 val of_task : Task.t -> t
 
-val group : psbox_id:int -> core:int -> ?weight:float -> unit -> t
+val group : psbox_id:int -> core:int -> t
+(** A group entity at the nice-0 weight (1024). *)
 
 val is_group : t -> bool
 
@@ -44,5 +45,3 @@ val runnable : t -> bool
 
 val group_pick : group -> Task.t option
 (** The runnable member task with the least vruntime, if any. *)
-
-val pp : Format.formatter -> t -> unit

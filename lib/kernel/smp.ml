@@ -63,8 +63,8 @@ type balloon = {
   mutable b_joined : int;
   mutable b_metering : bool;
   mutable b_intervals : (Time.t * Time.t) list; (* newest first *)
-  mutable b_on_start : unit -> unit;
-  mutable b_on_stop : Time.t -> unit;
+  b_on_start : unit -> unit;
+  b_on_stop : Time.t -> unit;
   mutable b_total_loan : float;
 }
 
@@ -136,7 +136,7 @@ let create sim cpu ?(config = default_config) () =
     sim;
     cpu;
     cfg = config;
-    rqs = Array.init n (fun core -> Cfs.create ~core);
+    rqs = Array.init n (fun _ -> Cfs.create ());
     curr_started = Array.make n Time.zero;
     dispatched = Array.make n Time.zero;
     work_events = Array.make n Sim.none;
@@ -1310,11 +1310,11 @@ let quota smp ~app =
 (* ------------------------------------------------------------------ *)
 (* Sandbox / unsandbox                                                  *)
 
-let sandbox smp ~app =
+let sandbox smp ~app ~on_start ~on_stop =
   if balloon_of_app smp app <> None then
     invalid_arg "Smp.sandbox: app already sandboxed";
   let n = cores smp in
-  let entities = Array.init n (fun core -> Entity.group ~psbox_id:app ~core ()) in
+  let entities = Array.init n (fun core -> Entity.group ~psbox_id:app ~core) in
   let b =
     {
       b_app = app;
@@ -1325,8 +1325,8 @@ let sandbox smp ~app =
       b_joined = 0;
       b_metering = false;
       b_intervals = [];
-      b_on_start = (fun () -> ());
-      b_on_stop = ignore;
+      b_on_start = on_start;
+      b_on_stop = on_stop;
       b_total_loan = 0.0;
     }
   in
@@ -1426,10 +1426,6 @@ let unsandbox smp b =
   for core = 0 to cores smp - 1 do
     replan smp core
   done
-
-let set_balloon_listener b ~on_start ~on_stop =
-  b.b_on_start <- on_start;
-  b.b_on_stop <- on_stop
 
 let balloon_intervals b = List.rev b.b_intervals
 

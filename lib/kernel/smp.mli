@@ -99,23 +99,24 @@ val share_bus : t -> Temporal_sched.share_change Psbox_engine.Bus.t
 
 (** {1 Spatial balloons (psbox support)} *)
 
-val sandbox : t -> app:int -> balloon
+val sandbox :
+  t ->
+  app:int ->
+  on_start:(unit -> unit) ->
+  on_stop:(Psbox_engine.Time.t -> unit) ->
+  balloon
 (** Enclose an app's tasks in per-core group entities {E}. From now on the
-    app only runs inside coscheduling periods.
+    app only runs inside coscheduling periods. [on_start] and [on_stop]
+    run at the start and end of each period (after shootdown completes /
+    at schedule-out); [on_stop] is given the period's start. They are in
+    place before the first period can open: on a one-core machine that is
+    within this call, when the app is running. The psbox virtual meter
+    drives its power-state virtualization from them.
     @raise Invalid_argument if the app is already sandboxed. *)
 
 val unsandbox : t -> balloon -> unit
 (** End any live coscheduling period, release the app's tasks back to normal
     scheduling. *)
-
-val set_balloon_listener :
-  balloon ->
-  on_start:(unit -> unit) ->
-  on_stop:(Psbox_engine.Time.t -> unit) ->
-  unit
-(** Callbacks at the start/end of each coscheduling period (after shootdown
-    completes / at schedule-out); [on_stop] is given the period's start.
-    Used by the psbox virtual meter. *)
 
 val balloon_intervals : balloon -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 (** Completed coscheduling periods, oldest first. *)

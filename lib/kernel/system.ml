@@ -215,13 +215,12 @@ let create ?(seed = 42) ?(cores = 2)
   List.iter (fun fn -> fn sys) !(Domain.DLS.get boot_hooks);
   sys
 
-let am57 ?seed () = create ?seed ~cores:2 ~gpu:true ~dsp:true ()
+let am57 () = create ~cores:2 ~gpu:true ~dsp:true ()
 
-let bbb ?seed ?wifi_virtual_macs () =
-  create ?seed ~cores:1 ~wifi:true ?wifi_virtual_macs ()
+let bbb ?seed () = create ?seed ~cores:1 ~wifi:true ()
 
-let phone ?seed () =
-  create ?seed ~cores:2 ~gpu:true ~wifi:true ~wifi_virtual_macs:true
+let phone () =
+  create ~cores:2 ~gpu:true ~wifi:true ~wifi_virtual_macs:true
     ~display:true ~gps:true ()
 
 let sim sys = sys.sim

@@ -45,13 +45,13 @@ val create :
     and psbox balloon intervals are not bounded. Pass [None] to keep full
     history (e.g. when a test inspects old transitions). *)
 
-val am57 : ?seed:int -> unit -> t
-(** Dual Cortex-A15-like CPU + SGX544-like GPU + C66x-like DSP. *)
+val am57 : unit -> t
+(** Dual Cortex-A15-like CPU + SGX544-like GPU + C66x-like DSP, seed 42. *)
 
-val bbb : ?seed:int -> ?wifi_virtual_macs:bool -> unit -> t
-(** Single-core CPU + WiLink8-like WiFi. *)
+val bbb : ?seed:int -> unit -> t
+(** Single-core CPU + WiLink8-like WiFi (no virtual MACs). *)
 
-val phone : ?seed:int -> unit -> t
+val phone : unit -> t
 (** A smartphone-flavoured machine beyond the paper's prototypes: dual-core
     CPU + GPU + WiFi (with virtual MACs) + OLED display + GPS — the §7
     extension hardware. *)

@@ -47,7 +47,3 @@ let create ~app ~name ?(weight = 1024.0) ?(core = 0) ~program () =
   }
 
 let is_runnable t = t.state = Runnable || t.state = Running
-
-let pp fmt t =
-  Format.fprintf fmt "task%d(%s app%d core%d vrt=%.0f)" t.tid t.name t.app
-    t.core t.vruntime

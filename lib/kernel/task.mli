@@ -43,5 +43,3 @@ val reset_ids : unit -> unit
     on its own spawn order, never on sibling devices or prior runs. *)
 
 val is_runnable : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,5 @@
-open Psbox_engine
-
 type t = { intercept : float; coeffs : float array }
 
-let of_coeffs ~intercept coeffs = { intercept; coeffs }
 let intercept m = m.intercept
 let coeffs m = m.coeffs
 
@@ -82,41 +79,6 @@ let fit observations =
           ~singular:"Model_meter.fit: singular system (collinear inputs)" xtx xty
       in
       { intercept = beta.(0); coeffs = Array.sub beta 1 dim }
-
-(* ------------------------------------------------------------------ *)
-(* Bus-fed training-set collection: snapshot the utilization vector at
-   every announced power transition, paired with the new total draw.
-   Replaces the old style of polling utilizations on a timer and lining
-   them up with captured samples by timestamp. *)
-
-type collector = {
-  utils : unit -> float array;
-  mutable total_w : float;
-  mutable obs : (float array * float) list; (* newest first *)
-  mutable sub : Bus.subscription option;
-}
-
-let collector bus ~initial_w ~utils =
-  let c = { utils; total_w = initial_w; obs = []; sub = None } in
-  c.sub <-
-    Some
-      (Bus.subscribe bus (fun tr ->
-           let open Psbox_hw.Power_rail in
-           c.total_w <- c.total_w +. tr.after_w -. tr.before_w;
-           c.obs <- (c.utils (), c.total_w) :: c.obs));
-  c
-
-let observations c = List.rev c.obs
-let observation_count c = List.length c.obs
-
-let collector_detach c =
-  match c.sub with
-  | Some s ->
-      Bus.unsubscribe s;
-      c.sub <- None
-  | None -> ()
-
-let fit_collected c = fit (List.rev c.obs)
 
 let rmse m observations =
   match observations with

@@ -9,12 +9,11 @@
     Coefficients can be fitted offline from (utilization, measured power)
     observations by ordinary least squares (normal equations, Gaussian
     elimination) — the way such models are constructed "during development"
-    in prior work. *)
+    in prior work. The simulator's own training pairs are collected and
+    fitted by {!Psbox_model.Model}. *)
 
 type t
-(** A fitted or hand-written linear model. *)
-
-val of_coeffs : intercept:float -> float array -> t
+(** A fitted linear model. *)
 
 val intercept : t -> float
 
@@ -40,33 +39,3 @@ val solve :
     1e-12, which rejects collinear utilizations; a ridge-regularised fit
     needs a lower floor so its pinned zero columns pass.
     @raise Invalid_argument with message [singular] on a singular system. *)
-
-(** {1 Bus-fed training collection}
-
-    A collector subscribes to a power-transition bus and snapshots the
-    utilization vector at every transition, paired with the total draw after
-    the change — the training pairs arrive exactly when power actually
-    moved, instead of being polled on a timer and aligned by timestamp. *)
-
-type collector
-
-val collector :
-  Psbox_hw.Power_rail.transition Psbox_engine.Bus.t ->
-  initial_w:float ->
-  utils:(unit -> float array) ->
-  collector
-(** [collector bus ~initial_w ~utils] starts recording. [initial_w] is the
-    current total draw of the rails feeding [bus] (e.g.
-    [System.live_power_w]); the collector maintains the running total from
-    transition deltas. *)
-
-val observations : collector -> (float array * float) list
-(** Pairs in arrival order, ready for {!fit} / {!rmse}. *)
-
-val observation_count : collector -> int
-
-val fit_collected : collector -> t
-(** Least-squares fit over everything collected so far.
-    @raise Invalid_argument if there are too few observations. *)
-
-val collector_detach : collector -> unit

@@ -2,35 +2,30 @@ open Psbox_engine
 
 type batch = { size : int; on_done : unit -> unit }
 
+(* The hub's draw while processing a batch. *)
+let active_w = 0.013
+
 type t = {
   sim : Sim.t;
-  active_w : float;
   samples_per_sec : float;
   rail : Psbox_hw.Power_rail.t;
   queue : batch Queue.t;
   mutable running : bool;
-  mutable backlog : int;
   mutable processed : int;
-  mutable tap : Bus.subscription option;
 }
 
-let create sim ?(name = "sensor-hub") ?(active_w = 0.013) ?(idle_w = 0.0002)
-    ?(samples_per_sec = 250_000.0) () =
+let create sim ?(samples_per_sec = 250_000.0) () =
   {
     sim;
-    active_w;
     samples_per_sec;
-    rail = Psbox_hw.Power_rail.create sim ~name ~idle_w;
+    rail = Psbox_hw.Power_rail.create sim ~name:"sensor-hub" ~idle_w:0.0002;
     queue = Queue.create ();
     running = false;
-    backlog = 0;
     processed = 0;
-    tap = None;
   }
 
 let rail hub = hub.rail
 let busy hub = hub.running
-let backlog hub = hub.backlog
 let processed hub = hub.processed
 
 let rec start_next hub =
@@ -40,45 +35,17 @@ let rec start_next hub =
       Psbox_hw.Power_rail.set_power hub.rail (Psbox_hw.Power_rail.idle_w hub.rail)
   | Some batch ->
       hub.running <- true;
-      Psbox_hw.Power_rail.set_power hub.rail hub.active_w;
+      Psbox_hw.Power_rail.set_power hub.rail active_w;
       let dur = Time.of_sec_f (float_of_int batch.size /. hub.samples_per_sec) in
       ignore
         (Sim.schedule_after hub.sim (max 1 dur) (fun () ->
-             hub.backlog <- hub.backlog - batch.size;
              hub.processed <- hub.processed + batch.size;
              batch.on_done ();
              start_next hub))
 
 let process hub ~samples ~on_done =
   if samples < 0 then invalid_arg "Sensor_hub.process: negative batch";
-  hub.backlog <- hub.backlog + samples;
   Queue.push { size = samples; on_done } hub.queue;
   if not hub.running then start_next hub
 
 let energy_j hub ~from ~until = Psbox_hw.Power_rail.energy_j hub.rail ~from ~until
-
-(* Event-driven intake: instead of the application processor pushing batches
-   on a timer, the hub rides a power-transition bus and ingests a batch per
-   transition. Transitions of the hub's own rail are ignored — processing a
-   batch toggles our rail, and reacting to that would feed the hub its own
-   activity forever. *)
-let attach hub bus ~samples_per_event ?(on_done = fun () -> ()) () =
-  if samples_per_event < 0 then
-    invalid_arg "Sensor_hub.attach: negative batch size";
-  (match hub.tap with Some s -> Bus.unsubscribe s | None -> ());
-  hub.tap <-
-    Some
-      (Bus.subscribe bus (fun tr ->
-           if
-             tr.Psbox_hw.Power_rail.rail_name
-             <> Psbox_hw.Power_rail.name hub.rail
-           then process hub ~samples:samples_per_event ~on_done))
-
-let detach hub =
-  match hub.tap with
-  | Some s ->
-      Bus.unsubscribe s;
-      hub.tap <- None
-  | None -> ()
-
-let attached hub = hub.tap <> None

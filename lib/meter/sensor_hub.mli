@@ -5,20 +5,14 @@
     batch occupies the hub for [samples / throughput] and draws its active
     power; it idles at micro-watts otherwise. The paper's argument is that a
     13 mW hub at 32 MHz comfortably handles kilohertz power streams — the
-    numbers here default to that envelope. *)
+    numbers here are that envelope. Batches arrive through {!process}, which
+    {!Psbox_core.Power_events} drives. *)
 
 type t
 
-val create :
-  Psbox_engine.Sim.t ->
-  ?name:string ->
-  ?active_w:float ->
-  ?idle_w:float ->
-  ?samples_per_sec:float ->
-  unit ->
-  t
-(** Defaults: 13 mW active, 0.2 mW idle, 250k samples/s processing
-    throughput. *)
+val create : Psbox_engine.Sim.t -> ?samples_per_sec:float -> unit -> t
+(** A hub on a rail named ["sensor-hub"], drawing 13 mW active and 0.2 mW
+    idle. Default processing throughput: 250k samples/s. *)
 
 val rail : t -> Psbox_hw.Power_rail.t
 
@@ -28,32 +22,7 @@ val process : t -> samples:int -> on_done:(unit -> unit) -> unit
 
 val busy : t -> bool
 
-val backlog : t -> int
-(** Samples queued or being processed. *)
-
 val processed : t -> int
 (** Total samples processed so far. *)
 
 val energy_j : t -> from:Psbox_engine.Time.t -> until:Psbox_engine.Time.t -> float
-
-(** {1 Bus-driven intake}
-
-    Instead of an application-processor timer pushing batches, the hub can
-    subscribe to a power-transition bus (a single rail's, or the machine-wide
-    one) and ingest a fixed batch per announced transition. Transitions of
-    the hub's own rail are filtered out so its own processing activity does
-    not re-trigger it. *)
-
-val attach :
-  t ->
-  Psbox_hw.Power_rail.transition Psbox_engine.Bus.t ->
-  samples_per_event:int ->
-  ?on_done:(unit -> unit) ->
-  unit ->
-  unit
-(** Subscribe the hub to [bus]; replaces any previous attachment. *)
-
-val detach : t -> unit
-(** Stop listening. Already-queued batches still drain. *)
-
-val attached : t -> bool

@@ -215,8 +215,6 @@ let samplers sys =
 module Fit = struct
   type kind = Linear | Per_opp
 
-  let kind_label = function Linear -> "linear" | Per_opp -> "per_opp"
-
   type fitted = {
     f_rail : string;
     f_kind : kind;
@@ -229,7 +227,7 @@ module Fit = struct
      normal equations solvable when a residency column is all zero — an
      OPP never visited, a device never suspended — and pins that
      coefficient to 0 instead of failing. *)
-  let lstsq ?(ridge = 1e-9) rows =
+  let lstsq rows =
     match rows with
     | [] -> invalid_arg "Model.Fit.lstsq: no observations"
     | (f0, _) :: _ ->
@@ -248,7 +246,7 @@ module Fit = struct
             done)
           rows;
         for i = 0 to d - 1 do
-          xtx.(i).(i) <- xtx.(i).(i) +. ridge
+          xtx.(i).(i) <- xtx.(i).(i) +. 1e-9
         done;
         Psbox_meter.Model_meter.solve ~floor:1e-30
           ~singular:"Model.Fit: singular system" xtx xty
@@ -265,7 +263,7 @@ module Fit = struct
           feat;
         out
 
-  let fit ?ridge ~kind (trace : Trace.t) =
+  let fit ~kind (trace : Trace.t) =
     let rows =
       List.map
         (fun w -> (project ~kind trace w.Trace.w_feat, w.Trace.w_j))
@@ -280,7 +278,7 @@ module Fit = struct
       f_rail = trace.Trace.tr_rail;
       f_kind = kind;
       f_names = names;
-      f_coeffs = lstsq ?ridge rows;
+      f_coeffs = lstsq rows;
     }
 
   let predict_j m feat =
@@ -565,11 +563,6 @@ module Estimator = struct
             (Sim.now (System.sim t.e_sys));
         true
 
-  let est_w t ~rail =
-    List.find_opt (fun er -> er.er_s.s_rail = rail) t.e_rails
-    |> Option.map (fun er ->
-           Tm.gauge_value er.er_g_est)
-
   (* Modeled history for one app: its attributed draw since the estimator
      started, scaled by the model's cumulative modeled/ledger ratio — the
      admission-control cross-check signal. None until a window has settled
@@ -635,18 +628,12 @@ module Calibrate = struct
      searched vector IS the parameter set (the "dt_s" coefficient is the
      idle floor, "busy@<f>mhz_s" the per-OPP active watts, "suspended_s"
      the suspend_w - idle_w delta, ...), and the objective is the RMSE of
-     the induced model on the reference windows. *)
-  let calibrate_trace ?(kind = Fit.Per_opp) ~seed ?rounds ?samples ?around
-      ?(margin = 0.3) (trace : Trace.t) =
-    let names =
-      match kind with
-      | Fit.Per_opp -> trace.Trace.tr_names
-      | Fit.Linear -> trace.Trace.tr_linear_names
-    in
+     the induced model on the reference windows. The model is per-OPP,
+     so the windows' features need no projection. *)
+  let calibrate_trace ~seed ?rounds ?samples ?around (trace : Trace.t) =
+    let names = trace.Trace.tr_names in
     let rows =
-      List.map
-        (fun w -> (Fit.project ~kind trace w.Trace.w_feat, w.Trace.w_j))
-        trace.Trace.tr_windows
+      List.map (fun w -> (w.Trace.w_feat, w.Trace.w_j)) trace.Trace.tr_windows
     in
     let dims =
       match around with
@@ -654,14 +641,15 @@ module Calibrate = struct
           (* Recalibration: the incumbent model is wrong but not arbitrary,
              so search a tight box centered on it — the first round's center
              IS the incumbent — instead of the blind full-range box. *)
-          if m.Fit.f_kind <> kind || Array.length m.Fit.f_coeffs <> Array.length names
+          if m.Fit.f_kind <> Fit.Per_opp
+             || Array.length m.Fit.f_coeffs <> Array.length names
           then
             invalid_arg "Model.Calibrate.calibrate_trace: around schema mismatch";
           Array.to_list
             (Array.mapi
                (fun i n ->
                  let c = m.Fit.f_coeffs.(i) in
-                 let half = Float.max (margin *. Float.abs c) 0.05 in
+                 let half = Float.max (0.3 *. Float.abs c) 0.05 in
                  let lo = c -. half and hi = c +. half in
                  let lo = if n = "dt_s" then Float.max 0.0 lo else lo in
                  { d_name = n; d_lo = lo; d_hi = hi })
@@ -694,7 +682,7 @@ module Calibrate = struct
     let best, err = search ~seed ?rounds ?samples ~dims ~objective () in
     ( {
         Fit.f_rail = trace.Trace.tr_rail;
-        f_kind = kind;
+        f_kind = Fit.Per_opp;
         f_names = names;
         f_coeffs = best;
       },

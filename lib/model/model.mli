@@ -46,8 +46,6 @@ module Fit : sig
     | Linear  (** aggregate features (busy time regardless of OPP) *)
     | Per_opp  (** per-OPP residency features — exact for this hardware *)
 
-  val kind_label : kind -> string
-
   type fitted = {
     f_rail : string;
     f_kind : kind;
@@ -55,19 +53,13 @@ module Fit : sig
     f_coeffs : float array;  (** watts per unit of each feature *)
   }
 
-  val lstsq : ?ridge:float -> (float array * float) list -> float array
+  val lstsq : (float array * float) list -> float array
   (** Least squares without intercept over [(features, target)] rows, with
-      a tiny ridge (default [1e-9]) so all-zero columns (an OPP never
-      visited) solve to ~0 instead of failing. *)
+      a tiny ridge ([1e-9]) so all-zero columns (an OPP never visited)
+      solve to ~0 instead of failing. *)
 
-  val project : kind:kind -> Trace.t -> float array -> float array
-  (** Collapse a per-OPP feature vector to the trace's aggregate schema
-      ([Linear]); identity for [Per_opp]. *)
-
-  val fit : ?ridge:float -> kind:kind -> Trace.t -> fitted
-
-  val predict_j : fitted -> float array -> float
-  (** Predicted joules for one window's (projected) feature deltas. *)
+  val fit : kind:kind -> Trace.t -> fitted
+  (** Fit [kind]'s schema to the trace's windows by {!lstsq}. *)
 
   type errors = {
     e_mape_pct : float;  (** mean absolute percentage error per window *)
@@ -141,9 +133,6 @@ module Estimator : sig
       [model.swaps] and emits a ["swap"] trace instant. [false] if the
       estimator observes no such rail. *)
 
-  val est_w : t -> rail:string -> float option
-  (** Latest per-window model estimate for a rail, in watts. *)
-
   val app_est_w : t -> app:int -> float option
   (** Modeled mean draw attributed to [app] since the estimator started:
       the app's split-attributed joules scaled by the model's cumulative
@@ -172,23 +161,21 @@ module Calibrate : sig
       [(seed, rounds, samples, dims, objective)]. *)
 
   val calibrate_trace :
-    ?kind:Fit.kind ->
     seed:int ->
     ?rounds:int ->
     ?samples:int ->
     ?around:Fit.fitted ->
-    ?margin:float ->
     Trace.t ->
     Fit.fitted * float
   (** Recover a rail's power parameters from a reference trace by
-      searching coefficient space directly (the coefficients {e are} the
-      hardware parameters: the ["dt_s"] coefficient is the idle floor,
-      ["busy@<f>mhz_s"] the per-OPP active watts, ...). Returns the
-      calibrated model and its RMSE in watts.
+      searching the coefficient space of a {!Fit.Per_opp} model directly
+      (the coefficients {e are} the hardware parameters: the ["dt_s"]
+      coefficient is the idle floor, ["busy@<f>mhz_s"] the per-OPP active
+      watts, ...). Returns the calibrated model and its RMSE in watts.
 
       With [around], the box is centered on an incumbent model's
-      coefficients with half-width [max (margin * |c|) 0.05] per dimension
-      (default [margin] 0.3) — the online-recalibration mode: a drifted
+      coefficients with half-width [max (0.3 * |c|) 0.05] per dimension
+      — the online-recalibration mode: a drifted
       model is wrong but not arbitrary, and the tight box makes the
       search converge where the blind full-range box would not. *)
 end

@@ -1,5 +1,4 @@
 let on = ref true
-let enabled () = !on
 let set_enabled b = on := b
 
 (* Values render as integers when they are integers, [%g] otherwise, so
@@ -406,7 +405,6 @@ module Metrics = struct
   }
 
   let rate name = { r_name = name; r_prev = None }
-  let rate_name r = r.r_name
 
   let rate_sample r ~now_s =
     match find r.r_name with
@@ -480,9 +478,6 @@ module Openmetrics = struct
             Format.fprintf fmt "%s_count %d@\n" n !cum)
       e;
     Format.fprintf fmt "# EOF@\n"
-
-  let of_export e = Format.asprintf "%a" pp e
-  let to_string () = of_export (Metrics.export ())
 
   let write path e =
     let oc = open_out path in

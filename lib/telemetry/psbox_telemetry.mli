@@ -9,15 +9,13 @@
 
     Two switches control cost:
 
-    - {!enabled} (default [true]) gates {e all} recording. Metric updates
+    - {!set_enabled} (default [true]) gates {e all} recording. Metric updates
       against pre-resolved handles are a single branch + float store when
       enabled and a single branch when disabled, so instrumented hot paths
       stay within noise of uninstrumented ones.
     - {!Tracing.start} additionally arms event recording. Until armed (for
       instance by [psbox_sim --trace-out]), {!Tracing.span} and friends are
       a branch and nothing else — no allocation, no buffering. *)
-
-val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Master switch. When [false], metric updates and trace recording are
@@ -96,8 +94,6 @@ module Metrics : sig
   (** A fresh tracker over the named counter or gauge. The metric does not
       have to exist yet. *)
 
-  val rate_name : rate -> string
-
   val rate_sample : rate -> now_s:float -> float option
   (** Record the metric's current value at [now_s] and return
       [(value - previous) / (now_s - previous_t)]. [None] on the first
@@ -119,10 +115,8 @@ module Metrics : sig
   (** Current value of a counter or gauge by name; [None] if unregistered
       or a histogram. *)
 
-  val dump : Format.formatter -> unit -> unit
-  (** Print {!snapshot} one [name value] row per line. *)
-
   val dump_string : unit -> string
+  (** {!snapshot} as one [name value] row per line. *)
 
   val reset : unit -> unit
   (** Zero every metric in the current domain's store (registrations
@@ -180,12 +174,6 @@ end
     byte-deterministic for a given update history — the [--metrics-out]
     file format. *)
 module Openmetrics : sig
-  val pp : Format.formatter -> Metrics.export -> unit
-  val of_export : Metrics.export -> string
-
-  val to_string : unit -> string
-  (** The current domain's store, exported and rendered. *)
-
   val write : string -> Metrics.export -> unit
   (** [write path e] — render to a file. *)
 end
@@ -196,7 +184,7 @@ end
     ["kernel.cfs"] or ["kernel.accel.gpu"]) and a [lane] (Chrome "thread"
     within the track, e.g. ["core0"] or ["app3"]). Recording is buffered
     in memory, capped (default 2M events, see {!Tracing.set_limit}) with a
-    deterministic drop count, and only active when both {!enabled} and
+    deterministic drop count, and only active when both {!set_enabled} and
     {!Tracing.start} have been set. The recorder state (armed flag, buffer,
     cap) is domain-local: a worker domain never interleaves events into
     another domain's trace. *)
@@ -214,7 +202,7 @@ module Tracing : sig
   }
 
   val start : unit -> unit
-  (** Arm recording (subject to {!enabled}). *)
+  (** Arm recording (subject to {!set_enabled}). *)
 
   val stop : unit -> unit
 
@@ -288,7 +276,6 @@ end
     become ["X"] complete events, instants ["i"], samples ["C"]; timestamps
     are microseconds with nanosecond precision. *)
 module Chrome_trace : sig
-  val pp : Format.formatter -> Tracing.event list -> unit
   val to_string : Tracing.event list -> string
 
   val write : string -> Tracing.event list -> unit

@@ -54,15 +54,6 @@ val spawn :
   Psbox_kernel.Task.t
 (** Compile and admit a task running the script. *)
 
-val spawn_per_core :
-  Psbox_kernel.System.t ->
-  app:Psbox_kernel.System.app ->
-  name:string ->
-  (core:int -> script) ->
-  Psbox_kernel.Task.t list
-(** One worker thread per CPU core (how the multithreaded PARSEC/OpenCV
-    benchmarks use the machine). *)
-
 val app_alive : Psbox_kernel.System.t -> Psbox_kernel.System.app -> bool
 (** Whether the app still has non-exited tasks. *)
 

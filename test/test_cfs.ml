@@ -9,7 +9,7 @@ let task ?(app = 1) ?(weight = 1024.0) name =
   Task.create ~app ~name ~weight ~program:(fun () -> Task.Exit) ()
 
 let test_enqueue_pick_order () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let e1 = Entity.of_task (task "a") in
   let e2 = Entity.of_task (task "b") in
   e1.Entity.vruntime <- 100.0;
@@ -23,7 +23,7 @@ let test_enqueue_pick_order () =
     (Option.get (Cfs.leftmost rq)).Entity.eid
 
 let test_enqueue_idempotent () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let e = Entity.of_task (task "a") in
   Cfs.enqueue rq e;
   Cfs.enqueue rq e;
@@ -33,7 +33,7 @@ let test_enqueue_idempotent () =
   check_int "zero" 0 (Cfs.n_queued rq)
 
 let test_charge_advances_vruntime () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let t = task "a" in
   let e = Entity.of_task t in
   Cfs.set_curr rq (Some e);
@@ -43,7 +43,7 @@ let test_charge_advances_vruntime () =
   check_float "task mirror" 1_000_000.0 t.Task.vruntime
 
 let test_charge_weighted () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let t = task ~weight:2048.0 "heavy" in
   let e = Entity.of_task t in
   Cfs.set_curr rq (Some e);
@@ -51,7 +51,7 @@ let test_charge_weighted () =
   check_float "half rate for double weight" 500_000.0 e.Entity.vruntime
 
 let test_min_vruntime_monotonic () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let e = Entity.of_task (task "a") in
   e.Entity.vruntime <- 500.0;
   Cfs.enqueue rq e;
@@ -65,7 +65,7 @@ let test_min_vruntime_monotonic () =
   check_bool "never decreases" true (Cfs.min_vruntime rq >= m1)
 
 let test_place_new_and_woken () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let e0 = Entity.of_task (task "runner") in
   e0.Entity.vruntime <- 10_000_000.0;
   Cfs.enqueue rq e0;
@@ -84,7 +84,7 @@ let test_place_new_and_woken () =
   check_float "debtor keeps debt" 99_000_000.0 ahead.Entity.vruntime
 
 let test_group_entity_pick () =
-  let ge = Entity.group ~psbox_id:7 ~core:0 () in
+  let ge = Entity.group ~psbox_id:7 ~core:0 in
   let g = match ge.Entity.kind with Entity.EGroup g -> g | _ -> assert false in
   let t1 = task "t1" and t2 = task "t2" in
   t1.Task.vruntime <- 10.0;
@@ -102,13 +102,13 @@ let test_group_entity_pick () =
 let test_entity_app_of () =
   let e1 = Entity.of_task (task ~app:3 "t") in
   check_int "task app" 3 (Entity.app_of e1);
-  let e2 = Entity.group ~psbox_id:9 ~core:1 () in
+  let e2 = Entity.group ~psbox_id:9 ~core:1 in
   check_int "group app" 9 (Entity.app_of e2);
   check_bool "is_group" true (Entity.is_group e2);
   check_bool "task not group" false (Entity.is_group e1)
 
 let test_requeue_after_vruntime_change () =
-  let rq = Cfs.create ~core:0 in
+  let rq = Cfs.create () in
   let e1 = Entity.of_task (task "a") and e2 = Entity.of_task (task "b") in
   e1.Entity.vruntime <- 10.0;
   e2.Entity.vruntime <- 20.0;

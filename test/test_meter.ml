@@ -1,4 +1,4 @@
-(* Tests for the metering library: samples, DAQ, clock sync, model fit. *)
+(* Tests for the metering library: samples, DAQ, model fit. *)
 open Psbox_engine
 open Psbox_meter
 
@@ -48,21 +48,6 @@ let test_daq_noise_reproducible () =
   check_bool "noisy" true (Array.exists (fun s -> s.Sample.watts <> 1.0) a);
   check_bool "deterministic given seed" true (a = b);
   check_bool "never negative" true (Array.for_all (fun s -> s.Sample.watts >= 0.0) a)
-
-let test_clock_sync_estimates () =
-  let c = Clock_sync.create ~offset:(Time.us 1700) ~skew_ppm:35.0 () in
-  let rng = Rng.create ~seed:5 in
-  let est = Clock_sync.sync c ~rng ~pulses:64 ~interval:(Time.ms 10) ~jitter:(Time.us 2) in
-  check_bool "offset close" true
-    (abs (est.Clock_sync.offset - Time.us 1700) < Time.us 10);
-  check_bool "skew close" true (Float.abs (est.Clock_sync.skew_ppm -. 35.0) < 5.0);
-  let err = Clock_sync.residual_error c est ~at:(Time.sec 1) in
-  check_bool "residual under 10us" true (err < Time.us 10)
-
-let test_clock_sync_roundtrip () =
-  let c = Clock_sync.create () in
-  let t = Time.ms 123 in
-  check_bool "roundtrip" true (abs (Clock_sync.to_target c (Clock_sync.to_daq c t) - t) <= 1)
 
 let test_model_meter_fit () =
   (* ground truth: P = 0.3 + 2.0*u1 + 0.5*u2 *)
@@ -117,91 +102,14 @@ let test_solver_floor () =
   check_float 1e-12 "x0" 2.0 x.(0);
   check_float 1e-12 "pinned x1" 0.0 x.(1)
 
-let test_daq_monitor () =
-  let sim = Sim.create () in
-  let rail = Psbox_hw.Power_rail.create sim ~name:"r" ~idle_w:1.0 in
-  let m = Daq.monitor ~from:(Sim.now sim) rail in
-  ignore (Sim.schedule_at sim (Time.sec 1) (fun () -> Psbox_hw.Power_rail.set_power rail 3.0));
-  ignore (Sim.schedule_at sim (Time.sec 2) (fun () -> Psbox_hw.Power_rail.set_power rail 2.0));
-  Sim.run_until sim (Time.sec 3);
-  check_float 1e-9 "monitor matches exact integral"
-    (Psbox_hw.Power_rail.energy_j rail ~from:0 ~until:(Time.sec 3))
-    (Daq.monitor_energy_j m ~until:(Time.sec 3));
-  check_int "transitions" 2 (Daq.monitor_transitions m);
-  check_float 1e-9 "peak" 3.0 (Daq.monitor_peak_w m);
-  Daq.monitor_detach m;
-  ignore (Sim.schedule_at sim (Time.sec 4) (fun () -> Psbox_hw.Power_rail.set_power rail 10.0));
-  Sim.run_until sim (Time.sec 5);
-  (* detached: keeps integrating at the last level it saw, blind to the 10 W step *)
-  check_float 1e-9 "frozen after detach" 10.0 (Daq.monitor_energy_j m ~until:(Time.sec 5))
-
-let test_sensor_hub_attach () =
-  let sim = Sim.create () in
-  let src = Psbox_hw.Power_rail.create sim ~name:"cpu" ~idle_w:0.5 in
-  let hub = Sensor_hub.create sim () in
-  (* machine-style shared bus carrying both the source rail and the hub's
-     own rail, to exercise the self-feedback filter *)
-  let bus = Bus.create () in
-  ignore (Bus.subscribe (Psbox_hw.Power_rail.transitions src) (Bus.publish bus));
-  ignore
-    (Bus.subscribe (Psbox_hw.Power_rail.transitions (Sensor_hub.rail hub)) (Bus.publish bus));
-  Sensor_hub.attach hub bus ~samples_per_event:1000 ();
-  check_bool "attached" true (Sensor_hub.attached hub);
-  ignore (Sim.schedule_at sim (Time.ms 1) (fun () -> Psbox_hw.Power_rail.set_power src 2.0));
-  ignore (Sim.schedule_at sim (Time.ms 50) (fun () -> Psbox_hw.Power_rail.set_power src 0.5));
-  Sim.run_until sim (Time.sec 1);
-  (* one batch per source transition; the hub's own rail toggles did not
-     re-trigger it *)
-  check_int "two batches" 2000 (Sensor_hub.processed hub);
-  check_int "drained" 0 (Sensor_hub.backlog hub);
-  Sensor_hub.detach hub;
-  check_bool "detached" false (Sensor_hub.attached hub);
-  ignore (Sim.schedule_at sim (Time.ms 1100) (fun () -> Psbox_hw.Power_rail.set_power src 2.0));
-  Sim.run_until sim (Time.sec 2);
-  check_int "no batch after detach" 2000 (Sensor_hub.processed hub)
-
-let test_model_meter_collector () =
-  let sim = Sim.create () in
-  let rail = Psbox_hw.Power_rail.create sim ~name:"r" ~idle_w:1.0 in
-  let u = ref 0.0 in
-  let c =
-    Model_meter.collector
-      (Psbox_hw.Power_rail.transitions rail)
-      ~initial_w:(Psbox_hw.Power_rail.power rail)
-      ~utils:(fun () -> [| !u |])
-  in
-  let step at util =
-    ignore
-      (Sim.schedule_at sim at (fun () ->
-           u := util;
-           Psbox_hw.Power_rail.set_power rail (1.0 +. (3.0 *. util))))
-  in
-  List.iteri
-    (fun i util -> step (Time.ms ((i + 1) * 100)) util)
-    [ 0.2; 0.7; 0.4; 0.9; 0.1 ];
-  Sim.run_until sim (Time.sec 1);
-  check_int "one observation per transition" 5 (Model_meter.observation_count c);
-  let m = Model_meter.fit_collected c in
-  check_float 1e-6 "intercept recovered" 1.0 (Model_meter.intercept m);
-  check_float 1e-6 "slope recovered" 3.0 (Model_meter.coeffs m).(0);
-  Model_meter.collector_detach c;
-  ignore (Sim.schedule_at sim (Time.ms 1100) (fun () -> Psbox_hw.Power_rail.set_power rail 9.0));
-  Sim.run_until sim (Time.sec 2);
-  check_int "no observation after detach" 5 (Model_meter.observation_count c)
-
 let suite =
   [
     ("sample energy", `Quick, test_sample_energy);
     ("sample between", `Quick, test_sample_between);
     ("daq capture", `Quick, test_daq_capture);
     ("daq noise reproducible", `Quick, test_daq_noise_reproducible);
-    ("daq live monitor", `Quick, test_daq_monitor);
-    ("sensor hub bus attach", `Quick, test_sensor_hub_attach);
-    ("clock sync estimates", `Quick, test_clock_sync_estimates);
-    ("clock sync roundtrip", `Quick, test_clock_sync_roundtrip);
     ("model meter exact fit", `Quick, test_model_meter_fit);
     ("model meter noisy fit", `Quick, test_model_meter_noisy_fit);
     ("model meter degenerate input", `Quick, test_model_meter_degenerate);
     ("least-squares solver floor", `Quick, test_solver_floor);
-    ("model meter bus collector", `Quick, test_model_meter_collector);
   ]

@@ -14,7 +14,7 @@ let check_float e = Alcotest.(check (float e))
 
 let test_lte_rrc_machine () =
   let sim = Sim.create () in
-  let r = Lte.create sim () in
+  let r = Lte.create sim in
   check_bool "idle" true (Lte.state r = Lte.Idle);
   let sent = ref false in
   Lte.send r ~app:1 ~bytes:10_000 ~on_sent:(fun () -> sent := true);
@@ -31,7 +31,7 @@ let test_lte_rrc_machine () =
 
 let test_lte_power_levels () =
   let sim = Sim.create () in
-  let r = Lte.create sim () in
+  let r = Lte.create sim in
   check_float 1e-9 "idle power" 0.02 (Psbox_hw.Power_rail.power (Lte.rail r));
   Lte.send r ~app:1 ~bytes:1_000 ~on_sent:(fun () -> ());
   check_float 1e-9 "promotion power" 0.45 (Psbox_hw.Power_rail.power (Lte.rail r));
@@ -40,7 +40,7 @@ let test_lte_power_levels () =
 
 let test_lte_traffic_holds_state () =
   let sim = Sim.create () in
-  let r = Lte.create sim () in
+  let r = Lte.create sim in
   (* chatter every 3 s keeps the radio out of idle indefinitely *)
   let rec ping n =
     if n > 0 then

@@ -222,6 +222,25 @@ let test_exclusive_intervals_accounting () =
   Psbox.leave box;
   System.shutdown sys
 
+(* On one core, entering while the app runs opens its first balloon inside
+   [Psbox.enter]. That balloon's start must still reach the power-state
+   virtualization, which freezes the CPU governor for the balloon. *)
+let test_one_core_first_balloon_virtualized () =
+  let sys = System.create ~cores:1 () in
+  let a = System.new_app sys ~name:"a" in
+  ignore
+    (W.spawn sys ~app:a ~name:"a" ~core:0
+       (W.forever (fun () -> [ W.Compute (Time.ms 5); W.Sleep (Time.ms 2) ])));
+  System.start sys;
+  System.run_for sys (Time.ms 1);
+  let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ] in
+  Psbox.enter box;
+  check_bool "governor frozen" true
+    (Psbox_hw.Dvfs.frozen (Psbox_hw.Cpu.dvfs (System.cpu sys)));
+  Psbox.leave box;
+  Psbox.destroy box;
+  System.shutdown sys
+
 let suite =
   [
     ("api lifecycle", `Quick, test_api_lifecycle);
@@ -235,4 +254,7 @@ let suite =
     ("multiple hardware targets", `Quick, test_multi_target);
     ("no lingering state across entries", `Quick, test_no_lingering_state_across_entries);
     ("exclusive interval accounting", `Quick, test_exclusive_intervals_accounting);
+    ( "one-core first balloon reaches the listener",
+      `Quick,
+      test_one_core_first_balloon_virtualized );
   ]

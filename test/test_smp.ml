@@ -12,6 +12,11 @@ let check_bool = Alcotest.(check bool)
 let spin sys app ~core =
   W.spawn sys ~app ~name:"spin" ~core (W.forever (fun () -> [ W.Compute (Time.ms 5) ]))
 
+(* A spatial balloon without a listener. *)
+let sandbox sys app =
+  Smp.sandbox (System.smp sys) ~app:app.System.app_id ~on_start:ignore
+    ~on_stop:ignore
+
 (* Two CPU-bound apps on one core share it ~50/50. *)
 let test_single_core_fairness () =
   let sys = System.create ~cores:1 () in
@@ -108,7 +113,7 @@ let test_balloon_exclusivity () =
   ignore (spin sys other ~core:1);
   System.start sys;
   System.run_for sys (Time.ms 100);
-  let b = Smp.sandbox (System.smp sys) ~app:star.System.app_id in
+  let b = sandbox sys star in
   System.run_for sys (Time.sec 1);
   Smp.unsandbox (System.smp sys) b;
   Smp.stop (System.smp sys);
@@ -151,7 +156,7 @@ let test_balloon_confines_loss () =
   let o0 = System.counter other "w" in
   System.run_for sys (Time.sec 2);
   let before = (System.counter other "w" -. o0) /. 2.0 in
-  let b = Smp.sandbox (System.smp sys) ~app:star.System.app_id in
+  let b = sandbox sys star in
   System.run_for sys (Time.ms 500);
   let o1 = System.counter other "w" in
   System.run_for sys (Time.sec 2);
@@ -174,7 +179,7 @@ let test_loans_issued_under_contention () =
   ignore (spin sys other ~core:1);
   System.start sys;
   System.run_for sys (Time.ms 100);
-  let b = Smp.sandbox (System.smp sys) ~app:star.System.app_id in
+  let b = sandbox sys star in
   System.run_for sys (Time.sec 1);
   (* star has one thread on core 0; core 1 must be ballooned away from
      other, which requires loans *)
@@ -195,7 +200,7 @@ let test_balloon_closes_on_idle_app () =
     (W.spawn sys ~app:other ~name:"spin" ~core:0
        (W.forever (fun () -> [ W.Compute (Time.ms 5); W.Count ("w", 1.0) ])));
   System.start sys;
-  let b = Smp.sandbox (System.smp sys) ~app:star.System.app_id in
+  let b = sandbox sys star in
   System.run_for sys (Time.sec 1);
   (* star uses ~9% of one core; other must keep nearly all the rest *)
   check_bool "other barely affected" true (System.counter other "w" > 150.0);
@@ -227,7 +232,7 @@ let test_unsandbox_restores_normal_scheduling () =
   mk star "s";
   mk other "o";
   System.start sys;
-  let b = Smp.sandbox (System.smp sys) ~app:star.System.app_id in
+  let b = sandbox sys star in
   System.run_for sys (Time.ms 500);
   Smp.unsandbox (System.smp sys) b;
   (* CFS lets the waiter repay the balloon-era imbalance first *)
@@ -244,10 +249,10 @@ let test_double_sandbox_rejected () =
   let a = System.new_app sys ~name:"a" in
   ignore (spin sys a ~core:0);
   System.start sys;
-  let _b = Smp.sandbox (System.smp sys) ~app:a.System.app_id in
+  let _b = sandbox sys a in
   Alcotest.check_raises "double sandbox"
     (Invalid_argument "Smp.sandbox: app already sandboxed") (fun () ->
-      ignore (Smp.sandbox (System.smp sys) ~app:a.System.app_id));
+      ignore (sandbox sys a));
   System.shutdown sys
 
 (* Two psboxes on the CPU: balloons are mutually exclusive in time. *)
@@ -258,8 +263,8 @@ let test_two_balloons_mutually_exclusive () =
   ignore (spin sys a ~core:0);
   ignore (spin sys b ~core:1);
   System.start sys;
-  let ba = Smp.sandbox (System.smp sys) ~app:a.System.app_id in
-  let bb = Smp.sandbox (System.smp sys) ~app:b.System.app_id in
+  let ba = sandbox sys a in
+  let bb = sandbox sys b in
   System.run_for sys (Time.sec 1);
   let ia = Smp.balloon_intervals ba and ib = Smp.balloon_intervals bb in
   check_bool "both apps got balloons" true (ia <> [] && ib <> []);
