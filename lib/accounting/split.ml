@@ -117,30 +117,38 @@ let total_attributed result = List.fold_left (fun a (_, e) -> a +. e) 0.0 result
    or a share change reported by the scheduler/driver). Same arithmetic,
    same segment boundaries, O(apps) per event and O(1) state. *)
 
+(* One float in a float-only record, which stores it unboxed; a float
+   field of a mixed record would box on every store. *)
+type cell = { mutable v : float }
+
 type live = {
-  mutable cur_w : float;
+  cur_w : cell; (* the rail's draw *)
   mutable last_t : Time.t;
-  shares : (int, float) Hashtbl.t;
-  acc : (int, float) Hashtbl.t;
+  shares : Shares.t; (* every share > 1e-9 *)
+  acc : (int, cell) Hashtbl.t;
   mutable lsub : Psbox_engine.Bus.subscription option;
   mutable ssub : Psbox_engine.Bus.subscription option;
       (* share-bus feed, when wired by a live_* constructor *)
 }
 
+(* [Time.to_sec_f] is written out so the floats stay unboxed. *)
 let live_settle lv ~at =
-  let dt = Time.to_sec_f (at - lv.last_t) in
+  let dt = float_of_int (at - lv.last_t) /. 1e9 in
   if dt > 0.0 then begin
-    let total = Hashtbl.fold (fun _ s a -> if s > 1e-9 then a +. s else a) lv.shares 0.0 in
+    let sh = lv.shares in
+    let total = sh.total.sum in
     if total > 0.0 then
-      Hashtbl.iter
-        (fun app s ->
-          if s > 1e-9 then begin
-            let cur =
-              match Hashtbl.find_opt lv.acc app with Some x -> x | None -> 0.0
-            in
-            Hashtbl.replace lv.acc app (cur +. (lv.cur_w *. dt *. s /. total))
-          end)
-        lv.shares;
+      for i = 0 to sh.len - 1 do
+        let c =
+          match Hashtbl.find lv.acc sh.apps.(i) with
+          | c -> c
+          | exception Not_found ->
+              let c = { v = 0.0 } in
+              Hashtbl.replace lv.acc sh.apps.(i) c;
+              c
+        in
+        c.v <- c.v +. (lv.cur_w.v *. dt *. sh.shares.(i) /. total)
+      done;
     lv.last_t <- at
   end
   else if dt = 0.0 then ()
@@ -149,9 +157,9 @@ let live_settle lv ~at =
 let live rail ~from =
   let lv =
     {
-      cur_w = Psbox_hw.Power_rail.power rail;
+      cur_w = { v = Psbox_hw.Power_rail.power rail };
       last_t = from;
-      shares = Hashtbl.create 8;
+      shares = Shares.create ();
       acc = Hashtbl.create 8;
       lsub = None;
       ssub = None;
@@ -161,21 +169,20 @@ let live rail ~from =
     Some
       (Psbox_engine.Bus.subscribe
          (Psbox_hw.Power_rail.transitions rail)
-         (fun tr ->
-           let open Psbox_hw.Power_rail in
+         (fun (tr : Psbox_hw.Power_rail.transition) ->
            live_settle lv ~at:tr.at;
-           lv.cur_w <- tr.after_w));
+           lv.cur_w.v <- tr.after_w));
   lv
 
 let live_set_share lv ~at ~app share =
   if share < 0.0 then invalid_arg "Split.live_set_share: negative share";
   live_settle lv ~at;
-  if share > 1e-9 then Hashtbl.replace lv.shares app share
-  else Hashtbl.remove lv.shares app
+  Shares.set lv.shares ~app (if share > 1e-9 then share else 0.0)
 
 let live_read lv ~until =
   live_settle lv ~at:until;
-  Hashtbl.fold (fun app e acc -> (app, e) :: acc) lv.acc [] |> List.sort compare
+  Hashtbl.fold (fun app c acc -> (app, c.v) :: acc) lv.acc []
+  |> List.sort compare
 
 let live_detach lv =
   (match lv.lsub with

@@ -76,8 +76,9 @@ val total_attributed : result -> float
     boundary, so a query is O(apps) instead of a walk over the full usage
     trace and rail history. Share changes are pushed by whoever multiplexes
     the device (scheduler, driver) via {!live_set_share}. Over the same
-    window and share trace it attributes exactly what {!usage_split}
-    computes offline. *)
+    window and share trace it attributes what {!usage_split} computes
+    offline, up to rounding. Settling a power transition allocates
+    nothing. *)
 
 type live
 

@@ -33,6 +33,23 @@ let cause_rank = function
   | Idle_floor -> 4
 
 let all_causes = [ Active; Shared_rail; Lingering; Dvfs_transition; Idle_floor ]
+let causes = Array.of_list all_causes (* indexed by rank *)
+let n_causes = Array.length causes
+
+(* A cell's key: app ids are non-negative, so ordering the keys orders the
+   cells by (app, cause rank). *)
+let cell_key app rank = (app * n_causes) + rank
+let idle_key = cell_key 0 (cause_rank Idle_floor)
+
+(* The floats of a rail's state. A float-only record stores them unboxed;
+   in a mixed record every store would box. *)
+type energy = {
+  floor_w : float;
+  mutable cur_w : float; (* draw over the current segment *)
+  mutable total_j : float; (* settled, bit-identical to the kernel ledger *)
+}
+
+type cell = { mutable j : float }
 
 (* Per-rail attribution state. Within one constant-power segment of the
    rail (between two of its transitions), the classification inputs —
@@ -40,91 +57,78 @@ let all_causes = [ Active; Shared_rail; Lingering; Dvfs_transition; Idle_floor ]
    change closes a sub-interval whose energy is billed under the state
    that held *during* it. *)
 type rstate = {
-  rs_rail : string;
   rs_subsystem : string;
-  rs_floor_w : float;
-  mutable rs_cur_w : float; (* draw over the current segment *)
+  rs_e : energy;
   mutable rs_seg_start : Time.t; (* segment start: mirrors the kernel ledger *)
   mutable rs_mark : Time.t; (* start of the open sub-interval *)
-  mutable rs_total_j : float; (* settled, bit-identical to the kernel ledger *)
-  rs_shares : (int, float) Hashtbl.t; (* app -> current share, > 0 *)
+  rs_shares : Shares.t;
   mutable rs_last_active : int; (* lingering blame; 0 until anyone runs *)
   mutable rs_dvfs_index : int; (* as of the open sub-interval *)
-  rs_cells : (int * cause, float) Hashtbl.t; (* (app, cause) -> joules *)
+  rs_cells : (int, cell) Hashtbl.t; (* [cell_key app rank] -> joules *)
   rs_m_rail : Tm.counter;
+  rs_audit : t;
+      (* the ledger this rail belongs to: the rail's own subscriptions keep
+         it alive, since the attach memo holds it only weakly *)
 }
 
-type t = { a_sys : System.t; a_rails : (string, rstate) Hashtbl.t }
+and t = { a_sys : System.t; a_rails : (string, rstate) Hashtbl.t }
 
-(* All five cause counters resolved at load — no lazily-populated shared
-   memo for concurrent devices to race on. *)
+(* All five cause counters resolved at load, indexed by rank — no
+   lazily-populated shared memo for concurrent devices to race on. *)
 let m_cause =
-  let cells =
-    List.map
-      (fun c -> (c, Tm.counter ("audit.cause." ^ cause_label c ^ "_j")))
-      all_causes
-  in
-  fun cause -> List.assq cause cells
+  Array.map
+    (fun c -> Tm.counter ("audit.cause." ^ cause_label c ^ "_j"))
+    causes
 
-(* Split the rail's current draw into (app, cause, watts) parts. The
-   parts need not sum to the draw bit-exactly: read-time rows re-derive
-   the idle-floor remainder against the exact rail total. *)
-let classify rs =
-  let w = rs.rs_cur_w in
-  if w <= 0.0 then []
-  else begin
-    let idle = Float.min w rs.rs_floor_w in
-    let dyn = w -. idle in
-    let base = if idle > 0.0 then [ (0, Idle_floor, idle) ] else [] in
-    if dyn <= 0.0 then base
-    else begin
-      let total_share, napps, an_app =
-        Hashtbl.fold
-          (fun app s (ts, n, _) ->
-            if s > 0.0 then (ts +. s, n + 1, app) else (ts, n, app))
-          rs.rs_shares (0.0, 0, 0)
-      in
-      if napps = 0 then begin
-        (* nobody is using the device yet it draws above its floor: a
-           lingering power state, split out further when the DVFS state is
-           still elevated (the governor has not stepped down) *)
-        let cause = if rs.rs_dvfs_index > 0 then Dvfs_transition else Lingering in
-        (rs.rs_last_active, cause, dyn) :: base
-      end
-      else if napps = 1 then (an_app, Active, dyn) :: base
-      else
-        Hashtbl.fold
-          (fun app s acc ->
-            if s > 0.0 then (app, Shared_rail, dyn *. (s /. total_share)) :: acc
-            else acc)
-          rs.rs_shares base
-    end
-  end
+(* Credit [j] joules to one cell, then to the rail counter, then to the
+   cause counter: the counters' float sums depend on that order. *)
+let credit rs app rank j =
+  (match Hashtbl.find rs.rs_cells (cell_key app rank) with
+  | c -> c.j <- c.j +. j
+  | exception Not_found -> Hashtbl.add rs.rs_cells (cell_key app rank) { j });
+  Tm.add rs.rs_m_rail j;
+  Tm.add m_cause.(rank) j
 
+(* Bill the open sub-interval: split the rail's draw into an idle floor and
+   a dynamic part, and credit the dynamic part first — to the only app,
+   to every app by share (in reverse table order), or, with nobody using
+   the device, to the last active app as a lingering state (a DVFS
+   transition when the governor has not stepped down yet). The parts need
+   not sum to the draw bit-exactly: read-time rows re-derive the
+   idle-floor remainder against the exact rail total. [Time.to_sec_f] and
+   [Float.min] are written out so the floats stay unboxed. *)
 let flush rs at =
   if at > rs.rs_mark then begin
-    let dt = Time.to_sec_f (at - rs.rs_mark) in
-    List.iter
-      (fun (app, cause, w) ->
-        let j = w *. dt in
-        let key = (app, cause) in
-        let cur =
-          match Hashtbl.find_opt rs.rs_cells key with Some x -> x | None -> 0.0
-        in
-        Hashtbl.replace rs.rs_cells key (cur +. j);
-        Tm.add rs.rs_m_rail j;
-        Tm.add (m_cause cause) j)
-      (classify rs);
+    let dt = float_of_int (at - rs.rs_mark) /. 1e9 in
+    let e = rs.rs_e in
+    let w = e.cur_w in
+    if not (w <= 0.0) then begin
+      let idle = if e.floor_w > w || w <> w then w else e.floor_w in
+      let dyn = w -. idle in
+      if not (dyn <= 0.0) then begin
+        let sh = rs.rs_shares in
+        if sh.len = 0 then
+          credit rs rs.rs_last_active
+            (cause_rank
+               (if rs.rs_dvfs_index > 0 then Dvfs_transition else Lingering))
+            (dyn *. dt)
+        else if sh.len = 1 then
+          credit rs sh.apps.(0) (cause_rank Active) (dyn *. dt)
+        else
+          for i = sh.len - 1 downto 0 do
+            credit rs sh.apps.(i) (cause_rank Shared_rail)
+              (dyn *. (sh.shares.(i) /. sh.total.sum) *. dt)
+          done
+      end;
+      if idle > 0.0 then credit rs 0 (cause_rank Idle_floor) (idle *. dt)
+    end;
     rs.rs_mark <- at
   end
 
 let set_share rs at app share =
   flush rs at;
-  if share > 0.0 then begin
-    Hashtbl.replace rs.rs_shares app share;
-    rs.rs_last_active <- app
-  end
-  else Hashtbl.remove rs.rs_shares app
+  if share > 0.0 then rs.rs_last_active <- app;
+  Shares.set rs.rs_shares ~app share
 
 (* ---- per-domain switchboard ---------------------------------------- *)
 
@@ -138,7 +142,7 @@ type switchboard = {
   mutable sw_registry : t list; (* strong, newest first *)
   (* uid -> weak instance: live machines resolve deterministically, dead
      ones stay collectable (the instance is kept alive by the machine's own
-     bus subscriptions, not by this table). *)
+     bus subscriptions, through [rs_audit], not by this table). *)
   sw_live : (int, t Weak.t) Hashtbl.t;
 }
 
@@ -169,18 +173,21 @@ let attach sys =
         let name = Power_rail.name rail in
         let rs =
           {
-            rs_rail = name;
             rs_subsystem = subsystem;
-            rs_floor_w = Power_rail.floor_w rail;
-            rs_cur_w = Power_rail.power rail;
+            rs_e =
+              {
+                floor_w = Power_rail.floor_w rail;
+                cur_w = Power_rail.power rail;
+                total_j = 0.0;
+              };
             rs_seg_start = now;
             rs_mark = now;
-            rs_total_j = 0.0;
-            rs_shares = Hashtbl.create 4;
+            rs_shares = Shares.create ();
             rs_last_active = 0;
             rs_dvfs_index = 0;
             rs_cells = Hashtbl.create 16;
             rs_m_rail = Tm.counter ("audit.rail." ^ name ^ "_j");
+            rs_audit = a;
           }
         in
         Hashtbl.replace a.a_rails name rs;
@@ -192,6 +199,18 @@ let attach sys =
                    flush rs ch.at;
                    rs.rs_dvfs_index <- ch.index_after))
         | None -> ());
+        ignore
+          (Bus.subscribe (Power_rail.transitions rail)
+             (fun (tr : Power_rail.transition) ->
+               flush rs tr.at;
+               (* the kernel rail ledger's expression, operand for operand,
+                  so the totals stay bit-identical *)
+               let e = rs.rs_e in
+               e.total_j <-
+                 e.total_j
+                 +. (e.cur_w *. (float_of_int (tr.at - rs.rs_seg_start) /. 1e9));
+               rs.rs_seg_start <- tr.at;
+               e.cur_w <- tr.after_w));
         rs
       in
       let cpu = System.cpu sys in
@@ -221,42 +240,36 @@ let attach sys =
         ignore (add (Psbox_hw.Display.rail (System.display sys)) "display" None);
       if System.has_gps sys then
         ignore (add (Psbox_hw.Gps.rail (System.gps sys)) "gps" None);
-      ignore
-        (Bus.subscribe (System.power_bus sys)
-           (fun (tr : Power_rail.transition) ->
-             match Hashtbl.find_opt a.a_rails tr.rail_name with
-             | Some rs ->
-                 flush rs tr.at;
-                 (* the kernel rail ledger's expression, operand for
-                    operand, so the totals stay bit-identical *)
-                 rs.rs_total_j <-
-                   rs.rs_total_j
-                   +. (rs.rs_cur_w *. Time.to_sec_f (tr.at - rs.rs_seg_start));
-                 rs.rs_seg_start <- tr.at;
-                 rs.rs_cur_w <- tr.after_w
-             | None -> (
-                 (* "<physical>.app<id>" attribution rails (display, GPS)
-                    double as share feeds: the app rail's draw is its
-                    share of the physical rail *)
-                 match String.index_opt tr.rail_name '.' with
-                 | None -> ()
-                 | Some i -> (
-                     let phys = String.sub tr.rail_name 0 i in
-                     let rest =
-                       String.sub tr.rail_name (i + 1)
-                         (String.length tr.rail_name - i - 1)
-                     in
-                     match Hashtbl.find_opt a.a_rails phys with
-                     | Some rs
-                       when String.length rest > 3
-                            && String.sub rest 0 3 = "app" -> (
-                         match
-                           int_of_string_opt
-                             (String.sub rest 3 (String.length rest - 3))
-                         with
-                         | Some app -> set_share rs tr.at app tr.after_w
-                         | None -> ())
-                     | _ -> ()))));
+      (* "<physical>.app<id>" attribution rails (display, GPS) double as
+         share feeds: the app rail's draw is its share of the physical rail,
+         and a draw at or below the physical rail's floor is no share (an
+         app that has left the GPS idles its rail at the receiver's floor) *)
+      if System.has_display sys || System.has_gps sys then
+        ignore
+          (Bus.subscribe (System.power_bus sys)
+             (fun (tr : Power_rail.transition) ->
+               match String.index_opt tr.rail_name '.' with
+               | None -> ()
+               | Some i -> (
+                   let phys = String.sub tr.rail_name 0 i in
+                   let rest =
+                     String.sub tr.rail_name (i + 1)
+                       (String.length tr.rail_name - i - 1)
+                   in
+                   match Hashtbl.find_opt a.a_rails phys with
+                   | Some rs
+                     when String.length rest > 3 && String.sub rest 0 3 = "app"
+                     -> (
+                       match
+                         int_of_string_opt
+                           (String.sub rest 3 (String.length rest - 3))
+                       with
+                       | Some app ->
+                           set_share rs tr.at app
+                             (if tr.after_w <= rs.rs_e.floor_w then 0.0
+                              else tr.after_w)
+                       | None -> ())
+                   | _ -> ())));
       let w = Weak.create 1 in
       Weak.set w 0 (Some a);
       let s = sw () in
@@ -294,25 +307,24 @@ let rail_state a ~rail =
 
 let subsystem a ~rail = (rail_state a ~rail).rs_subsystem
 
-let rail_total a ~rail =
-  let rs = rail_state a ~rail in
-  let now = System.now a.a_sys in
-  rs.rs_total_j +. (rs.rs_cur_w *. Time.to_sec_f (now - rs.rs_seg_start))
+let total_at rs now =
+  rs.rs_e.total_j
+  +. (rs.rs_e.cur_w *. Time.to_sec_f (now - rs.rs_seg_start))
+
+let rail_total a ~rail = total_at (rail_state a ~rail) (System.now a.a_sys)
 
 let rows a ~rail =
   let rs = rail_state a ~rail in
   let now = System.now a.a_sys in
   flush rs now;
-  let total = rs.rs_total_j +. (rs.rs_cur_w *. Time.to_sec_f (now - rs.rs_seg_start)) in
+  let total = total_at rs now in
   let others =
     Hashtbl.fold
-      (fun (app, cause) j acc ->
-        if app = 0 && cause = Idle_floor then acc else (app, cause, j) :: acc)
+      (fun key c acc -> if key = idle_key then acc else (key, c.j) :: acc)
       rs.rs_cells []
-    |> List.sort (fun (a1, c1, _) (a2, c2, _) ->
-           compare (a1, cause_rank c1) (a2, cause_rank c2))
+    |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
   in
-  let folded = List.fold_left (fun acc (_, _, j) -> acc +. j) 0.0 others in
+  let folded = List.fold_left (fun acc (_, j) -> acc +. j) 0.0 others in
   (* The closing idle-floor rows are the exact remainder: folding the rows
      left-to-right then lands on [total] bit-for-bit. One subtraction is
      not always enough — when [folded +. (total -. folded)] falls exactly
@@ -324,8 +336,13 @@ let rows a ~rail =
   let r1 = total -. folded in
   let dust = total -. (folded +. r1) in
   List.map
-    (fun (app, cause, j) ->
-      { r_app = app; r_cause = cause; r_j = j; r_residual = false })
+    (fun (key, j) ->
+      {
+        r_app = key / n_causes;
+        r_cause = causes.(key mod n_causes);
+        r_j = j;
+        r_residual = false;
+      })
     others
   @ { r_app = 0; r_cause = Idle_floor; r_j = r1; r_residual = true }
     :: (if dust = 0.0 then []
@@ -340,8 +357,8 @@ let residue a ~rail =
       0.0 rws
   in
   let acc =
-    match Hashtbl.find_opt rs.rs_cells (0, Idle_floor) with
-    | Some x -> x
+    match Hashtbl.find_opt rs.rs_cells idle_key with
+    | Some c -> c.j
     | None -> 0.0
   in
   res -. acc

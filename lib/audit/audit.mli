@@ -1,14 +1,16 @@
 (** Joule audit: per-cause energy attribution.
 
     An attribution ledger that rides the machine's existing instrumentation
-    buses — the {!Psbox_kernel.System.power_bus}, the kernel subsystems'
-    share buses and every {!Psbox_hw.Dvfs.changes} bus — and attributes
-    every watt-second on every physical rail to a key of
-    (app × subsystem × cause). The causes are the paper's entanglement
-    taxonomy made first-class: power misbehaves because of spatial
-    concurrency on a shared rail, blurry asynchronous request boundaries,
-    and lingering power states; everything else is either directly caused
-    active draw or the device's idle floor.
+    buses — each physical rail's own {!Psbox_hw.Power_rail.transitions}
+    bus, the kernel subsystems' share buses, every {!Psbox_hw.Dvfs.changes}
+    bus and, for the display and GPS, the
+    {!Psbox_kernel.System.power_bus} — and attributes every watt-second on
+    every physical rail to a key of (app × subsystem × cause). The causes
+    are the paper's entanglement taxonomy made first-class: power
+    misbehaves because of spatial concurrency on a shared rail, blurry
+    asynchronous request boundaries, and lingering power states;
+    everything else is either directly caused active draw or the device's
+    idle floor.
 
     {2 Conservation, bit-for-bit}
 
@@ -31,8 +33,18 @@
       exposed as {!residue} and is itself asserted tiny in tests, so the
       invariant is not vacuous.
 
+    {2 Display and GPS shares}
+
+    The display and the GPS bill apps through per-app attribution rails
+    (["<physical>.app<id>"]), which the audit reads from the power bus. An
+    app rail's draw is that app's share of the physical rail, and a draw
+    at or below the physical rail's {!Psbox_hw.Power_rail.floor_w} is no
+    share (an app that has left the GPS idles its rail at the receiver's
+    floor).
+
     The audit is a pure observer: subscribing it changes no simulation
-    decision and no experiment output. *)
+    decision and no experiment output. Settling a rail transition
+    allocates only the float handed to the telemetry counters. *)
 
 type cause =
   | Active  (** the app's own requests were executing on the device *)

@@ -20,10 +20,18 @@ let unsubscribe s =
 
 let active s = s.active
 
+(* A top-level walk: [List.iter] with a closure over [ev] would allocate
+   that closure on every publication, on every bus. *)
+let rec deliver ev = function
+  | [] -> ()
+  | (s, fn) :: rest ->
+      if s.active then fn ev;
+      deliver ev rest
+
 let publish bus ev =
   (* Iterate the list as it was when publication started: subscribers added
      mid-publish only see later events; unsubscribed ones are skipped via
      their [active] flag. *)
-  List.iter (fun (s, fn) -> if s.active then fn ev) bus.subs
+  deliver ev bus.subs
 
 let subscriber_count bus = List.length bus.subs

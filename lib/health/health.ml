@@ -71,6 +71,16 @@ let check_nan fn what x =
   if Float.is_nan x then
     invalid_arg (Printf.sprintf "Health.%s: NaN %s" fn what)
 
+(* The ranges [psbox_sim] enforces on --perturb (> -100) and
+   --drift-threshold (> 0): a perturbation of -100 % or less zeroes or
+   flips every coefficient, and a drift threshold of 0 fires on a perfect
+   model. *)
+let check_above fn what lo x =
+  check_nan fn what x;
+  if not (Float.is_finite x && x > lo) then
+    invalid_arg
+      (Printf.sprintf "Health.%s: %s must be finite and > %g" fn what lo)
+
 let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
   if for_windows < 1 then invalid_arg "Health.threshold: for_windows < 1";
   check_nan "threshold" "limit" limit;
@@ -473,7 +483,7 @@ let json t =
 (* Default rule pack                                                   *)
 
 let default_pack ?(drift_threshold_pct = 5.0) sys =
-  check_nan "default_pack" "drift_threshold_pct" drift_threshold_pct;
+  check_above "default_pack" "drift_threshold_pct" 0.0 drift_threshold_pct;
   let rails = List.map Power_rail.name (System.rails sys) in
   let drift =
     List.map
@@ -578,8 +588,8 @@ module Self_heal = struct
       ?(windows = 60) ?(perturb_pct = 0.0) ?(drift_threshold_pct = 5.0) () =
     if windows <= 0 then
       invalid_arg "Health.Self_heal.run: windows must be positive";
-    check_nan "Self_heal.run" "perturb_pct" perturb_pct;
-    check_nan "Self_heal.run" "drift_threshold_pct" drift_threshold_pct;
+    check_above "Self_heal.run" "perturb_pct" (-100.0) perturb_pct;
+    check_above "Self_heal.run" "drift_threshold_pct" 0.0 drift_threshold_pct;
     (* reference run: record and fit the ground-truth models, then inject
        the drift by perturbing every coefficient *)
     let models =

@@ -163,7 +163,9 @@ val json : t -> string
     ([budget.cap_violations] / [budget.ticks] against a 5% SLO, factor
     2.0), a dead-metric absence watchdog on [sim.events_fired], and — when
     an audit ledger is attached to [sys] — an audit-vs-kernel-ledger
-    conservation probe that must never fire. *)
+    conservation probe that must never fire.
+    @raise Invalid_argument on a [drift_threshold_pct] that is NaN,
+    infinite or at most 0. *)
 val default_pack :
   ?drift_threshold_pct:float -> Psbox_kernel.System.t -> rule list
 
@@ -217,8 +219,9 @@ module Self_heal : sig
   (** Returns the report and the (stopped) engine whose {!json} is the
       incident log. Defaults: seeds 11/23 (as [model-check]), 60 windows
       of 50 ms, no perturbation, the {!default_pack} drift threshold.
-      @raise Invalid_argument on a NaN [perturb_pct] or
-      [drift_threshold_pct]. *)
+      @raise Invalid_argument on a [perturb_pct] that is NaN, infinite
+      or at most -100, or a [drift_threshold_pct] that is NaN, infinite or
+      at most 0. *)
 
   val json : report -> string
   (** Deterministic JSON, same conventions as the incident log. *)

@@ -223,23 +223,23 @@ let share_bus smp = smp.share_bus
    every share change must re-aim the app's quota-crossing wakeup. *)
 let quota_share_hook : (t -> int -> unit) ref = ref (fun _ _ -> ())
 
+(* [find_opt] would allocate its [Some] on every share change. *)
+let shares_of smp app =
+  match Hashtbl.find smp.share_counts app with
+  | c -> c
+  | exception Not_found -> 0
+
 (* Running-core counts feed the share bus (live attribution): the idle
    tags (-1 / -2) never count, so a balloon-forced-idle core contributes
    no CPU share. Publishing is near-free when nothing subscribes. *)
 let note_share smp app delta =
   if app >= 0 then begin
-    let cur =
-      match Hashtbl.find_opt smp.share_counts app with Some c -> c | None -> 0
-    in
-    let nw = cur + delta in
+    let nw = shares_of smp app + delta in
     Hashtbl.replace smp.share_counts app nw;
     Bus.publish smp.share_bus
       { Temporal_sched.at = Sim.now smp.sim; app; share = float_of_int nw };
     if Hashtbl.mem smp.quotas app then !quota_share_hook smp app
   end
-
-let shares_of smp app =
-  match Hashtbl.find_opt smp.share_counts app with Some c -> c | None -> 0
 
 let complete_span smp core app now =
   Trace.emit smp.spans now

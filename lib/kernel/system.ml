@@ -6,23 +6,21 @@ type app = {
   counters : (string, float) Hashtbl.t;
 }
 
-(* Machine-wide energy bookkeeping, maintained as a bus subscriber: O(1)
-   per power transition, O(1) to query, regardless of history length. *)
-type ledger = {
-  mutable total_w : float; (* current draw summed over all metered rails *)
-  mutable settled_t : Time.t;
-  mutable settled_j : float; (* energy accumulated up to [settled_t] *)
+(* Energy bookkeeping, maintained by bus subscribers: O(1) per power
+   transition, O(1) to query, regardless of history length. The floats sit
+   in a float-only record, whose stores are unboxed; a float field of a
+   mixed record would box on every store. *)
+type energy = {
+  mutable w : float; (* current draw *)
+  mutable j : float; (* energy accumulated up to the ledger's [t] *)
 }
 
-(* Per-rail ledger with the same O(1) technique, settled only on that
-   rail's own transitions (the draw is constant in between). The audit
-   ledger reproduces exactly this accumulation, operand for operand, so
-   its per-rail attribution totals can be compared bit-for-bit. *)
-type rail_ledger = {
-  mutable rl_w : float;
-  mutable rl_t : Time.t;
-  mutable rl_j : float;
-}
+(* The machine-wide ledger sums the draw over all metered rails; each
+   physical rail also has its own, settled only on that rail's transitions
+   (the draw is constant in between). The audit ledger reproduces exactly
+   the per-rail accumulation, operand for operand, so its per-rail
+   attribution totals can be compared bit-for-bit. *)
+type ledger = { e : energy; mutable t : Time.t }
 
 type t = {
   sim : Sim.t;
@@ -37,7 +35,7 @@ type t = {
   gps : Psbox_hw.Gps.t option;
   power_bus : Psbox_hw.Power_rail.transition Bus.t;
   ledger : ledger;
-  rail_ledgers : (string, rail_ledger) Hashtbl.t;
+  rail_ledgers : (string, ledger) Hashtbl.t;
   mutable apps : app list;
   mutable next_app : int;
   mutable started : bool;
@@ -135,8 +133,9 @@ let create ?(seed = 42) ?(cores = 2)
     if display then Some (Psbox_hw.Display.create sim ?retention ()) else None
   in
   let gps = if gps then Some (Psbox_hw.Gps.create sim ?retention ()) else None in
-  (* Composition root for the power bus: every metered rail forwards its
-     transitions onto one machine-wide bus, and the energy ledger rides it. *)
+  (* Composition root for the power bus: every metered rail settles its own
+     ledger and the machine's from its own bus, then forwards its
+     transitions onto one machine-wide bus for outside observers. *)
   let rails =
     [ Psbox_hw.Cpu.rail cpu ]
     @ (match gpu with
@@ -151,59 +150,54 @@ let create ?(seed = 42) ?(cores = 2)
     @ (match display with Some d -> [ Psbox_hw.Display.rail d ] | None -> [])
     @ (match gps with Some g -> [ Psbox_hw.Gps.rail g ] | None -> [])
   in
+  let now = Sim.now sim in
+  let ledger =
+    {
+      e =
+        {
+          w =
+            List.fold_left
+              (fun acc r -> acc +. Psbox_hw.Power_rail.power r)
+              0.0 rails;
+          j = 0.0;
+        };
+      t = now;
+    }
+  in
+  let rail_ledgers = Hashtbl.create 8 in
   let power_bus = Bus.create () in
   let forward r =
     ignore
       (Bus.subscribe (Psbox_hw.Power_rail.transitions r) (Bus.publish power_bus))
   in
-  List.iter forward rails;
+  List.iter
+    (fun r ->
+      let rl = { e = { w = Psbox_hw.Power_rail.power r; j = 0.0 }; t = now } in
+      Hashtbl.replace rail_ledgers (Psbox_hw.Power_rail.name r) rl;
+      (* [Time.to_sec_f] written out: a float returned from another module
+         comes back boxed *)
+      ignore
+        (Bus.subscribe (Psbox_hw.Power_rail.transitions r)
+           (fun (tr : Psbox_hw.Power_rail.transition) ->
+             let m = ledger.e in
+             m.j <- m.j +. (m.w *. (float_of_int (tr.at - ledger.t) /. 1e9));
+             ledger.t <- tr.at;
+             m.w <- m.w +. tr.after_w -. tr.before_w;
+             let e = rl.e in
+             e.j <- e.j +. (e.w *. (float_of_int (tr.at - rl.t) /. 1e9));
+             rl.t <- tr.at;
+             e.w <- tr.after_w));
+      forward r)
+    rails;
   (* Per-app attribution rails (display/GPS) are created lazily, after the
      machine boots: hot-join them onto the bus as they appear. They carry a
-     share of their physical rail's power, so the ledger below must not
-     count them twice. *)
+     share of their physical rail's power, so no ledger counts them. *)
   (match display with
   | Some d -> Psbox_hw.Display.set_on_app_rail d forward
   | None -> ());
   (match gps with
   | Some g -> Psbox_hw.Gps.set_on_app_rail g forward
   | None -> ());
-  let ledger =
-    {
-      total_w =
-        List.fold_left (fun acc r -> acc +. Psbox_hw.Power_rail.power r) 0.0 rails;
-      settled_t = Sim.now sim;
-      settled_j = 0.0;
-    }
-  in
-  let rail_ledgers = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace rail_ledgers
-        (Psbox_hw.Power_rail.name r)
-        {
-          rl_w = Psbox_hw.Power_rail.power r;
-          rl_t = Sim.now sim;
-          rl_j = 0.0;
-        })
-    rails;
-  ignore
-    (Bus.subscribe power_bus (fun tr ->
-         let open Psbox_hw.Power_rail in
-         (* attribution rails are named "<physical>.app<id>"; physical rail
-            names carry no dot *)
-         if not (String.contains tr.rail_name '.') then begin
-           ledger.settled_j <-
-             ledger.settled_j
-             +. (ledger.total_w *. Time.to_sec_f (tr.at - ledger.settled_t));
-           ledger.settled_t <- tr.at;
-           ledger.total_w <- ledger.total_w +. tr.after_w -. tr.before_w;
-           match Hashtbl.find_opt rail_ledgers tr.rail_name with
-           | Some rl ->
-               rl.rl_j <- rl.rl_j +. (rl.rl_w *. Time.to_sec_f (tr.at - rl.rl_t));
-               rl.rl_t <- tr.at;
-               rl.rl_w <- tr.after_w
-           | None -> ()
-         end));
   let uid_ref = Domain.DLS.get next_uid in
   incr uid_ref;
   let sys =
@@ -293,16 +287,14 @@ let run_for sys span = Sim.run_until sys.sim (Sim.now sys.sim + span)
 let now sys = Sim.now sys.sim
 
 let power_bus sys = sys.power_bus
-let live_power_w sys = sys.ledger.total_w
+let live_power_w sys = sys.ledger.e.w
 
-let live_energy_j sys =
-  sys.ledger.settled_j
-  +. (sys.ledger.total_w *. Time.to_sec_f (Sim.now sys.sim - sys.ledger.settled_t))
+let energy_at l now = l.e.j +. (l.e.w *. Time.to_sec_f (now - l.t))
+let live_energy_j sys = energy_at sys.ledger (Sim.now sys.sim)
 
 let rail_energy_j sys ~name =
   match Hashtbl.find_opt sys.rail_ledgers name with
-  | Some rl ->
-      rl.rl_j +. (rl.rl_w *. Time.to_sec_f (Sim.now sys.sim - rl.rl_t))
+  | Some rl -> energy_at rl (Sim.now sys.sim)
   | None -> invalid_arg ("System.rail_energy_j: unknown rail " ^ name)
 
 let rail_energy_table sys =

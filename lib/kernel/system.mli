@@ -87,21 +87,24 @@ val rails : t -> Psbox_hw.Power_rail.t list
 
 (** {1 Power bus}
 
-    The machine's instrumentation spine: every metered rail forwards its
-    power transitions onto one shared bus, wired up at {!create} (the
-    composition root). Meters, accountants and debugging tools subscribe
-    here instead of polling rail histories. *)
+    The machine's instrumentation spine, wired up at {!create} (the
+    composition root): the energy ledgers subscribe to each physical
+    rail's own transition bus, and every metered rail then forwards its
+    transitions onto one shared bus. Outside observers subscribe there
+    instead of polling rail histories; hot-path consumers, like the
+    ledgers, subscribe to {!Psbox_hw.Power_rail.transitions} directly. *)
 
 val power_bus : t -> Psbox_hw.Power_rail.transition Psbox_engine.Bus.t
 (** The machine-wide power-transition bus. Carries the physical rails plus
     the lazily-created per-app attribution rails of the display and GPS
-    (hot-joined at creation); attribution rails are recognizable by the
-    ["<physical>.app<id>"] naming convention and are excluded from the
-    energy ledger, which would otherwise double-count them. *)
+    (hot-joined at creation). Attribution rails are recognizable by the
+    ["<physical>.app<id>"] naming convention; the joule audit reads them
+    here as share feeds, and no energy ledger counts them, which would
+    double-count their physical rail. *)
 
 val live_power_w : t -> float
-(** Current draw summed over all metered rails, maintained O(1) by a bus
-    subscriber. *)
+(** Current draw summed over all metered rails, maintained O(1) by
+    subscribers on the rails' buses. *)
 
 val live_energy_j : t -> float
 (** Total energy drawn by all metered rails since boot, in joules —

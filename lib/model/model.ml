@@ -773,6 +773,9 @@ module Check = struct
     if windows <= 0 then invalid_arg "Model.Check.run: windows must be positive";
     if Float.is_nan perturb_pct then
       invalid_arg "Model.Check.run: NaN perturb_pct";
+    (* -100 % or less zeroes or flips the sign of every coefficient *)
+    if not (Float.is_finite perturb_pct && perturb_pct > -100.0) then
+      invalid_arg "Model.Check.run: perturb_pct must be finite and > -100";
     let fit_traces = record ~seed:fit_seed ~window ~windows in
     let models =
       List.map

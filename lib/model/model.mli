@@ -227,7 +227,8 @@ module Check : sig
   (** {!record} under [fit_seed], fit per-OPP and linear models,
       optionally perturb them by [perturb_pct], then validate them on the
       windows of a fresh {!record} under [val_seed].
-      @raise Invalid_argument on a NaN [perturb_pct]. *)
+      @raise Invalid_argument on a [perturb_pct] that is NaN, infinite
+      or at most -100. *)
 
   val json : report -> string
   (** Deterministic JSON (fixed field order, fixed precision). *)

@@ -117,40 +117,107 @@ let prop_attribution_bounded =
       && check Split.last_entity
       && check (Split.windowed_by_count ?window:None))
 
-let test_live_split_matches_offline () =
-  (* Drive one scenario through both paths: the offline segment sweep over
-     the recorded usage trace, and the online bus-fed splitter receiving the
-     same share changes as they happen. *)
+(* The live splitter against the offline [usage_split] over the same rail
+   timeline, the reference it is held to. A script interleaves power
+   changes with share changes of up to four apps, some at the same
+   instant; each app's share is piecewise constant, fed to the live
+   splitter as it changes and to the offline split as one usage span per
+   constant piece. *)
+type live_step = Power of float | Share of int * float
+
+let live_matches_offline (steps, tail_ms) =
   let sim = Sim.create () in
   let rail = Psbox_hw.Power_rail.create sim ~name:"dev" ~idle_w:1.0 in
   let lv = Split.live rail ~from:0 in
-  let at t f = ignore (Sim.schedule_at sim t f) in
-  at (Time.sec 1) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:1 0.5);
-  at (Time.ms 1500) (fun () -> Psbox_hw.Power_rail.set_power rail 3.0);
-  at (Time.sec 2) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:2 1.0);
-  at (Time.ms 2500) (fun () -> Psbox_hw.Power_rail.set_power rail 2.0);
-  at (Time.sec 3) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:1 0.0);
-  at (Time.sec 4) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:2 0.0);
-  Sim.run_until sim (Time.sec 5);
-  let usages =
-    [ span 1 (Time.sec 1) (Time.sec 3) 0.5; span 2 (Time.sec 2) (Time.sec 4) 1.0 ]
+  let share = Array.make 5 0.0 and since = Array.make 5 0 in
+  let pieces = ref [] in
+  let close app now =
+    if share.(app) > 0.0 then
+      pieces := span app since.(app) now share.(app) :: !pieces
   in
+  List.iter
+    (fun (gap_ms, step) ->
+      Sim.run_until sim (Sim.now sim + Time.ms gap_ms);
+      let now = Sim.now sim in
+      match step with
+      | Power w -> Psbox_hw.Power_rail.set_power rail w
+      | Share (app, s) ->
+          Split.live_set_share lv ~at:now ~app s;
+          close app now;
+          share.(app) <- s;
+          since.(app) <- now)
+    steps;
+  let until = Sim.now sim + Time.ms tail_ms in
+  for app = 1 to 4 do
+    close app until
+  done;
   let offline =
-    Split.usage_split (Psbox_hw.Power_rail.timeline rail) usages ~from:0
-      ~until:(Time.sec 5)
+    Split.usage_split
+      (Psbox_hw.Power_rail.timeline rail)
+      (List.rev !pieces) ~from:0 ~until
   in
-  let online = Split.live_read lv ~until:(Time.sec 5) in
-  check_int "same apps" (List.length offline) (List.length online);
-  List.iter2
-    (fun (a, e) (a', e') ->
-      check_int "app" a a';
-      check_float 1e-9 (Printf.sprintf "app %d energy" a) e e')
-    offline online;
-  (* the idle [0,1) second is attributed to nobody on both paths *)
-  check_bool "idle unattributed" true
-    (Split.total_attributed online
-    < Psbox_hw.Power_rail.energy_j rail ~from:0 ~until:(Time.sec 5) -. 0.5);
-  Split.live_detach lv
+  let online = Split.live_read lv ~until in
+  Split.live_detach lv;
+  let close_rel e e' =
+    Float.abs (e -. e') <= 1e-9 *. Float.max (Float.abs e) (Float.abs e')
+  in
+  List.length offline = List.length online
+  && List.for_all2
+       (fun (a, e) (a', e') -> a = a' && close_rel e e')
+       offline online
+
+let print_live_script (steps, tail_ms) =
+  String.concat "; "
+    (List.map
+       (fun (gap_ms, step) ->
+         match step with
+         | Power w -> Printf.sprintf "+%dms power %g" gap_ms w
+         | Share (app, s) -> Printf.sprintf "+%dms app%d share %g" gap_ms app s)
+       steps)
+  ^ Printf.sprintf "; +%dms end" tail_ms
+
+let gen_live_script =
+  QCheck.Gen.(
+    pair
+      (list_size (1 -- 40)
+         (pair
+            (frequency [ (1, return 0); (3, 1 -- 500) ])
+            (frequency
+               [
+                 (1, map (fun k -> Power (float_of_int k /. 4.0)) (0 -- 16));
+                 ( 2,
+                   map2
+                     (fun app s -> Share (app, s))
+                     (1 -- 4)
+                     (frequency [ (1, return 0.0); (3, float_range 0.05 2.0) ])
+                 );
+               ])))
+      (1 -- 500))
+
+let prop_live_matches_offline =
+  QCheck.Test.make ~name:"live split matches offline" ~count:200
+    (QCheck.make ~print:print_live_script gen_live_script)
+    live_matches_offline
+
+(* One fixed case, always run: two apps overlapping across two power
+   changes, with an idle first second attributed to nobody. *)
+let test_live_split_matches_offline () =
+  Alcotest.(check bool)
+    "fixed two-app script" true
+    (live_matches_offline
+       ( [
+           (1000, Share (1, 0.5));
+           (500, Power 3.0);
+           (500, Share (2, 1.0));
+           (500, Power 2.0);
+           (500, Share (1, 0.0));
+           (1000, Share (2, 0.0));
+         ],
+         1000 ));
+  match QCheck.Test.check_exn prop_live_matches_offline with
+  | () -> ()
+  | exception QCheck.Test.Test_fail (name, msgs) ->
+      Alcotest.failf "%s: %s" name (String.concat "; " msgs)
 
 let suite =
   [

@@ -228,6 +228,89 @@ let test_pure_observer () =
        (fun (n0, j0) (n1, j1) -> n0 = n1 && bits j0 = bits j1)
        rails0 rails1)
 
+(* The display and the GPS bill apps through their "<physical>.app<id>"
+   attribution rails, whose draws are the apps' shares of the physical
+   rail. *)
+let sum_rows audit ~rail ~app =
+  List.fold_left
+    (fun acc r -> if r.Audit.r_app = app then acc +. r.Audit.r_j else acc)
+    0.0 (Audit.rows audit ~rail)
+
+let check_rel name expected got =
+  Alcotest.(check (float (1e-9 *. Float.abs expected))) name expected got
+
+let check_conserved audit =
+  match Audit.check audit with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "conservation violated: %s" msg
+
+(* An app that has left the GPS idles its attribution rail at the
+   receiver's floor. That is no share: the app that navigates alone
+   afterwards is billed all of the dynamic draw as active, and the early
+   app only its own fix. *)
+let test_gps_departed_app () =
+  let sys = System.phone () in
+  let audit = Audit.attach sys in
+  let a1 = (System.new_app sys ~name:"nav").System.app_id in
+  let a2 = (System.new_app sys ~name:"early").System.app_id in
+  let gps = System.gps sys in
+  System.run_for sys (Time.sec 1);
+  Psbox_hw.Gps.subscribe gps ~app:a2;
+  System.run_for sys (Time.sec 10);
+  Psbox_hw.Gps.unsubscribe gps ~app:a2;
+  Psbox_hw.Gps.subscribe gps ~app:a1;
+  System.run_for sys (Time.sec 60);
+  check_conserved audit;
+  let blame name app expected_j =
+    match Audit.app_blame audit ~app with
+    | [ (Audit.Active, j) ] -> check_rel name expected_j j
+    | b ->
+        Alcotest.failf "%s: expected only active blame, got %s" name
+          (String.concat ", "
+             (List.map
+                (fun (c, j) -> Printf.sprintf "%s=%.6fJ" (Audit.cause_label c) j)
+                b))
+  in
+  (* 8 s acquiring at 0.18 W, then tracking at 0.09 W, above the 0.002 W
+     floor: app 1 52 s of tracking, app 2 2 s *)
+  blame "app 1 alone on the receiver" a1 6.0;
+  blame "app 2 only for its own fix" a2 1.6;
+  System.shutdown sys
+
+(* Two lit surfaces, alone and together: each app's display blame is its
+   attribution rail's energy. *)
+let test_display_blame_matches_app_rails () =
+  let sys = System.phone () in
+  let audit = Audit.attach sys in
+  let a = (System.new_app sys ~name:"video").System.app_id in
+  let b = (System.new_app sys ~name:"chat").System.app_id in
+  let d = System.display sys in
+  let module D = Psbox_hw.Display in
+  D.set_surface d ~app:a ~pixels:1_000_000 ~luminance:0.8;
+  System.run_for sys (Time.sec 2);
+  D.set_surface d ~app:b ~pixels:500_000 ~luminance:0.5;
+  System.run_for sys (Time.sec 3);
+  D.set_surface d ~app:a ~pixels:200_000 ~luminance:1.0;
+  System.run_for sys (Time.sec 1);
+  D.remove_surface d ~app:b;
+  System.run_for sys (Time.sec 2);
+  check_conserved audit;
+  let now = System.now sys in
+  List.iter
+    (fun app ->
+      let rail_j =
+        Psbox_hw.Power_rail.energy_j (D.app_rail d ~app) ~from:0 ~until:now
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "app %d lit the panel" app)
+        true (rail_j > 0.0);
+      check_rel
+        (Printf.sprintf "app %d display blame" app)
+        rail_j
+        (sum_rows audit ~rail:"display" ~app))
+    [ a; b ];
+  System.shutdown sys
+
 let suite =
   [
     Alcotest.test_case "random workloads: per-rail bit-exact conservation"
@@ -237,4 +320,8 @@ let suite =
     Alcotest.test_case "balloon blame insulation + stay_blame" `Quick
       test_balloon_blame_insulation;
     Alcotest.test_case "audit is a pure observer" `Quick test_pure_observer;
+    Alcotest.test_case "no GPS blame after an app leaves" `Quick
+      test_gps_departed_app;
+    Alcotest.test_case "display blame matches the app rails" `Quick
+      test_display_blame_matches_app_rails;
   ]

@@ -337,7 +337,40 @@ let test_drift_entry_points_reject_nan () =
     (fun () -> ignore (Health.Self_heal.run ~drift_threshold_pct:Float.nan ()));
   Alcotest.check_raises "model-check perturbation"
     (Invalid_argument "Model.Check.run: NaN perturb_pct") (fun () ->
-      ignore (Model.Check.run ~perturb_pct:Float.nan ()))
+      ignore (Model.Check.run ~perturb_pct:Float.nan ()));
+  (* the ranges the CLI enforces, at the library entry points: a
+     perturbation of -100 % or less flips the coefficients, a drift
+     threshold of 0 fires on a perfect model, and neither may be
+     infinite *)
+  List.iter
+    (fun x ->
+      Alcotest.check_raises
+        (Printf.sprintf "default_pack threshold %g" x)
+        (Invalid_argument
+           "Health.default_pack: drift_threshold_pct must be finite and > 0")
+        (fun () ->
+          Tm.with_fresh_store (fun () ->
+              let sys = System.create ~cores:1 () in
+              ignore (Health.default_pack ~drift_threshold_pct:x sys)));
+      Alcotest.check_raises
+        (Printf.sprintf "self-heal threshold %g" x)
+        (Invalid_argument
+           "Health.Self_heal.run: drift_threshold_pct must be finite and > 0")
+        (fun () -> ignore (Health.Self_heal.run ~drift_threshold_pct:x ())))
+    [ 0.0; -5.0; Float.infinity ];
+  List.iter
+    (fun x ->
+      Alcotest.check_raises
+        (Printf.sprintf "self-heal perturbation %g" x)
+        (Invalid_argument
+           "Health.Self_heal.run: perturb_pct must be finite and > -100")
+        (fun () -> ignore (Health.Self_heal.run ~perturb_pct:x ()));
+      Alcotest.check_raises
+        (Printf.sprintf "model-check perturbation %g" x)
+        (Invalid_argument
+           "Model.Check.run: perturb_pct must be finite and > -100")
+        (fun () -> ignore (Model.Check.run ~perturb_pct:x ())))
+    [ -100.0; -200.0; Float.infinity; Float.neg_infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* rate_of_change needs real timestamps: run it on the evaluation grid. *)

@@ -25,4 +25,5 @@ let () =
       ("model", Test_model.suite);
       ("health", Test_health.suite);
       ("history", Test_history.suite);
+      ("alloc", Test_alloc.suite);
     ]
