@@ -416,15 +416,12 @@ let () =
     (fun a ->
       match a with
       | "--json" | "--micro-only" -> ()
-      | "--sched=heap" -> Psbox_engine.Sim.set_default_backend `Heap
-      | "--sched=wheel" -> Psbox_engine.Sim.set_default_backend `Wheel
       | "--pool=on" -> Psbox_engine.Sim.set_default_pooling true
       | "--pool=off" -> Psbox_engine.Sim.set_default_pooling false
       | a when a = Sys.argv.(0) -> ()
       | a ->
           Printf.eprintf
-            "unknown flag %s (known: --json --micro-only --sched=heap|wheel \
-             --pool=on|off)\n"
+            "unknown flag %s (known: --json --micro-only --pool=on|off)\n"
             a;
           exit 2)
     argv;

@@ -83,19 +83,6 @@ let audit_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "audit-out" ] ~docv:"FILE" ~doc)
 
-let sched_arg =
-  let backends = [ ("heap", `Heap); ("wheel", `Wheel) ] in
-  let doc =
-    "Event-queue implementation: $(b,wheel) (hierarchical timing wheel, \
-     the default) or $(b,heap) (the reference binary heap). Both realise \
-     the same total event order, so experiment output is byte-identical \
-     under either (the golden outputs of $(b,dune runtest) check it)."
-  in
-  Arg.(
-    value
-    & opt (enum backends) (Psbox_engine.Sim.default_backend ())
-    & info [ "sched" ] ~docv:"SCHED" ~doc)
-
 let pool_arg =
   let modes = [ ("on", true); ("off", false) ] in
   let doc =
@@ -103,8 +90,9 @@ let pool_arg =
      generation-stamped slot records through a free list, so the steady \
      state event loop does not allocate) or $(b,off) (a fresh record per \
      event — the pre-pool baseline for A/B allocation measurements). \
-     Output is byte-identical either way (the golden outputs of \
-     $(b,dune runtest) check it)."
+     The event queue fires the same events in the same order either way, \
+     so output is byte-identical ($(b,dune runtest) diffs $(b,all) under \
+     both against one golden file)."
   in
   Arg.(
     value
@@ -113,12 +101,10 @@ let pool_arg =
 
 (* Evaluated before any command body runs (cmdliner applies term arguments
    left to right), so wrapping a command term in [with_engine] gives it the
-   --sched and --pool flags without threading them through its run
-   function. *)
+   --pool flag without threading it through its run function. *)
 let with_engine t =
   Term.(
-    const (fun () () r -> r)
-    $ (const Psbox_engine.Sim.set_default_backend $ sched_arg)
+    const (fun () r -> r)
     $ (const Psbox_engine.Sim.set_default_pooling $ pool_arg)
     $ t)
 

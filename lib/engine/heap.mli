@@ -1,36 +1,37 @@
-(** A mutable binary min-heap.
+(** The event queue's binary min-heap.
 
-    Used as the backing store of the event queue. Elements are ordered by a
-    user-supplied comparison fixed at creation time. *)
+    Entries are [(time, seq, payload)] triples of ints, ordered by
+    [(time, seq)]: earlier time first, lower [seq] first within an
+    instant. They live in three parallel [int array]s and the order is
+    compared inline, so no operation calls a comparator or allocates,
+    except {!push} when it doubles the arrays. {!Sim} keys each event by
+    its time and scheduling sequence number and carries its pool index
+    as the payload. *)
 
-type 'a t
+type t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] is an empty heap ordered by [cmp]. *)
+val create : unit -> t
+(** An empty heap. *)
 
-val size : 'a t -> int
+val size : t -> int
+(** The number of entries. *)
 
-val is_empty : 'a t -> bool
+val push : t -> time:int -> seq:int -> int -> unit
+(** [push h ~time ~seq d] adds the entry [(time, seq, d)]. [seq] must be
+    unique among the entries, so that the order is total. *)
 
-val push : 'a t -> 'a -> unit
+val top : t -> int
+(** The payload of the least entry, or [-1] if the heap is empty (so a
+    caller that pushes only non-negative payloads needs no {!size} check). *)
 
-val peek : 'a t -> 'a option
-(** [peek h] is the minimum element without removing it. *)
+val drop : t -> unit
+(** Remove the least entry. The heap must not be empty. *)
 
-val pop : 'a t -> 'a option
-(** [pop h] removes and returns the minimum element. *)
+val clear : t -> unit
+(** Remove every entry, keeping the arrays for reuse. *)
 
-val top : 'a t -> 'a
-(** Allocation-free {!peek}: the minimum element. Undefined (may raise or
-    return garbage) on an empty heap — callers must check {!size} first. *)
-
-val drop : 'a t -> unit
-(** Allocation-free {!pop} that discards the minimum element. Must only be
-    called on a non-empty heap. *)
-
-val clear : 'a t -> unit
-
-val filter_in_place : 'a t -> keep:('a -> bool) -> unit
-(** [filter_in_place h ~keep] drops every element for which [keep] is false
-    and restores the heap property, in O(n). Used by the event queue to reap
-    cancelled-event tombstones in bulk. *)
+val filter_in_place : t -> keep:(int -> bool) -> unit
+(** [filter_in_place h ~keep] removes every entry whose payload fails
+    [keep], calling [keep] once per entry in array order, then restores
+    the heap order bottom-up, in O(n). The event queue reaps cancelled
+    events with it. *)

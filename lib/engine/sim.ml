@@ -52,7 +52,7 @@ let count_label l = Tm.incr (Atomic.get label_cells).(l)
 (* Pooled event slots                                                   *)
 
 (* A scheduled event lives in a [slot] record owned by the simulator's
-   pool; the queue backends store slot pointers. The public [handle] is an
+   pool; the queue holds the slot's pool index. The public [handle] is an
    immediate int packing (generation, pool index): when a slot physically
    leaves the queue (fire, head-discard, bulk reap) it is released — its
    generation bumps and its index returns to the free stack — so a stale
@@ -64,26 +64,19 @@ let count_label l = Tm.incr (Atomic.get label_cells).(l)
    as an A/B baseline for the qcheck equivalence property and
    bench/probe.exe). *)
 type slot = {
-  mutable s_time : Time.t;
-  mutable s_seq : int;
+  mutable s_time : Time.t; (* also the queue key; a fire reads it here *)
   mutable s_fn : unit -> unit;
   mutable s_state : state;
   mutable s_label : label;
   s_idx : int;
 }
 
-(* Two interchangeable queue implementations behind one total order: the
-   classic binary heap (O(log n) everywhere, the reference) and the
-   hierarchical timing wheel (O(1) insert, cursor-advance pops). Both yield
-   the exact (time, seq) order, so a run's output is byte-identical under
-   either — enforced by the golden outputs of `dune runtest` (test/golden)
-   and bench/diff.exe. *)
-and queue = QHeap of slot Heap.t | QWheel of slot Wheel.t
-
-and t = {
+(* The queue orders events by (time, seq), seq being the scheduling order,
+   so same-instant events fire FIFO. *)
+type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
-  q : queue;
+  q : Heap.t; (* (time, seq) -> pool index *)
   mutable dead : int; (* cancelled slots still buried in the queue *)
   pool : bool; (* recycle slot records (not just indices)? *)
   mutable slots : slot array; (* idx -> live record (dummy if pool off) *)
@@ -94,17 +87,13 @@ and t = {
   mutable fired_n : int; (* int fired count (trace decimation) *)
   mutable depth_max : int;
   mutable gauges_dirty : bool; (* queue-depth gauges need a flush *)
+  keep : int -> bool; (* the bulk reap's test, built once per simulator *)
 }
 
 let noop () = ()
 
 let dummy_slot =
-  { s_time = 0; s_seq = 0; s_fn = noop; s_state = Fired; s_label = no_label;
-    s_idx = -1 }
-
-let compare_slot a b =
-  let c = compare a.s_time b.s_time in
-  if c <> 0 then c else compare a.s_seq b.s_seq
+  { s_time = 0; s_fn = noop; s_state = Fired; s_label = no_label; s_idx = -1 }
 
 (* Handles pack (generation lsl idx_bits) lor idx. 20 index bits bound the
    pool at ~1M simultaneously-live events; generations take the rest of
@@ -114,14 +103,12 @@ let idx_mask = (1 lsl idx_bits) - 1
 let none = -1
 let is_none h = h < 0
 
-(* The default backend is domain-local: a worker domain (fleet shard)
-   choosing its backend never races with, or leaks into, any other domain.
-   Fresh domains start on the wheel; a CLI --sched choice must be re-applied
-   inside each spawned domain (the fleet pool does). Pooling follows the
-   same pattern for the --pool A/B toggle. *)
-let default_key = Domain.DLS.new_key (fun () -> (`Wheel : backend))
-let set_default_backend b = Domain.DLS.set default_key b
-let default_backend () = Domain.DLS.get default_key
+let default_backend () : backend = `Heap
+
+(* The default pooling mode is domain-local: a worker domain (fleet shard)
+   choosing it never races with, or leaks into, any other domain. Fresh
+   domains start with pooling on; a CLI --pool choice must be re-applied
+   inside each spawned domain (the fleet pool does). *)
 let pooling_key = Domain.DLS.new_key (fun () -> true)
 let set_default_pooling b = Domain.DLS.set pooling_key b
 let default_pooling () = Domain.DLS.get pooling_key
@@ -131,47 +118,57 @@ let default_pooling () = Domain.DLS.get pooling_key
 let retired_key = Domain.DLS.new_key (fun () -> ([] : t list))
 let max_retired = 4
 
-let make ~backend ~pool =
-  let q =
-    match backend with
-    | `Heap -> QHeap (Heap.create ~cmp:compare_slot)
-    | `Wheel ->
-        QWheel
-          (Wheel.create ~dummy:dummy_slot ~cmp:compare_slot
-             ~time:(fun s -> s.s_time) ())
-  in
-  {
-    clock = Time.zero;
-    next_seq = 0;
-    q;
-    dead = 0;
-    pool;
-    slots = [||];
-    gens = [||];
-    free = [||];
-    n_free = 0;
-    hi = 0;
-    fired_n = 0;
-    depth_max = 0;
-    gauges_dirty = false;
-  }
+(* Called exactly once per event, when its slot physically leaves the
+   queue: on fire, on head tombstone discard, and on bulk reap. Bumps the
+   generation (staling every outstanding handle) and returns the index to
+   the free stack. *)
+let release sim s =
+  let idx = s.s_idx in
+  sim.gens.(idx) <- sim.gens.(idx) + 1;
+  s.s_fn <- noop;
+  if not sim.pool then sim.slots.(idx) <- dummy_slot;
+  sim.free.(sim.n_free) <- idx;
+  sim.n_free <- sim.n_free + 1
 
-let create ?backend ?pooling () =
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
+(* The bulk reap's test: keep a pending event, release a tombstone. *)
+let keep_pending sim idx =
+  let s = sim.slots.(idx) in
+  if s.s_state = Pending then true
+  else begin
+    release sim s;
+    false
+  end
+
+let make ~pool =
+  let rec sim =
+    {
+      clock = Time.zero;
+      next_seq = 0;
+      q = Heap.create ();
+      dead = 0;
+      pool;
+      slots = [||];
+      gens = [||];
+      free = [||];
+      n_free = 0;
+      hi = 0;
+      fired_n = 0;
+      depth_max = 0;
+      gauges_dirty = false;
+      keep = (fun idx -> keep_pending sim idx);
+    }
   in
+  sim
+
+let create ?pooling () =
   let pool =
     match pooling with Some p -> p | None -> default_pooling ()
   in
   let retired = Domain.DLS.get retired_key in
   let rec take acc = function
-    | [] -> make ~backend ~pool
+    | [] -> make ~pool
     | sim :: rest ->
-        if
-          sim.pool = pool
-          && (match sim.q with QHeap _ -> `Heap | QWheel _ -> `Wheel)
-             = backend
-        then begin
+        if sim.pool = pool then begin
           Domain.DLS.set retired_key (List.rev_append acc rest);
           sim
         end
@@ -180,12 +177,12 @@ let create ?backend ?pooling () =
   take [] retired
 
 (* Invalidate every outstanding handle, empty the queue, rewind the clock,
-   and hand the carcass (queue storage, slot pool, free stack) to the next
+   and hand the carcass (queue arrays, slot pool, free stack) to the next
    [create] on this domain. Fleet shards retire each device's simulator so
    the per-device warm-up allocations happen once per worker, not once per
    device. *)
 let retire sim =
-  (match sim.q with QHeap q -> Heap.clear q | QWheel w -> Wheel.clear w);
+  Heap.clear sim.q;
   for i = 0 to sim.hi - 1 do
     sim.gens.(i) <- sim.gens.(i) + 1;
     (if sim.pool then
@@ -204,23 +201,6 @@ let retire sim =
   let retired = Domain.DLS.get retired_key in
   if List.length retired < max_retired then
     Domain.DLS.set retired_key (sim :: retired)
-
-let q_push sim s =
-  match sim.q with QHeap q -> Heap.push q s | QWheel w -> Wheel.push w s
-
-let q_size sim =
-  match sim.q with QHeap q -> Heap.size q | QWheel w -> Wheel.size w
-
-let q_top sim =
-  match sim.q with QHeap q -> Heap.top q | QWheel w -> Wheel.top w
-
-let q_drop sim =
-  match sim.q with QHeap q -> Heap.drop q | QWheel w -> Wheel.drop w
-
-let q_filter sim ~keep =
-  match sim.q with
-  | QHeap q -> Heap.filter_in_place q ~keep
-  | QWheel w -> Wheel.filter_in_place w ~keep
 
 let now sim = sim.clock
 
@@ -254,8 +234,8 @@ let alloc_slot sim =
     if sim.pool then sim.slots.(idx)
     else begin
       let s =
-        { s_time = 0; s_seq = 0; s_fn = noop; s_state = Pending;
-          s_label = no_label; s_idx = idx }
+        { s_time = 0; s_fn = noop; s_state = Pending; s_label = no_label;
+          s_idx = idx }
       in
       sim.slots.(idx) <- s;
       s
@@ -266,24 +246,12 @@ let alloc_slot sim =
     let idx = sim.hi in
     sim.hi <- idx + 1;
     let s =
-      { s_time = 0; s_seq = 0; s_fn = noop; s_state = Pending;
-        s_label = no_label; s_idx = idx }
+      { s_time = 0; s_fn = noop; s_state = Pending; s_label = no_label;
+        s_idx = idx }
     in
     sim.slots.(idx) <- s;
     s
   end
-
-(* Called exactly once per event, when its slot physically leaves the
-   queue: on fire, on head tombstone discard, and on bulk reap. Bumps the
-   generation (staling every outstanding handle) and returns the index to
-   the free stack. *)
-let release sim s =
-  let idx = s.s_idx in
-  sim.gens.(idx) <- sim.gens.(idx) + 1;
-  s.s_fn <- noop;
-  if not sim.pool then sim.slots.(idx) <- dummy_slot;
-  sim.free.(sim.n_free) <- idx;
-  sim.n_free <- sim.n_free + 1
 
 let handle_of_slot sim s = (sim.gens.(s.s_idx) lsl idx_bits) lor s.s_idx
 
@@ -306,31 +274,29 @@ let schedule_at sim ?(label = no_label) time fn =
          Time.pp sim.clock);
   let s = alloc_slot sim in
   s.s_time <- time;
-  s.s_seq <- sim.next_seq;
   s.s_fn <- fn;
   s.s_state <- Pending;
   s.s_label <- label;
+  Heap.push sim.q ~time ~seq:sim.next_seq s.s_idx;
   sim.next_seq <- sim.next_seq + 1;
-  q_push sim s;
   Tm.incr m_scheduled;
   handle_of_slot sim s
 
-let schedule_after sim span fn = schedule_at sim (sim.clock + span) fn
+let schedule_after sim span fn =
+  if span < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule_after: span %dns is negative" span);
+  schedule_at sim (sim.clock + span) fn
 
 (* Periodic-timer churn (governor sampling, re-armed demand wakeups) cancels
    events constantly; reap the tombstones in bulk once they outnumber live
    events, so the queue tracks the live population instead of growing with
    churn. *)
 let maybe_reap sim =
-  if sim.dead > 64 && sim.dead * 2 > q_size sim then begin
+  if sim.dead > 64 && sim.dead * 2 > Heap.size sim.q then begin
     Tm.incr m_reap_passes;
     Tm.add m_reaped (float_of_int sim.dead);
-    q_filter sim ~keep:(fun s ->
-        if s.s_state = Pending then true
-        else begin
-          release sim s;
-          false
-        end);
+    Heap.filter_in_place sim.q ~keep:sim.keep;
     sim.dead <- 0
   end
 
@@ -345,22 +311,20 @@ let cancel sim h =
 
 let cancelled sim h = (deref sim h).s_state = Cancelled
 
-(* Advance past tombstones at the head of the queue, releasing each one.
-   Every discarded tombstone goes through the same reap accounting, so a
-   run dominated by either {!run} or {!run_until} still reaps in bulk.
-   Returns whether a live head event exists (allocation-free — no option). *)
-let rec has_live_top sim =
-  q_size sim > 0
-  &&
-  let s = q_top sim in
-  if s.s_state = Cancelled then begin
-    q_drop sim;
+(* The pool index of the earliest live event, or -1 if none is left.
+   Tombstones at the head are dropped and released on the way, through the
+   same reap accounting as a cancel, so a run dominated by either {!run} or
+   {!run_until} still reaps in bulk. *)
+let rec live_top sim =
+  let idx = Heap.top sim.q in
+  if idx >= 0 && sim.slots.(idx).s_state = Cancelled then begin
+    Heap.drop sim.q;
     sim.dead <- sim.dead - 1;
-    release sim s;
+    release sim sim.slots.(idx);
     maybe_reap sim;
-    has_live_top sim
+    live_top sim
   end
-  else true
+  else idx
 
 (* Per-fire bookkeeping: the global fired counter, a dirty flag batching
    the queue-depth gauges (flushed on run exit and every 4096 fires), and
@@ -370,14 +334,14 @@ let rec has_live_top sim =
 let flush_gauges sim =
   if sim.gauges_dirty then begin
     sim.gauges_dirty <- false;
-    Tm.set g_depth (float_of_int (q_size sim));
+    Tm.set g_depth (float_of_int (Heap.size sim.q));
     Tm.set_max g_depth_max (float_of_int sim.depth_max)
   end
 
 let note_fired sim =
   Tm.incr m_fired;
   sim.fired_n <- sim.fired_n + 1;
-  let depth = q_size sim in
+  let depth = Heap.size sim.q in
   if depth > sim.depth_max then sim.depth_max <- depth;
   sim.gauges_dirty <- true;
   if sim.fired_n land 4095 = 0 then begin
@@ -387,14 +351,13 @@ let note_fired sim =
         (float_of_int depth)
   end
 
-(* Fire the head event. The slot is released *before* the callback runs:
-   the queue no longer references it, every outstanding handle is already
-   stale (cancel-during-fire is a no-op by generation mismatch), and the
-   callback may immediately reuse the slot for what it schedules. The
-   fields the fire needs are read out first. *)
-let fire_top sim =
-  let s = q_top sim in
-  q_drop sim;
+(* Fire the head event [s]. The slot is released *before* the callback
+   runs: the queue no longer references it, every outstanding handle is
+   already stale (cancel-during-fire is a no-op by generation mismatch),
+   and the callback may immediately reuse the slot for what it schedules.
+   The fields the fire needs are read out first. *)
+let fire_top sim s =
+  Heap.drop sim.q;
   sim.clock <- s.s_time;
   let fn = s.s_fn in
   let lbl = s.s_label in
@@ -404,29 +367,29 @@ let fire_top sim =
   if lbl >= 0 then count_label lbl;
   fn ()
 
-let run_until sim limit =
-  let rec loop () =
-    if has_live_top sim && (q_top sim).s_time <= limit then begin
-      fire_top sim;
-      loop ()
+(* Fire every live event due at or before [limit], reading the head once
+   per fire. *)
+let rec fire_until sim limit =
+  let idx = live_top sim in
+  if idx >= 0 then begin
+    let s = sim.slots.(idx) in
+    if s.s_time <= limit then begin
+      fire_top sim s;
+      fire_until sim limit
     end
-  in
-  loop ();
+  end
+
+let run_until sim limit =
+  fire_until sim limit;
   flush_gauges sim;
   if limit > sim.clock then sim.clock <- limit
 
 let run sim =
-  let rec loop () =
-    if has_live_top sim then begin
-      fire_top sim;
-      loop ()
-    end
-  in
-  loop ();
+  fire_until sim max_int;
   flush_gauges sim
 
-let pending sim = q_size sim - sim.dead
-let queue_length sim = q_size sim
+let pending sim = Heap.size sim.q - sim.dead
+let queue_length sim = Heap.size sim.q
 
 (* ------------------------------------------------------------------ *)
 (* Periodic events                                                      *)
@@ -445,6 +408,10 @@ let schedule_every sim ?start span fn =
     end
   in
   let first = match start with Some t -> t | None -> sim.clock + span in
+  if first < sim.clock then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule_every: start %dns is before now (%dns)"
+         first sim.clock);
   p.current <- schedule_at sim first fire;
   p
 

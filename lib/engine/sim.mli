@@ -1,11 +1,13 @@
 (** Discrete-event simulator core.
 
-    A simulator owns a virtual clock and an event queue. Events scheduled for
-    the same instant fire in the order they were scheduled (FIFO within an
-    instant), which keeps runs fully deterministic. Cancelled events are
-    tracked exactly ({!pending} reports only live events) and their
-    tombstones are reaped in bulk once they outnumber live events, so
-    periodic-timer churn does not bloat the queue.
+    A simulator owns a virtual clock and an event queue, one binary min-heap
+    ({!Heap}) keyed by [(time, seq)]. Events scheduled for the same instant
+    fire in the order they were scheduled (FIFO within an instant), which
+    keeps runs fully deterministic. Cancelled events are tracked exactly
+    ({!pending} reports only live events) but stay in the queue as
+    tombstones until they reach its head or a bulk reap removes them, once
+    they outnumber live events, so periodic-timer churn does not bloat the
+    queue.
 
     The steady-state schedule/fire cycle is allocation-free: events live in
     pooled slots recycled through a free list, handles are immediate ints
@@ -41,25 +43,17 @@ val none : handle
 val is_none : handle -> bool
 
 type backend = [ `Heap | `Wheel ]
-(** Event-queue implementation: the reference binary heap, or the
-    hierarchical timing wheel ({!Wheel}). Both realise the exact
-    [(time, seq)] total order, so every run is byte-identical under
-    either; the wheel makes insert O(1) and pop cost proportional to the
-    current granule's population. *)
-
-val create : ?backend:backend -> ?pooling:bool -> unit -> t
-(** [create ()] uses the domain's default backend (initially [`Wheel];
-    see {!set_default_backend}) and pooling mode (initially on; see
-    {!set_default_pooling}). Reuses a {!retire}d simulator of the same
-    configuration when one is available on this domain. *)
-
-val set_default_backend : backend -> unit
-(** Set the backend used by subsequent {!create} calls without an explicit
-    [?backend] — the hook for a [--sched heap|wheel] CLI flag. The setting
-    is domain-local: each domain picks its own default (fresh domains start
-    on [`Wheel]), so concurrent fleet shards never race on it. *)
 
 val default_backend : unit -> backend
+(** Always [`Heap]: the queue has one implementation. The type and this
+    value remain only because the benchmark's run manifest
+    ([perfbench/run.ml]) matches both constructors; they go when that
+    manifest drops the field. *)
+
+val create : ?pooling:bool -> unit -> t
+(** [create ()] uses the domain's default pooling mode (initially on; see
+    {!set_default_pooling}). Reuses a {!retire}d simulator of the same
+    pooling mode when one is available on this domain. *)
 
 val set_default_pooling : bool -> unit
 (** Set whether subsequent {!create} calls recycle event-slot records
@@ -67,7 +61,9 @@ val set_default_pooling : bool -> unit
     pooling off every event allocates a fresh record (the pre-pool
     behavior); fire order and experiment output are identical either way
     (a qcheck property and the golden outputs of [dune runtest] prove it).
-    Domain-local, like {!set_default_backend}. *)
+    The setting is domain-local: each domain picks its own default (fresh
+    domains start with pooling on), so concurrent fleet shards never race
+    on it. *)
 
 val default_pooling : unit -> bool
 
@@ -92,7 +88,9 @@ val schedule_at : t -> ?label:label -> Time.t -> (unit -> unit) -> handle
     @raise Invalid_argument if [t] is in the past. *)
 
 val schedule_after : t -> Time.span -> (unit -> unit) -> handle
-(** [schedule_after sim d f] runs [f] after [d] has elapsed. *)
+(** [schedule_after sim d f] runs [f] after [d] has elapsed.
+
+    @raise Invalid_argument if [d] is negative. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a scheduled event. Cancelling an already-fired, already-
@@ -114,7 +112,7 @@ val run : t -> unit
 val retire : t -> unit
 (** Return [sim]'s scratch storage (queue arrays, slot pool) to a small
     domain-local cache for reuse by the next {!create} of the same
-    configuration, invalidating every outstanding handle. The simulator
+    pooling mode, invalidating every outstanding handle. The simulator
     must not be used afterwards. Fleet shards retire each device's
     simulator so per-device warm-up allocation happens once per worker. *)
 
@@ -131,8 +129,10 @@ val queue_length : t -> int
     The common self-rescheduling-timer pattern (scheduler ticks, DVFS
     governor sampling, housekeeping) packaged once: the timer re-arms itself
     {e before} running its body, so events the body schedules for the same
-    future instant keep firing after the tick, and cancellation removes the
-    in-flight event immediately. *)
+    future instant keep firing after the tick, and {!cancel_every} cancels
+    the in-flight occurrence at once: it never fires, and like any cancelled
+    event it leaves a tombstone in the queue until the head or a bulk reap
+    reaches it. *)
 
 type periodic
 (** A recurring event, usable to stop the recurrence. *)
@@ -141,7 +141,8 @@ val schedule_every :
   t -> ?start:Time.t -> Time.span -> (unit -> unit) -> periodic
 (** [schedule_every sim ~start span f] runs [f] at [start] (default: one
     period from now) and every [span] thereafter until {!cancel_every}.
-    @raise Invalid_argument if [span] is not positive. *)
+    @raise Invalid_argument if [span] is not positive or [start] is in the
+    past. *)
 
 val cancel_every : periodic -> unit
 (** Stop the recurrence and cancel the in-flight occurrence. Idempotent. *)

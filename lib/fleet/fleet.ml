@@ -330,13 +330,10 @@ let pool_map ~jobs n f =
             end
           end)
     in
-    (* Fresh domains default to `Wheel with pooling on; propagate the
-       caller's --sched and --pool choices so device event queues behave
-       identically in every shard. *)
-    let backend = Sim.default_backend () in
+    (* Fresh domains default to pooling on; propagate the caller's --pool
+       choice so device event queues behave identically in every shard. *)
     let pooling = Sim.default_pooling () in
     let worker w () =
-      Sim.set_default_backend backend;
       Sim.set_default_pooling pooling;
       let rec go () =
         match take w with

@@ -12,7 +12,7 @@
     {!default_pack} alone decides that a model has drifted.
 
     Determinism contract: evaluations land on the fixed grid
-    [epoch + k*period] riding the simulator's timing wheel, demand-armed
+    [epoch + k*period] riding the simulator's event queue, demand-armed
     like {!Psbox_budget.Budget}'s control tick (an engine with no rules
     schedules nothing). The incident log is a pure function of the run's
     event history — same seed, same bytes — and rule evaluation is a pure

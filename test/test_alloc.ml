@@ -1,8 +1,9 @@
-(* Allocation guard for the power-accounting hot path. A rail transition
-   settles the kernel energy ledger, the joule audit and the live usage
-   splitter; none of them may allocate per transition beyond the fixed
-   margins below. Minor words are deterministic, so the margins are exact
-   counts, not timings. *)
+(* Allocation guards for two hot paths. A rail transition settles the
+   kernel energy ledger, the joule audit and the live usage splitter; none
+   of them may allocate per transition beyond the fixed margins below. And
+   the event loop must run Smp's replan pattern without allocating per
+   tick. Minor words are deterministic, so the margins are exact counts,
+   not timings. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
@@ -73,9 +74,42 @@ let test_transition_words () =
        full_margin)
     true (full_margin <= 28.0)
 
+(* Smp's replan pattern: a tick every 7 us cancels the core's 10 ms
+   timeout and arms it again. The closures are built once, as Smp builds
+   its per-core handlers, so only the queue itself can allocate. A
+   comparator closure or a boxed key per push would cost two or more words
+   per tick. *)
+let replan_warmup = 10_000
+let replan_ticks = 200_000
+
+let test_replan_words () =
+  let sim = Sim.create () in
+  let period = Time.us 7 and timeout = Time.ms 10 in
+  let armed = ref Sim.none in
+  let expire () = () in
+  let rec tick () =
+    Sim.cancel sim !armed;
+    armed := Sim.schedule_after sim timeout expire;
+    ignore (Sim.schedule_after sim period tick : Sim.handle)
+  in
+  ignore (Sim.schedule_after sim period tick : Sim.handle);
+  let ticks n = Sim.run_until sim (Sim.now sim + (n * period)) in
+  ticks replan_warmup;
+  let w0 = Gc.minor_words () and t0 = Sys.time () in
+  ticks replan_ticks;
+  let t1 = Sys.time () and w1 = Gc.minor_words () in
+  let n = float_of_int replan_ticks in
+  let words = (w1 -. w0) /. n in
+  Printf.printf "replan tick: %.3f words, %.1f ns (CPU time, not gated)\n"
+    words ((t1 -. t0) *. 1e9 /. n);
+  Alcotest.(check bool)
+    (Printf.sprintf "a replan tick allocates %.3f <= 0.25 words" words)
+    true (words <= 0.25)
+
 let suite =
   [
     ( "power transitions settle without allocating",
       `Quick,
       test_transition_words );
+    ("event loop replans without allocating", `Quick, test_replan_words);
   ]

@@ -1,5 +1,6 @@
 (* Unit and property tests for the discrete-event engine. *)
 open Psbox_engine
+module Tm = Psbox_telemetry.Metrics
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -18,32 +19,64 @@ let test_time_units () =
 
 (* ---- Heap ---------------------------------------------------------- *)
 
+(* The heap tests key each value by (value, insertion order) and carry its
+   insertion index as the payload; [vals] maps the index back to the
+   value. Popped entries read as (value, insertion index) pairs, so the
+   checks also cover the order within equal values. *)
+type keyed = { h : Heap.t; vals : int array; mutable n : int }
+
+let keyed cap = { h = Heap.create (); vals = Array.make cap 0; n = 0 }
+
+let kpush k x =
+  k.vals.(k.n) <- x;
+  Heap.push k.h ~time:x ~seq:k.n k.n;
+  k.n <- k.n + 1
+
+let kpeek k =
+  let i = Heap.top k.h in
+  if i < 0 then None else Some (k.vals.(i), i)
+
+let kpop k =
+  let top = kpeek k in
+  if top <> None then Heap.drop k.h;
+  top
+
+let kdrain k =
+  let rec go acc =
+    match kpop k with Some e -> go (e :: acc) | None -> List.rev acc
+  in
+  go []
+
+let keyed_of xs =
+  let k = keyed (List.length xs) in
+  List.iter (kpush k) xs;
+  k
+
+let sorted_pairs xs = List.sort compare (List.mapi (fun i x -> (x, i)) xs)
+
 let test_heap_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
-  let out = List.init 10 (fun _ -> Option.get (Heap.pop h)) in
+  let k = keyed_of [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ] in
+  let out = List.init 10 (fun _ -> fst (Option.get (kpop k))) in
   Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] out;
-  check_bool "empty after" true (Heap.is_empty h)
+  check_int "empty after" 0 (Heap.size k.h);
+  check_int "top of empty" (-1) (Heap.top k.h)
 
 let test_heap_interleaved () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  check_int "pop min" 1 (Option.get (Heap.pop h));
-  Heap.push h 0;
-  check_int "peek" 0 (Option.get (Heap.peek h));
-  check_int "size" 2 (Heap.size h)
+  let k = keyed 4 in
+  kpush k 3;
+  kpush k 1;
+  check_int "pop min" 1 (fst (Option.get (kpop k)));
+  kpush k 0;
+  check_int "peek" 0 (fst (Option.get (kpeek k)));
+  check_int "size" 2 (Heap.size k.h);
+  kpush k 0;
+  Alcotest.(check (list (pair int int)))
+    "equal values pop in insertion order" [ (0, 2); (0, 3); (3, 0) ] (kdrain k)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
     QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
+    (fun xs -> kdrain (keyed_of xs) = sorted_pairs xs)
 
 (* ---- Sim ----------------------------------------------------------- *)
 
@@ -84,6 +117,20 @@ let test_sim_past_raises () =
   Sim.run_until sim 100;
   Alcotest.check_raises "past" (Invalid_argument "Sim.schedule_at: 50ns is before now (100ns)")
     (fun () -> ignore (Sim.schedule_at sim 50 (fun () -> ())))
+
+(* Each scheduling call names itself, and prints instants in nanoseconds:
+   at 5 ms a -5 ns span renders as 5.000ms both ways at three decimals. *)
+let test_sim_past_errors_name_caller () =
+  let sim = Sim.create () in
+  Sim.run_until sim (Time.ms 5);
+  Alcotest.check_raises "negative span"
+    (Invalid_argument "Sim.schedule_after: span -5ns is negative") (fun () ->
+      ignore (Sim.schedule_after sim (-5) ignore));
+  Alcotest.check_raises "periodic start in the past"
+    (Invalid_argument
+       "Sim.schedule_every: start 1000000ns is before now (5000000ns)")
+    (fun () -> ignore (Sim.schedule_every sim ~start:(Time.ms 1) 10 ignore));
+  check_int "nothing scheduled" 0 (Sim.queue_length sim)
 
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
@@ -438,27 +485,20 @@ let test_sim_schedule_every_rearms_before_body () =
 (* ---- Heap maintenance ----------------------------------------------- *)
 
 let test_heap_filter_in_place () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 9; 3; 7; 1; 8; 2; 6; 4; 5; 0 ];
-  Heap.filter_in_place h ~keep:(fun x -> x mod 2 = 0);
-  check_int "evens kept" 5 (Heap.size h);
-  let rec drain acc =
-    match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-  in
-  Alcotest.(check (list int)) "still a heap" [ 0; 2; 4; 6; 8 ] (drain [])
+  let k = keyed_of [ 9; 3; 7; 1; 8; 2; 6; 4; 5; 0 ] in
+  Heap.filter_in_place k.h ~keep:(fun i -> k.vals.(i) mod 2 = 0);
+  check_int "evens kept" 5 (Heap.size k.h);
+  Alcotest.(check (list int)) "still a heap" [ 0; 2; 4; 6; 8 ]
+    (List.map fst (kdrain k))
 
 let prop_heap_filter_keeps_order =
   QCheck.Test.make ~name:"filter_in_place preserves heap order" ~count:200
     QCheck.(pair (list int) (int_bound 10))
-    (fun (xs, k) ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let keep x = abs x mod 11 >= k in
-      Heap.filter_in_place h ~keep;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare (List.filter keep xs))
+    (fun (xs, m) ->
+      let k = keyed_of xs in
+      let keep x = abs x mod 11 >= m in
+      Heap.filter_in_place k.h ~keep:(fun i -> keep k.vals.(i));
+      kdrain k = List.filter (fun (x, _) -> keep x) (sorted_pairs xs))
 
 let prop_heap_model =
   (* Random interleaving of pushes and pops, checked against a sorted-list
@@ -466,17 +506,17 @@ let prop_heap_model =
   QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:200
     QCheck.(list (pair bool int))
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
+      let k = keyed (List.length ops) in
       let model = ref [] in
       List.for_all
         (fun (is_push, x) ->
           if is_push then begin
-            Heap.push h x;
-            model := List.sort compare (x :: !model);
-            Heap.size h = List.length !model
+            model := List.sort compare ((x, k.n) :: !model);
+            kpush k x;
+            Heap.size k.h = List.length !model
           end
           else
-            match (Heap.pop h, !model) with
+            match (kpop k, !model) with
             | None, [] -> true
             | Some y, m :: rest ->
                 model := rest;
@@ -580,91 +620,116 @@ let test_timeline_retention () =
     (Float.abs (Timeline.integrate tl (Time.ms 9_100) (Time.sec 10) -. exact_recent)
     < 1e-9)
 
-(* ---- Timing wheel --------------------------------------------------- *)
+(* ---- Sim against a model ---------------------------------------------- *)
 
-(* Walk one element through every layer of a tiny wheel (granule 16 ns,
-   4 slots per level, 2 levels, span 256 ns): ready heap, level-0 slot,
-   level-1 slot (cascades down on reach), overflow list (cascades back in
-   when the wheel runs dry). *)
-let test_wheel_cascade_boundaries () =
-  let w =
-    Wheel.create ~granularity_bits:4 ~wheel_bits:2 ~levels:2 ~dummy:0
-      ~cmp:compare ~time:(fun x -> x) ()
-  in
-  check_int "granule" 16 (Wheel.granule w);
-  check_int "level-0 span" 64 (Wheel.level_span w 0);
-  check_int "wheel span" 256 (Wheel.wheel_span w);
-  List.iter (Wheel.push w) [ 5; 20; 100; 1000 ];
-  check_int "size" 4 (Wheel.size w);
-  check_int "current granule sits in the ready heap" 1 (Wheel.ready_count w);
-  check_int "beyond the top level overflows" 1 (Wheel.overflow_count w);
-  check_int "pop 5" 5 (Option.get (Wheel.pop w));
-  check_int "pop 20" 20 (Option.get (Wheel.pop w));
-  check_int "cursor advanced to 20's granule" 16 (Wheel.cursor w);
-  (* 100 lives in a level-1 slot: popping it forces a cascade to level 0 *)
-  check_int "pop 100 (level-1 cascade)" 100 (Option.get (Wheel.pop w));
-  check_int "cursor at 100's granule" 96 (Wheel.cursor w);
-  (* the wheel is now dry: peeking cascades the overflow list back in *)
-  check_int "peek 1000" 1000 (Option.get (Wheel.peek w));
-  check_int "overflow rehomed" 0 (Wheel.overflow_count w);
-  check_int "cursor jumped to 1000's granule floor" 992 (Wheel.cursor w);
-  check_int "pop 1000" 1000 (Option.get (Wheel.pop w));
-  check_bool "empty after" true (Wheel.is_empty w);
-  (* granule-boundary placement: the last ns of the current granule is
-     ready, the first ns of the next granule is not *)
-  let c = Wheel.cursor w in
-  Wheel.push w (c + 15);
-  Wheel.push w (c + 16);
-  check_int "below cursor+granule is ready" 1 (Wheel.ready_count w);
-  Wheel.clear w;
-  check_bool "clear empties" true (Wheel.is_empty w);
-  check_int "clear rewinds the cursor" 0 (Wheel.cursor w);
-  Alcotest.check_raises "negative time rejected"
-    (Invalid_argument "Wheel.push: negative time") (fun () ->
-      Wheel.push w (-1))
+(* The event loop's own metrics over a fixed script, in a fresh store: 300
+   schedules with interleaved cancels that cross the bulk-reap threshold
+   twice, two partial runs, and tombstones left in the queue at the end.
+   The expected values are those of the timing wheel and of the
+   closure-compared heap that the int-keyed heap replaced. *)
+let test_sim_loop_metrics () =
+  Tm.with_fresh_store (fun () ->
+      let sim = Sim.create () in
+      let h = Array.make 300 Sim.none in
+      for i = 0 to 199 do
+        h.(i) <- Sim.schedule_at sim (Time.us (1 + (i * 37 mod 200))) ignore;
+        if i mod 4 <> 0 then Sim.cancel sim h.(i)
+      done;
+      Sim.run_until sim (Time.us 100);
+      for i = 200 to 299 do
+        h.(i) <- Sim.schedule_after sim (Time.us (i * 13 mod 150)) ignore;
+        if i mod 2 = 0 then Sim.cancel sim h.(i - 1);
+        if i mod 5 = 0 then Sim.cancel sim h.(i - 200)
+      done;
+      Sim.run_until sim (Time.us 180);
+      List.iter
+        (fun (name, want) ->
+          check_float name want
+            (Option.value ~default:nan (Tm.find ("sim." ^ name))))
+        [
+          ("events_scheduled", 300.);
+          ("events_fired", 70.);
+          ("events_cancelled", 201.);
+          ("queue_depth", 54.);
+          ("queue_depth_max", 134.);
+          ("reap_passes", 2.);
+          ("tombstones_reaped", 130.);
+        ];
+      check_int "pending" 29 (Sim.pending sim);
+      check_int "queue_length" 54 (Sim.queue_length sim))
 
-(* Heap and wheel must realise the exact same (time, seq) total order:
-   interpret a random program of schedule/cancel/run_until ops against
-   both backends and require identical fire sequences, firing clocks,
-   observed pending counts, and final clocks. Far-future schedules (the
-   [* 2_000_000] arm) push events past the wheel's 19.5 h horizon, so the
-   overflow cascade is on the tested path. *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"heap and wheel realise the same schedule"
-    ~count:100
-    QCheck.(list (triple (int_bound 3) (int_bound 200_000_000) bool))
+(* The event queue against a reference model: a list of the live
+   (time, seq, id), fired in sorted order. A program mixes schedules (spans
+   up to 200 ms on a 1 ms grid, so same-instant ties are common, and
+   far-future ones up to about 4.6 simulated days), cancels of live and of
+   stale handles (fired, or cancelled before), [run_until] and a final
+   [run]. After every op the fire log (id, time), the clock and the live
+   count must match the model, and [pending] cannot exceed the physical
+   queue length. About two programs in five cross the bulk-reap threshold:
+   four in five of those with 200 or more ops, nine in ten with 250. *)
+let prop_sim_model =
+  QCheck.Test.make ~name:"sim fires like a sorted (time, seq) model" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 15) (int_bound 200)))
     (fun ops ->
-      let trace backend =
-        let sim = Sim.create ~backend () in
-        let log = ref [] in
-        let handles = ref [] in
-        let k = ref 0 in
-        List.iter
-          (fun (op, dt, far) ->
-            match op with
-            | 0 | 3 ->
-                incr k;
-                let id = !k in
-                let dt = if far && op = 0 then dt * 2_000_000 else dt in
-                handles :=
-                  Sim.schedule_after sim dt (fun () ->
-                      log := (id, Sim.now sim) :: !log)
-                  :: !handles
-            | 1 -> (
-                match !handles with
-                | h :: rest when far ->
-                    Sim.cancel sim h;
-                    handles := rest
-                | _ -> ())
-            | _ ->
-                Sim.run_until sim (Sim.now sim + dt);
-                log := (-1, Sim.now sim) :: !log;
-                log := (-2, Sim.pending sim) :: !log)
-          ops;
-        Sim.run sim;
-        (List.rev !log, Sim.now sim, Sim.pending sim)
+      let sim = Sim.create () in
+      let log = ref [] and model_log = ref [] in
+      let live = ref [] and now = ref 0 and seq = ref 0 in
+      let armed = ref [] and stale = ref [] in
+      let schedule id span =
+        let h =
+          Sim.schedule_after sim span (fun () ->
+              log := (id, Sim.now sim) :: !log)
+        in
+        live := (!now + span, !seq, id) :: !live;
+        incr seq;
+        armed := (h, id) :: !armed
       in
-      trace `Heap = trace `Wheel)
+      let cancel (h, id) =
+        Sim.cancel sim h;
+        live := List.filter (fun (_, _, i) -> i <> id) !live
+      in
+      let fire_model limit =
+        let due, rest = List.partition (fun (t, _, _) -> t <= limit) !live in
+        List.iter
+          (fun (t, _, id) ->
+            model_log := (id, t) :: !model_log;
+            now := t)
+          (List.sort compare due);
+        live := rest
+      in
+      let agrees () =
+        !log = !model_log
+        && Sim.now sim = !now
+        && Sim.pending sim = List.length !live
+        && Sim.pending sim <= Sim.queue_length sim
+      in
+      let step id (op, dt) =
+        (match op with
+        | 0 | 1 | 2 | 3 -> schedule id (Time.ms dt)
+        | 4 | 5 | 6 | 7 -> schedule id (Time.ms dt * 2_000_000)
+        | 8 | 9 | 10 | 11 | 12 | 13 -> (
+            match !armed with
+            | e :: rest ->
+                cancel e;
+                armed := rest;
+                stale := e :: !stale
+            | [] -> ())
+        | 14 -> ( match !stale with e :: _ -> cancel e | [] -> ())
+        | _ ->
+            let limit = !now + Time.ms (dt / 10) in
+            Sim.run_until sim limit;
+            fire_model limit;
+            now := limit);
+        agrees ()
+      in
+      let rec go id = function
+        | [] ->
+            Sim.run sim;
+            fire_model max_int;
+            agrees ()
+        | op :: rest -> step id op && go (id + 1) rest
+      in
+      go 0 ops)
 
 (* Slot pooling must be invisible: a pooled sim and a fresh-handles sim
    (pooling off — every event allocates its own record, the pre-pool
@@ -730,6 +795,10 @@ let suite =
     ("sim run_until", `Quick, test_sim_run_until);
     ("sim rejects the past", `Quick, test_sim_past_raises);
     ("sim nested scheduling", `Quick, test_sim_nested_schedule);
+    ( "sim past-time errors name their caller",
+      `Quick,
+      test_sim_past_errors_name_caller );
+    ("sim loop metrics are pinned", `Quick, test_sim_loop_metrics);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng gaussian moments", `Quick, test_rng_gaussian_moments);
@@ -755,7 +824,6 @@ let suite =
     ("sim schedule_every start", `Quick, test_sim_schedule_every_start);
     ("sim schedule_every re-arms first", `Quick, test_sim_schedule_every_rearms_before_body);
     ("heap filter_in_place", `Quick, test_heap_filter_in_place);
-    ("wheel cascade boundaries", `Quick, test_wheel_cascade_boundaries);
     ("timeline energy_at", `Quick, test_timeline_energy_at);
     ("timeline compact", `Quick, test_timeline_compact);
     ("timeline retention", `Quick, test_timeline_retention);
@@ -768,7 +836,7 @@ let suite =
     qcheck prop_timeline_integral_additive;
     qcheck prop_timeline_integral_nonneg;
     qcheck prop_stats_mean_bounds;
-    qcheck prop_backends_agree;
+    qcheck prop_sim_model;
     qcheck prop_pooling_invisible;
     qcheck prop_trace_retention;
   ]
