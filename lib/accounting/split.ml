@@ -121,11 +121,14 @@ let total_attributed result = List.fold_left (fun a (_, e) -> a +. e) 0.0 result
    field of a mixed record would box on every store. *)
 type cell = { mutable v : float }
 
+(* Where an app has no accumulator: never settled, never written. *)
+let no_cell = { v = 0.0 }
+
 type live = {
   cur_w : cell; (* the rail's draw *)
   mutable last_t : Time.t;
   shares : Shares.t; (* every share > 1e-9 *)
-  acc : (int, cell) Hashtbl.t;
+  mutable acc : cell array; (* app -> joules; [no_cell] until settled *)
   mutable lsub : Psbox_engine.Bus.subscription option;
   mutable ssub : Psbox_engine.Bus.subscription option;
       (* share-bus feed, when wired by a live_* constructor *)
@@ -139,13 +142,20 @@ let live_settle lv ~at =
     let total = sh.total.sum in
     if total > 0.0 then
       for i = 0 to sh.len - 1 do
+        let app = sh.apps.(i) in
+        if app >= Array.length lv.acc then begin
+          let a = Array.make (max 8 (2 * app)) no_cell in
+          Array.blit lv.acc 0 a 0 (Array.length lv.acc);
+          lv.acc <- a
+        end;
+        let c = lv.acc.(app) in
         let c =
-          match Hashtbl.find lv.acc sh.apps.(i) with
-          | c -> c
-          | exception Not_found ->
-              let c = { v = 0.0 } in
-              Hashtbl.replace lv.acc sh.apps.(i) c;
-              c
+          if c != no_cell then c
+          else begin
+            let c = { v = 0.0 } in
+            lv.acc.(app) <- c;
+            c
+          end
         in
         c.v <- c.v +. (lv.cur_w.v *. dt *. sh.shares.(i) /. total)
       done;
@@ -160,7 +170,7 @@ let live rail ~from =
       cur_w = { v = Psbox_hw.Power_rail.power rail };
       last_t = from;
       shares = Shares.create ();
-      acc = Hashtbl.create 8;
+      acc = [||];
       lsub = None;
       ssub = None;
     }
@@ -175,14 +185,20 @@ let live rail ~from =
   lv
 
 let live_set_share lv ~at ~app share =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Split.live_set_share: app %d is negative" app);
   if share < 0.0 then invalid_arg "Split.live_set_share: negative share";
   live_settle lv ~at;
   Shares.set lv.shares ~app (if share > 1e-9 then share else 0.0)
 
 let live_read lv ~until =
   live_settle lv ~at:until;
-  Hashtbl.fold (fun app c acc -> (app, c.v) :: acc) lv.acc []
-  |> List.sort compare
+  let r = ref [] in
+  for app = Array.length lv.acc - 1 downto 0 do
+    let c = lv.acc.(app) in
+    if c != no_cell then r := (app, c.v) :: !r
+  done;
+  !r
 
 let live_detach lv =
   (match lv.lsub with

@@ -89,7 +89,8 @@ val live : Psbox_hw.Power_rail.t -> from:Psbox_engine.Time.t -> live
 val live_set_share : live -> at:Psbox_engine.Time.t -> app:int -> float -> unit
 (** Report that [app]'s usage share of the device is [share] from [at]
     onwards; 0 removes the app. Events must be fed in time order.
-    @raise Invalid_argument on negative share or time going backwards. *)
+    @raise Invalid_argument on a negative app or share, or time going
+    backwards. *)
 
 val live_read : live -> until:Psbox_engine.Time.t -> result
 (** Per-app energy attributed from [from] up to [until], sorted by app. *)

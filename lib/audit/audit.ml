@@ -51,6 +51,9 @@ type energy = {
 
 type cell = { mutable j : float }
 
+(* Where a rail has no cell: never credited, never written. *)
+let no_cell = { j = 0.0 }
+
 (* Per-rail attribution state. Within one constant-power segment of the
    rail (between two of its transitions), the classification inputs —
    shares, last active app, DVFS index — may change several times; each
@@ -64,14 +67,19 @@ type rstate = {
   rs_shares : Shares.t;
   mutable rs_last_active : int; (* lingering blame; 0 until anyone runs *)
   mutable rs_dvfs_index : int; (* as of the open sub-interval *)
-  rs_cells : (int, cell) Hashtbl.t; (* [cell_key app rank] -> joules *)
+  mutable rs_cells : cell array;
+      (* [cell_key app rank] -> joules; [no_cell] until first credited *)
   rs_m_rail : Tm.counter;
   rs_audit : t;
       (* the ledger this rail belongs to: the rail's own subscriptions keep
          it alive, since the attach memo holds it only weakly *)
 }
 
-and t = { a_sys : System.t; a_rails : (string, rstate) Hashtbl.t }
+and t = {
+  a_sys : System.t;
+  a_sim : Sim.t; (* the machine's simulator: its store gets the counters *)
+  a_rails : (string, rstate) Hashtbl.t;
+}
 
 (* All five cause counters resolved at load, indexed by rank — no
    lazily-populated shared memo for concurrent devices to race on. *)
@@ -80,14 +88,26 @@ let m_cause =
     (fun c -> Tm.counter ("audit.cause." ^ cause_label c ^ "_j"))
     causes
 
+let cell_at rs key =
+  if key < Array.length rs.rs_cells then rs.rs_cells.(key) else no_cell
+
 (* Credit [j] joules to one cell, then to the rail counter, then to the
-   cause counter: the counters' float sums depend on that order. *)
-let credit rs app rank j =
-  (match Hashtbl.find rs.rs_cells (cell_key app rank) with
-  | c -> c.j <- c.j +. j
-  | exception Not_found -> Hashtbl.add rs.rs_cells (cell_key app rank) { j });
-  Tm.add rs.rs_m_rail j;
-  Tm.add m_cause.(rank) j
+   cause counter, in the simulator's [store]: the counters' float sums
+   depend on that order. *)
+let credit store rs app rank j =
+  let key = cell_key app rank in
+  let c = cell_at rs key in
+  if c != no_cell then c.j <- c.j +. j
+  else begin
+    if key >= Array.length rs.rs_cells then begin
+      let a = Array.make (max 16 (2 * key)) no_cell in
+      Array.blit rs.rs_cells 0 a 0 (Array.length rs.rs_cells);
+      rs.rs_cells <- a
+    end;
+    rs.rs_cells.(key) <- { j }
+  end;
+  Tm.add_in store rs.rs_m_rail j;
+  Tm.add_in store m_cause.(rank) j
 
 (* Bill the open sub-interval: split the rail's draw into an idle floor and
    a dynamic part, and credit the dynamic part first — to the only app,
@@ -105,30 +125,32 @@ let flush rs at =
     if not (w <= 0.0) then begin
       let idle = if e.floor_w > w || w <> w then w else e.floor_w in
       let dyn = w -. idle in
+      let store = Sim.metrics rs.rs_audit.a_sim in
       if not (dyn <= 0.0) then begin
         let sh = rs.rs_shares in
         if sh.len = 0 then
-          credit rs rs.rs_last_active
+          credit store rs rs.rs_last_active
             (cause_rank
                (if rs.rs_dvfs_index > 0 then Dvfs_transition else Lingering))
             (dyn *. dt)
         else if sh.len = 1 then
-          credit rs sh.apps.(0) (cause_rank Active) (dyn *. dt)
+          credit store rs sh.apps.(0) (cause_rank Active) (dyn *. dt)
         else
           for i = sh.len - 1 downto 0 do
-            credit rs sh.apps.(i) (cause_rank Shared_rail)
+            credit store rs sh.apps.(i) (cause_rank Shared_rail)
               (dyn *. (sh.shares.(i) /. sh.total.sum) *. dt)
           done
       end;
-      if idle > 0.0 then credit rs 0 (cause_rank Idle_floor) (idle *. dt)
+      if idle > 0.0 then
+        credit store rs 0 (cause_rank Idle_floor) (idle *. dt)
     end;
     rs.rs_mark <- at
   end
 
 let set_share rs at app share =
   flush rs at;
-  if share > 0.0 then rs.rs_last_active <- app;
-  Shares.set rs.rs_shares ~app share
+  Shares.set rs.rs_shares ~app share;
+  if share > 0.0 then rs.rs_last_active <- app
 
 (* ---- per-domain switchboard ---------------------------------------- *)
 
@@ -167,7 +189,9 @@ let attach sys =
   match lookup sys with
   | Some a -> a
   | None ->
-      let a = { a_sys = sys; a_rails = Hashtbl.create 8 } in
+      let a =
+        { a_sys = sys; a_sim = System.sim sys; a_rails = Hashtbl.create 8 }
+      in
       let now = System.now sys in
       let add rail subsystem dvfs =
         let name = Power_rail.name rail in
@@ -185,7 +209,7 @@ let attach sys =
             rs_shares = Shares.create ();
             rs_last_active = 0;
             rs_dvfs_index = 0;
-            rs_cells = Hashtbl.create 16;
+            rs_cells = [||];
             rs_m_rail = Tm.counter ("audit.rail." ^ name ^ "_j");
             rs_audit = a;
           }
@@ -318,12 +342,13 @@ let rows a ~rail =
   let now = System.now a.a_sys in
   flush rs now;
   let total = total_at rs now in
-  let others =
-    Hashtbl.fold
-      (fun key c acc -> if key = idle_key then acc else (key, c.j) :: acc)
-      rs.rs_cells []
-    |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
-  in
+  (* walked down, so the list comes out in key order *)
+  let others = ref [] in
+  for key = Array.length rs.rs_cells - 1 downto 0 do
+    let c = rs.rs_cells.(key) in
+    if key <> idle_key && c != no_cell then others := (key, c.j) :: !others
+  done;
+  let others = !others in
   let folded = List.fold_left (fun acc (_, j) -> acc +. j) 0.0 others in
   (* The closing idle-floor rows are the exact remainder: folding the rows
      left-to-right then lands on [total] bit-for-bit. One subtraction is
@@ -356,12 +381,7 @@ let residue a ~rail =
       (fun acc r -> if r.r_residual then acc +. r.r_j else acc)
       0.0 rws
   in
-  let acc =
-    match Hashtbl.find_opt rs.rs_cells idle_key with
-    | Some c -> c.j
-    | None -> 0.0
-  in
-  res -. acc
+  res -. (cell_at rs idle_key).j
 
 let app_blame a ~app =
   let tbl = Hashtbl.create 8 in

@@ -78,6 +78,7 @@ let m_overdeclared = Tm.gauge "budget.admission.overdeclared_w"
 
 let sim ctl = System.sim ctl.sys
 let now ctl = Sim.now (sim ctl)
+let store ctl = Sim.metrics (sim ctl)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement: per-app attributed draw, summed over the machine's
@@ -165,12 +166,13 @@ let control_entry ctl e =
   let meas = windowed_mean_w e in
   let cap = effective_cap_of ctl e in
   e.e_history <- (now ctl, meas, cap) :: e.e_history;
-  Tm.set e.e_g_measured meas;
+  Tm.set_in (store ctl) e.e_g_measured meas;
   (* the fleet layer's violation criterion, counted live so SLO burn-rate
      rules can watch it stream *)
   if Float.is_finite cap && meas > cap *. 1.05 then begin
-    Tm.incr m_violations;
-    Tm.incr e.e_c_viol
+    let store = store ctl in
+    Tm.incr_in store m_violations;
+    Tm.incr_in store e.e_c_viol
   end;
   if Tt.recording () then
     Tt.span ~track:budget_track ~lane:e.e_lane ~name:"control"
@@ -199,7 +201,7 @@ let control_entry ctl e =
   else if meas_p < under && t0 < 1.0 then
     e.e_throttle <-
       Float.min 1.0 (t0 *. Float.min 1.1 (cap /. Float.max meas_p 1e-9));
-  Tm.set e.e_g_throttle e.e_throttle;
+  Tm.set_in (store ctl) e.e_g_throttle e.e_throttle;
   if e.e_throttle <> t0 then actuate ctl e
 
 (* The control tick is demand-armed on the fixed grid [epoch + k*period]:
@@ -220,7 +222,7 @@ let rec arm_tick ctl =
 and tick_fired ctl =
   ctl.tick <- Sim.none;
   if not ctl.stopped then begin
-    Tm.incr m_ticks;
+    Tm.incr_in (store ctl) m_ticks;
     Hashtbl.iter (fun _ e -> control_entry ctl e) ctl.entries;
     arm_tick ctl
   end
@@ -284,17 +286,23 @@ let entry ctl app =
             Tm.counter (Printf.sprintf "budget.app%d.violations" app);
         }
       in
-      Tm.set e.e_g_throttle e.e_throttle;
+      Tm.set_in (store ctl) e.e_g_throttle e.e_throttle;
       Hashtbl.replace ctl.entries app e;
       arm_tick ctl;
       e
 
+let check_app fn app =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Budget.%s: app %d is negative" fn app)
+
 let set_cap ctl ~app ~watts =
+  check_app "set_cap" app;
   check_watts "set_cap" "cap" watts;
   let e = entry ctl app in
   e.e_demand <- Cap watts
 
 let set_envelope ctl ~app ~joules ~horizon =
+  check_app "set_envelope" app;
   check_watts "set_envelope" "joules" joules;
   if horizon <= 0 then invalid_arg "Budget.set_envelope: empty horizon";
   let e = entry ctl app in
@@ -372,7 +380,7 @@ let effective_reservation ctl ~app ~declared =
       | Some _ | None -> declared)
 
 let update_overdeclared ctl =
-  Tm.set m_overdeclared
+  Tm.set_in (store ctl) m_overdeclared
     (Hashtbl.fold
        (fun _ (decl, eff) acc -> acc +. (decl -. eff))
        ctl.reserved 0.0)

@@ -114,7 +114,7 @@ let make_binding sys ~app ~virtualize target =
   let sim = System.sim sys in
   (* A balloon ended (for Display and GPS, a stay): count it and draw it. *)
   let closed target t0 =
-    Tm.incr m_balloons;
+    Tm.incr_in (Sim.metrics sim) m_balloons;
     if Tt.recording () then
       Tt.span ~track:psbox_track ~lane:(target_label target) ~name:"balloon"
         ~start:t0 ~stop:(Sim.now sim) ()
@@ -260,7 +260,7 @@ let enter psbox =
       (match Audit.lookup psbox.sys with
       | Some a -> Audit.app_blame a ~app:psbox.p_app
       | None -> []);
-    Tm.incr m_enters;
+    Tm.incr_in (Sim.metrics (System.sim psbox.sys)) m_enters;
     if Tt.recording () then
       Tt.instant ~track:psbox_track
         ~lane:("app" ^ string_of_int psbox.p_app)
@@ -292,7 +292,7 @@ let leave psbox =
               Audit.Idle_floor;
             ]
     | None -> ());
-    Tm.incr m_leaves;
+    Tm.incr_in (Sim.metrics (System.sim psbox.sys)) m_leaves;
     if Tt.recording () then
       Tt.instant ~track:psbox_track
         ~lane:("app" ^ string_of_int psbox.p_app)

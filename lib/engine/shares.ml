@@ -1,47 +1,48 @@
 type total = { mutable sum : float }
 
 type t = {
-  table : (int, float) Hashtbl.t;
+  order : Ordtbl.t; (* the apps holding a share, in Hashtbl order *)
+  mutable by_app : float array; (* app -> share, while in [order] *)
   mutable len : int;
   mutable apps : int array;
   mutable shares : float array;
   total : total;
-  mutable copy : int -> float -> unit;
 }
 
-let append t app s =
-  let n = t.len in
-  if n = Array.length t.apps then begin
-    let grow a fill =
-      let b = Array.make (2 * n) fill in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.apps <- grow t.apps 0;
-    t.shares <- grow t.shares 0.0
-  end;
-  t.apps.(n) <- app;
-  t.shares.(n) <- s;
-  t.len <- n + 1;
-  t.total.sum <- t.total.sum +. s
-
 let create () =
-  let t =
-    {
-      table = Hashtbl.create 8;
-      len = 0;
-      apps = Array.make 4 0;
-      shares = Array.make 4 0.0;
-      total = { sum = 0.0 };
-      copy = (fun _ _ -> ());
-    }
-  in
-  t.copy <- append t;
-  t
+  {
+    order = Ordtbl.create ();
+    by_app = [||];
+    len = 0;
+    apps = Array.make 4 0;
+    shares = Array.make 4 0.0;
+    total = { sum = 0.0 };
+  }
 
 let set t ~app share =
-  if share > 0.0 then Hashtbl.replace t.table app share
-  else Hashtbl.remove t.table app;
-  t.len <- 0;
+  if share > 0.0 then begin
+    Ordtbl.add t.order app;
+    if app >= Array.length t.by_app then begin
+      let a = Array.make (max 8 (2 * app)) 0.0 in
+      Array.blit t.by_app 0 a 0 (Array.length t.by_app);
+      t.by_app <- a
+    end;
+    t.by_app.(app) <- share
+  end
+  else Ordtbl.remove t.order app;
+  let n = Ordtbl.length t.order in
+  if n > Array.length t.apps then begin
+    t.apps <- Array.make (2 * n) 0;
+    t.shares <- Array.make (2 * n) 0.0
+  end;
+  (* re-sum from zero in iteration order, never by the delta, so the sum
+     has the bits a fold over the table would give *)
+  t.len <- n;
   t.total.sum <- 0.0;
-  Hashtbl.iter t.copy t.table
+  for i = 0 to n - 1 do
+    let a = Ordtbl.key t.order i in
+    let s = t.by_app.(a) in
+    t.apps.(i) <- a;
+    t.shares.(i) <- s;
+    t.total.sum <- t.total.sum +. s
+  done

@@ -1,8 +1,9 @@
 module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
 
-(* Event-loop profiling: process-global metrics, handles resolved once at
-   load so the per-event cost is a branch and a float store. *)
+(* Event-loop profiling: process-global handles resolved once at load,
+   updated in the simulator's own store ([t.store]), so the per-event cost
+   is a branch, an array load and a float store. *)
 let m_fired = Tm.counter "sim.events_fired"
 let m_scheduled = Tm.counter "sim.events_scheduled"
 let m_cancelled = Tm.counter "sim.events_cancelled"
@@ -46,7 +47,7 @@ let label name =
           Hashtbl.add label_ids name id;
           id)
 
-let count_label l = Tm.incr (Atomic.get label_cells).(l)
+let count_label store l = Tm.incr_in store (Atomic.get label_cells).(l)
 
 (* ------------------------------------------------------------------ *)
 (* Pooled event slots                                                   *)
@@ -88,6 +89,9 @@ type t = {
   mutable depth_max : int;
   mutable gauges_dirty : bool; (* queue-depth gauges need a flush *)
   keep : int -> bool; (* the bulk reap's test, built once per simulator *)
+  mutable store : Tm.store;
+      (* the metric store current when [create] made or reused this
+         simulator; every update inside its event loop lands here *)
 }
 
 let noop () = ()
@@ -156,6 +160,7 @@ let make ~pool =
       depth_max = 0;
       gauges_dirty = false;
       keep = (fun idx -> keep_pending sim idx);
+      store = Tm.current ();
     }
   in
   sim
@@ -170,6 +175,7 @@ let create ?pooling () =
     | sim :: rest ->
         if sim.pool = pool then begin
           Domain.DLS.set retired_key (List.rev_append acc rest);
+          sim.store <- Tm.current ();
           sim
         end
         else take (sim :: acc) rest
@@ -177,10 +183,10 @@ let create ?pooling () =
   take [] retired
 
 (* Invalidate every outstanding handle, empty the queue, rewind the clock,
-   and hand the carcass (queue arrays, slot pool, free stack) to the next
-   [create] on this domain. Fleet shards retire each device's simulator so
-   the per-device warm-up allocations happen once per worker, not once per
-   device. *)
+   drop the metric store, and hand the carcass (queue arrays, slot pool,
+   free stack) to the next [create] on this domain. Fleet shards retire
+   each device's simulator so the per-device warm-up allocations happen
+   once per worker, not once per device. *)
 let retire sim =
   Heap.clear sim.q;
   for i = 0 to sim.hi - 1 do
@@ -198,11 +204,13 @@ let retire sim =
   sim.fired_n <- 0;
   sim.depth_max <- 0;
   sim.gauges_dirty <- false;
+  sim.store <- Tm.detached;
   let retired = Domain.DLS.get retired_key in
   if List.length retired < max_retired then
     Domain.DLS.set retired_key (sim :: retired)
 
 let now sim = sim.clock
+let metrics sim = sim.store
 
 (* -- pool plumbing -------------------------------------------------- *)
 
@@ -279,7 +287,7 @@ let schedule_at sim ?(label = no_label) time fn =
   s.s_label <- label;
   Heap.push sim.q ~time ~seq:sim.next_seq s.s_idx;
   sim.next_seq <- sim.next_seq + 1;
-  Tm.incr m_scheduled;
+  Tm.incr_in sim.store m_scheduled;
   handle_of_slot sim s
 
 let schedule_after sim span fn =
@@ -294,8 +302,8 @@ let schedule_after sim span fn =
    churn. *)
 let maybe_reap sim =
   if sim.dead > 64 && sim.dead * 2 > Heap.size sim.q then begin
-    Tm.incr m_reap_passes;
-    Tm.add m_reaped (float_of_int sim.dead);
+    Tm.incr_in sim.store m_reap_passes;
+    Tm.add_in sim.store m_reaped (float_of_int sim.dead);
     Heap.filter_in_place sim.q ~keep:sim.keep;
     sim.dead <- 0
   end
@@ -304,7 +312,7 @@ let cancel sim h =
   let s = deref sim h in
   if s.s_state = Pending then begin
     s.s_state <- Cancelled;
-    Tm.incr m_cancelled;
+    Tm.incr_in sim.store m_cancelled;
     sim.dead <- sim.dead + 1;
     maybe_reap sim
   end
@@ -334,12 +342,12 @@ let rec live_top sim =
 let flush_gauges sim =
   if sim.gauges_dirty then begin
     sim.gauges_dirty <- false;
-    Tm.set g_depth (float_of_int (Heap.size sim.q));
-    Tm.set_max g_depth_max (float_of_int sim.depth_max)
+    Tm.set_in sim.store g_depth (float_of_int (Heap.size sim.q));
+    Tm.set_max_in sim.store g_depth_max (float_of_int sim.depth_max)
   end
 
 let note_fired sim =
-  Tm.incr m_fired;
+  Tm.incr_in sim.store m_fired;
   sim.fired_n <- sim.fired_n + 1;
   let depth = Heap.size sim.q in
   if depth > sim.depth_max then sim.depth_max <- depth;
@@ -364,7 +372,7 @@ let fire_top sim s =
   s.s_state <- Fired;
   release sim s;
   note_fired sim;
-  if lbl >= 0 then count_label lbl;
+  if lbl >= 0 then count_label sim.store lbl;
   fn ()
 
 (* Fire every live event due at or before [limit], reading the head once

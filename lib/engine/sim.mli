@@ -16,8 +16,9 @@
     ids backed by pre-resolved counters, and queue-depth gauge updates
     batch behind a dirty flag. See DESIGN.md, "Allocation discipline".
 
-    The event loop feeds the process-global telemetry registry
-    ({!Psbox_telemetry.Metrics}): [sim.events_fired], [sim.events_scheduled],
+    The event loop feeds the telemetry registry
+    ({!Psbox_telemetry.Metrics}), in the store the simulator carries (see
+    {!metrics}): [sim.events_fired], [sim.events_scheduled],
     [sim.events_cancelled], [sim.queue_depth]/[sim.queue_depth_max] and the
     tombstone-reap counters [sim.reap_passes]/[sim.tombstones_reaped].
     Scheduling calls accept an optional [?label] that additionally counts
@@ -53,7 +54,8 @@ val default_backend : unit -> backend
 val create : ?pooling:bool -> unit -> t
 (** [create ()] uses the domain's default pooling mode (initially on; see
     {!set_default_pooling}). Reuses a {!retire}d simulator of the same
-    pooling mode when one is available on this domain. *)
+    pooling mode when one is available on this domain. Either way the
+    simulator captures the current metric store. *)
 
 val set_default_pooling : bool -> unit
 (** Set whether subsequent {!create} calls recycle event-slot records
@@ -69,6 +71,13 @@ val default_pooling : unit -> bool
 
 val now : t -> Time.t
 (** The current simulated time. *)
+
+val metrics : t -> Psbox_telemetry.Metrics.store
+(** The metric store the simulator captured at {!create}
+    ([Metrics.current ()] then): every metric update made inside its event
+    loop, by the simulator or by the subsystems it drives, names this
+    store, so the loop makes no domain-local read per update. After
+    {!retire} it is [Metrics.detached]. *)
 
 type label
 (** An interned event label: an id resolved once via {!label}, counted
@@ -112,9 +121,11 @@ val run : t -> unit
 val retire : t -> unit
 (** Return [sim]'s scratch storage (queue arrays, slot pool) to a small
     domain-local cache for reuse by the next {!create} of the same
-    pooling mode, invalidating every outstanding handle. The simulator
-    must not be used afterwards. Fleet shards retire each device's
-    simulator so per-device warm-up allocation happens once per worker. *)
+    pooling mode, invalidating every outstanding handle and dropping the
+    captured metric store, so a retired simulator neither pins nor writes
+    the store it ran in. The simulator must not be used afterwards. Fleet
+    shards retire each device's simulator so per-device warm-up allocation
+    happens once per worker. *)
 
 val pending : t -> int
 (** Number of live events still scheduled. Cancelled events are excluded,

@@ -277,8 +277,8 @@ let judge lv ~now_s =
 
 (* ---- lifecycle ----------------------------------------------------- *)
 
-let transition lv inc ~now_s name counter =
-  Tm.incr counter;
+let transition t lv inc ~now_s name counter =
+  Tm.incr_in (Sim.metrics t.h_sim) counter;
   if Tt.recording () then
     Tt.instant ~track:health_track ~lane:lv.lv_rule.r_subject ~name
       ~args:[ ("id", float_of_int inc.i_id); ("peak", inc.i_peak) ]
@@ -288,7 +288,7 @@ let dispatch t lv inc =
   List.iter
     (fun (rule, fn) ->
       if rule = lv.lv_rule.r_name then begin
-        Tm.incr m_actions;
+        Tm.incr_in (Sim.metrics t.h_sim) m_actions;
         fn inc
       end)
     t.h_responders
@@ -302,15 +302,15 @@ let maybe_fire t lv ~now_s =
     let inc = Option.get lv.lv_incident in
     lv.lv_phase <- P_firing;
     inc.i_fired_s <- Some now_s;
-    Tm.incr lv.lv_m_fired;
-    transition lv inc ~now_s "firing" m_firing;
+    Tm.incr_in (Sim.metrics t.h_sim) lv.lv_m_fired;
+    transition t lv inc ~now_s "firing" m_firing;
     dispatch t lv inc
   end
 
-let resolve lv ~now_s =
+let resolve t lv ~now_s =
   let inc = Option.get lv.lv_incident in
   inc.i_resolved_s <- Some now_s;
-  transition lv inc ~now_s "resolved" m_resolved;
+  transition t lv inc ~now_s "resolved" m_resolved;
   lv.lv_incident <- None;
   lv.lv_phase <- P_ok;
   lv.lv_streak <- 0
@@ -344,7 +344,7 @@ let eval_rule t lv ~now_s =
         lv.lv_incident <- Some inc;
         lv.lv_phase <- P_pending;
         lv.lv_streak <- 1;
-        transition lv inc ~now_s "pending" m_pending;
+        transition t lv inc ~now_s "pending" m_pending;
         maybe_fire t lv ~now_s
       end
   | P_pending ->
@@ -352,12 +352,12 @@ let eval_rule t lv ~now_s =
         lv.lv_streak <- lv.lv_streak + 1;
         maybe_fire t lv ~now_s
       end
-      else resolve lv ~now_s
-  | P_firing -> if clear then resolve lv ~now_s
+      else resolve t lv ~now_s
+  | P_firing -> if clear then resolve t lv ~now_s
 
 let eval_now t =
   t.h_evals <- t.h_evals + 1;
-  Tm.incr m_evals;
+  Tm.incr_in (Sim.metrics t.h_sim) m_evals;
   let now_s = Time.to_sec_f (Sim.now t.h_sim) in
   List.iter (fun lv -> eval_rule t lv ~now_s) t.h_rules
 

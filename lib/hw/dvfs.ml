@@ -32,7 +32,7 @@ let set_index d i =
   if i <> d.index then begin
     let before = d.index in
     d.index <- i;
-    Tm.incr d.tm_transitions;
+    Tm.incr_in (Sim.metrics d.sim) d.tm_transitions;
     (if Tt.recording () then begin
        let now = Sim.now d.sim in
        let freq = float_of_int d.opps.(i).freq_mhz in

@@ -63,7 +63,7 @@ let create sim dev ?(buffering = Per_process_queues) ?(window = 2)
       in_flight_of = (fun app -> Accel.in_flight_of dev ~app);
       submit =
         (fun cmd ->
-          Tm.incr tm_dispatched;
+          Tm.incr_in (Sim.metrics sim) tm_dispatched;
           Accel.submit dev cmd);
       item_id = (fun cmd -> cmd.Accel.id);
       gate_span =
@@ -103,7 +103,7 @@ let create sim dev ?(buffering = Per_process_queues) ?(window = 2)
       on_done =
         (fun s cmd ->
           let app = cmd.Accel.app in
-          Tm.incr tm_completed;
+          Tm.incr_in (Sim.metrics sim) tm_completed;
           (* guard keeps the lane-string allocation off the untraced path *)
           (if Tt.recording () then
              match (cmd.Accel.started_at, cmd.Accel.finished_at) with

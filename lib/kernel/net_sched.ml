@@ -110,13 +110,14 @@ let create sim nic =
       ~rate_arg:"bytes_per_s" device hooks
   in
   Wifi.set_on_sent nic (fun pkt ->
-      (if pkt.Wifi.dir = `Tx then begin
-         Tm.incr tm_tx;
-         Tm.add tm_tx_bytes (float_of_int pkt.Wifi.bytes)
+      (let store = Sim.metrics sim in
+       if pkt.Wifi.dir = `Tx then begin
+         Tm.incr_in store tm_tx;
+         Tm.add_in store tm_tx_bytes (float_of_int pkt.Wifi.bytes)
        end
        else begin
-         Tm.incr tm_rx;
-         Tm.add tm_rx_bytes (float_of_int pkt.Wifi.bytes)
+         Tm.incr_in store tm_rx;
+         Tm.add_in store tm_rx_bytes (float_of_int pkt.Wifi.bytes)
        end);
       (if Tt.recording () then
          let name = if pkt.Wifi.dir = `Tx then "tx" else "rx" in

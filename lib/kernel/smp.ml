@@ -96,15 +96,18 @@ type t = {
          tie rule of [sched_spans] was defined by *)
   mutable spans_opened : int;
   task_entities : (int, Entity.t) Hashtbl.t; (* tid -> entity when unsandboxed *)
-  apps : (int, Task.t list ref) Hashtbl.t;
+  mutable apps : Task.t list array; (* app -> its tasks, newest first *)
   mutable balloons : balloon list;
   mutable live : balloon option;
   spans : (int * int) Trace.span Trace.events; (* completed, stamped at stop *)
   latencies : (int * float) Trace.events; (* (app, wake-to-run us) *)
   mutable stopped : bool;
   share_bus : Temporal_sched.share_change Bus.t;
-  share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
-  quotas : (int, quota_state) Hashtbl.t;
+  mutable share_counts : int array; (* app -> cores currently running it *)
+  quotas : Ordtbl.t;
+      (* the apps with a quota, walked in the order of the [Hashtbl] this
+         replaced: refills re-plan, and so schedule events, in this order *)
+  mutable quota_of : quota_state option array; (* app -> its quota *)
   mutable quota_epoch : Time.t option;
       (* grid anchor for refill boundaries (epoch + k * quota_period), fixed
          by the first quota ever set so demand-armed refills land on the
@@ -147,15 +150,16 @@ let create sim cpu ?(config = default_config) () =
     span_opened = Array.make n 0;
     spans_opened = 0;
     task_entities = Hashtbl.create 64;
-    apps = Hashtbl.create 16;
+    apps = [||];
     balloons = [];
     live = None;
     spans = Trace.events ?retention ();
     latencies = Trace.events ?retention ();
     stopped = false;
     share_bus = Bus.create ();
-    share_counts = Hashtbl.create 16;
-    quotas = Hashtbl.create 8;
+    share_counts = [||];
+    quotas = Ordtbl.create ();
+    quota_of = [||];
     quota_epoch = None;
     quota_next = Sim.none;
     tm_switch = Tm.counter "smp.ctx_switches";
@@ -178,8 +182,28 @@ let create sim cpu ?(config = default_config) () =
 let cpu smp = smp.cpu
 let cores smp = Array.length smp.rqs
 
+(* The app-indexed arrays grow on demand; app ids are small and dense. *)
+let grown a app fill =
+  let b = Array.make (max 8 (2 * app)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let app_tasks smp ~app =
-  match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
+  if app >= 0 && app < Array.length smp.apps then smp.apps.(app) else []
+
+let find_quota smp app =
+  if app >= 0 && app < Array.length smp.quota_of then smp.quota_of.(app)
+  else None
+
+(* Walk the quotas in table order. The length is re-read on every step,
+   so a walk stays in bounds even if the callback drops a quota. *)
+let iter_quotas smp f =
+  let i = ref 0 in
+  while !i < Ordtbl.length smp.quotas do
+    let app = Ordtbl.key smp.quotas !i in
+    (match smp.quota_of.(app) with Some q -> f app q | None -> ());
+    incr i
+  done
 
 (* By start, then stop; of two spans with equal bounds, the one completed
    later comes first (a stable sort of the newest-first list). *)
@@ -223,22 +247,21 @@ let share_bus smp = smp.share_bus
    every share change must re-aim the app's quota-crossing wakeup. *)
 let quota_share_hook : (t -> int -> unit) ref = ref (fun _ _ -> ())
 
-(* [find_opt] would allocate its [Some] on every share change. *)
 let shares_of smp app =
-  match Hashtbl.find smp.share_counts app with
-  | c -> c
-  | exception Not_found -> 0
+  if app < Array.length smp.share_counts then smp.share_counts.(app) else 0
 
 (* Running-core counts feed the share bus (live attribution): the idle
    tags (-1 / -2) never count, so a balloon-forced-idle core contributes
    no CPU share. Publishing is near-free when nothing subscribes. *)
 let note_share smp app delta =
   if app >= 0 then begin
-    let nw = shares_of smp app + delta in
-    Hashtbl.replace smp.share_counts app nw;
+    if app >= Array.length smp.share_counts then
+      smp.share_counts <- grown smp.share_counts app 0;
+    let nw = smp.share_counts.(app) + delta in
+    smp.share_counts.(app) <- nw;
     Bus.publish smp.share_bus
       { Temporal_sched.at = Sim.now smp.sim; app; share = float_of_int nw };
-    if Hashtbl.mem smp.quotas app then !quota_share_hook smp app
+    if Ordtbl.mem smp.quotas app then !quota_share_hook smp app
   end
 
 let complete_span smp core app now =
@@ -265,8 +288,9 @@ let set_span smp core tag =
           smp.spans_opened <- smp.spans_opened + 1;
           note_share smp b 1
       | None -> ());
-      Tm.incr smp.tm_switch;
-      Tm.incr smp.tm_core_switch.(core);
+      let store = Sim.metrics smp.sim in
+      Tm.incr_in store smp.tm_switch;
+      Tm.incr_in store smp.tm_core_switch.(core);
       smp.span_tag.(core) <- tag
 
 (* ------------------------------------------------------------------ *)
@@ -284,9 +308,7 @@ let cancel_work smp core =
    throttled: balloon groups answer to the psbox coscheduling machinery,
    not to the budget controller. *)
 let throttled_app smp app =
-  match Hashtbl.find_opt smp.quotas app with
-  | Some q -> q.q_throttled
-  | None -> false
+  match find_quota smp app with Some q -> q.q_throttled | None -> false
 
 let entity_throttled smp e =
   match e.Entity.kind with
@@ -310,7 +332,7 @@ let update_curr smp core =
         (match running_task_of e with
         | Some t -> (
             t.Task.remaining <- t.Task.remaining - delta;
-            match Hashtbl.find_opt smp.quotas t.Task.app with
+            match find_quota smp t.Task.app with
             | Some q -> q.q_used <- q.q_used + delta
             | None -> ())
         | None -> ());
@@ -411,12 +433,21 @@ let record_latency smp t =
   if t.Task.last_wake >= 0 then begin
     let lat = Time.to_us_f (Sim.now smp.sim - t.Task.last_wake) in
     Trace.emit smp.latencies (Sim.now smp.sim) (t.Task.app, lat);
-    Tm.observe smp.tm_wake_lat lat;
+    Tm.observe_in (Sim.metrics smp.sim) smp.tm_wake_lat lat;
     t.Task.last_wake <- -1
   end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
+
+(* How many of [tasks] are assigned to [core] and not exited, plus [acc]. *)
+let rec count_assigned core acc = function
+  | [] -> acc
+  | t :: rest ->
+      count_assigned core
+        (if t.Task.core = core && t.Task.state <> Task.Exited then acc + 1
+         else acc)
+        rest
 
 let rec schedule_work smp core t =
   cancel_work smp core;
@@ -441,9 +472,9 @@ and work_fired smp core =
 
 and reap smp t =
   (* Remove an exited task from its app roster and any group. *)
-  (match Hashtbl.find_opt smp.apps t.Task.app with
-  | Some l -> l := List.filter (fun t' -> t'.Task.tid <> t.Task.tid) !l
-  | None -> ());
+  (* [spawn] grew the rosters to cover the task's app *)
+  smp.apps.(t.Task.app) <-
+    List.filter (fun t' -> t'.Task.tid <> t.Task.tid) smp.apps.(t.Task.app);
   (match balloon_of_app smp t.Task.app with
   | Some b ->
       Array.iter
@@ -513,14 +544,11 @@ and pick_next smp core =
    never migrated (their cores are fixed by construction). Migration
    re-bases the vruntime on the destination queue, as CFS does. *)
 and assigned_load smp core =
-  Hashtbl.fold
-    (fun _ roster acc ->
-      List.fold_left
-        (fun acc t ->
-          if t.Task.core = core && t.Task.state <> Task.Exited then acc + 1
-          else acc)
-        acc !roster)
-    smp.apps 0
+  let load = ref 0 in
+  for app = 0 to Array.length smp.apps - 1 do
+    load := count_assigned core !load smp.apps.(app)
+  done;
+  !load
 
 and try_steal smp core =
   match smp.live with
@@ -852,12 +880,12 @@ and plan_fired smp core =
     update_curr smp core;
     match smp.live with
     | Some b when b.b_live ->
-        Tm.incr smp.tm_ev_rotate;
+        Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_rotate;
         inner_rotate smp core;
         (* inner_rotate re-plans through resched/run if it acted *)
         if Sim.is_none smp.plan_events.(core) then replan smp core
     | Some _ | None -> (
-        Tm.incr smp.tm_ev_preempt;
+        Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_preempt;
         let rq = smp.rqs.(core) in
         match (Cfs.curr rq, Cfs.leftmost rq) with
         | Some c, Some l when l.Entity.vruntime < c.Entity.vruntime ->
@@ -935,7 +963,7 @@ and balloon_fired smp =
   if not smp.stopped then
     match smp.live with
     | Some b when b.b_live ->
-        Tm.incr smp.tm_ev_balloon;
+        Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_balloon;
         for i = 0 to cores smp - 1 do
           update_curr smp i
         done;
@@ -973,7 +1001,7 @@ let throttle smp app q =
   Sim.cancel smp.sim q.q_event;
   q.q_event <- Sim.none;
   q.q_throttled <- true;
-  Tm.incr smp.tm_throttles;
+  Tm.incr_in (Sim.metrics smp.sim) smp.tm_throttles;
   if Tt.recording () then
     Tt.instant ~track:cfs_track ~lane:"quota"
       ~name:("throttle " ^ app_label app)
@@ -1010,11 +1038,9 @@ let stop smp =
     Array.iter (fun h -> Sim.cancel smp.sim h) smp.plan_events;
     Array.iter (fun h -> Sim.cancel smp.sim h) smp.work_events;
     cancel_balloon_event smp;
-    Hashtbl.iter
-      (fun _ q ->
+    iter_quotas smp (fun _ q ->
         Sim.cancel smp.sim q.q_event;
-        q.q_event <- Sim.none)
-      smp.quotas;
+        q.q_event <- Sim.none);
     Sim.cancel smp.sim smp.quota_next;
     smp.quota_next <- Sim.none;
     (match smp.live with Some b -> cosched_out smp b | None -> ());
@@ -1098,15 +1124,11 @@ let wake smp t =
 let () = wake_impl := wake
 
 let spawn smp t =
-  let roster =
-    match Hashtbl.find_opt smp.apps t.Task.app with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.add smp.apps t.Task.app l;
-        l
-  in
-  roster := t :: !roster;
+  let app = t.Task.app in
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Smp.spawn: app %d is negative" app);
+  if app >= Array.length smp.apps then smp.apps <- grown smp.apps app [];
+  smp.apps.(app) <- t :: smp.apps.(app);
   t.Task.last_wake <- Sim.now smp.sim;
   let core = t.Task.core in
   let rq = smp.rqs.(core) in
@@ -1144,7 +1166,7 @@ let spawn smp t =
 
 let unthrottle smp app q =
   q.q_throttled <- false;
-  Tm.incr smp.tm_unthrottles;
+  Tm.incr_in (Sim.metrics smp.sim) smp.tm_unthrottles;
   if Tt.recording () then
     Tt.instant ~track:cfs_track ~lane:"quota"
       ~name:("unthrottle " ^ app_label app)
@@ -1166,11 +1188,9 @@ let unthrottle smp app q =
 
 let quota_refill smp () =
   if not smp.stopped then
-    Hashtbl.iter
-      (fun app q ->
+    iter_quotas smp (fun app q ->
         q.q_used <- 0;
         if q.q_throttled then unthrottle smp app q)
-      smp.quotas
 
 (* The app's quota drains at [running-core-count] core-ns per ns, so the
    projected balance pins the enforcement instant exactly; consumed time
@@ -1187,7 +1207,7 @@ let quota_used_now smp app q =
   q.q_used + !extra
 
 let rec replan_quota smp app =
-  match Hashtbl.find_opt smp.quotas app with
+  match find_quota smp app with
   | None -> ()
   | Some q ->
       Sim.cancel smp.sim q.q_event;
@@ -1215,12 +1235,12 @@ let rec replan_quota smp app =
       end
 
 and quota_fired smp app =
-  match Hashtbl.find_opt smp.quotas app with
+  match find_quota smp app with
   | None -> ()
   | Some q ->
       q.q_event <- Sim.none;
       if not smp.stopped then begin
-        Tm.incr smp.tm_ev_quota;
+        Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_quota;
         for core = 0 to cores smp - 1 do
           match running_app smp ~core with
           | Some a when a = app -> update_curr smp core
@@ -1257,15 +1277,14 @@ let rec arm_refill smp =
 and refill_fired smp =
   smp.quota_next <- Sim.none;
   if not smp.stopped then begin
-    Tm.incr smp.tm_ev_refill;
+    Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_refill;
     quota_refill smp ();
-    Hashtbl.iter (fun app _ -> replan_quota smp app) smp.quotas;
-    let active =
-      Hashtbl.fold
-        (fun app _ acc -> acc || shares_of smp app > 0)
-        smp.quotas false
-    in
-    if active then arm_refill smp
+    iter_quotas smp (fun app _ -> replan_quota smp app);
+    let active = ref false in
+    for i = 0 to Ordtbl.length smp.quotas - 1 do
+      if shares_of smp (Ordtbl.key smp.quotas i) > 0 then active := true
+    done;
+    if !active then arm_refill smp
   end
 
 (* The grid starts lazily with the first quota, so an unbudgeted machine
@@ -1283,29 +1302,39 @@ let () =
       arm_refill smp
 
 let set_quota smp ~app limit =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Smp.set_quota: app %d is negative" app);
   match limit with
   | None -> (
-      match Hashtbl.find_opt smp.quotas app with
+      match find_quota smp app with
       | Some q ->
           Sim.cancel smp.sim q.q_event;
           q.q_event <- Sim.none;
           if q.q_throttled then unthrottle smp app q;
-          Hashtbl.remove smp.quotas app
+          Ordtbl.remove smp.quotas app;
+          smp.quota_of.(app) <- None
       | None -> ())
   | Some l ->
       let l = Float.max 0.0 l in
-      (match Hashtbl.find_opt smp.quotas app with
+      (match find_quota smp app with
       | Some q -> q.q_limit <- l
       | None ->
-          Hashtbl.replace smp.quotas app
-            { q_limit = l; q_used = 0; q_throttled = false; q_event = Sim.none });
+          if app >= Array.length smp.quota_of then
+            smp.quota_of <- grown smp.quota_of app None;
+          Ordtbl.add smp.quotas app;
+          smp.quota_of.(app) <-
+            Some
+              {
+                q_limit = l;
+                q_used = 0;
+                q_throttled = false;
+                q_event = Sim.none;
+              });
       ensure_quota_tick smp;
       replan_quota smp app
 
 let quota smp ~app =
-  match Hashtbl.find_opt smp.quotas app with
-  | Some q -> Some q.q_limit
-  | None -> None
+  match find_quota smp app with Some q -> Some q.q_limit | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Sandbox / unsandbox                                                  *)

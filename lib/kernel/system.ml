@@ -1,9 +1,11 @@
 open Psbox_engine
 
+type count = { mutable v : float }
+
 type app = {
   app_id : int;
   app_name : string;
-  counters : (string, float) Hashtbl.t;
+  counters : (string, count) Hashtbl.t;
 }
 
 (* Energy bookkeeping, maintained by bus subscribers: O(1) per power
@@ -270,12 +272,15 @@ let new_app sys ~name =
 let apps sys = List.rev sys.apps
 let app_by_id sys id = List.find_opt (fun a -> a.app_id = id) sys.apps
 
+(* A bump hashes its key once (twice on the key's first bump) and adds to
+   the float-only cell in place. *)
 let bump app key v =
-  let cur = match Hashtbl.find_opt app.counters key with Some x -> x | None -> 0.0 in
-  Hashtbl.replace app.counters key (cur +. v)
+  match Hashtbl.find app.counters key with
+  | c -> c.v <- c.v +. v
+  | exception Not_found -> Hashtbl.add app.counters key { v = 0.0 +. v }
 
 let counter app key =
-  match Hashtbl.find_opt app.counters key with Some x -> x | None -> 0.0
+  match Hashtbl.find app.counters key with c -> c.v | exception Not_found -> 0.0
 
 let start sys =
   if not sys.started then begin

@@ -5,10 +5,13 @@
     {!bbb} — single-core CPU + WiFi module. Arbitrary combinations can be
     assembled with {!create}. *)
 
+type count = { mutable v : float }
+(** A float-only record, so a bump stores its float unboxed. *)
+
 type app = {
   app_id : int;
   app_name : string;
-  counters : (string, float) Hashtbl.t;  (** throughput/work counters *)
+  counters : (string, count) Hashtbl.t;  (** throughput/work counters *)
 }
 
 type t

@@ -175,7 +175,7 @@ let dispatch t app =
   let p = Queue.pop (queue_of t app) in
   let lat = Time.to_us_f (Sim.now t.sim - p.p_enqueued) in
   Trace.emit t.latencies (Sim.now t.sim) (app, lat);
-  Tm.observe t.tm_lat lat;
+  Tm.observe_in (Sim.metrics t.sim) t.tm_lat lat;
   Hashtbl.replace t.callbacks (t.dev.item_id p.p_item) p;
   charge_gate t app p.p_item;
   t.dev.submit p.p_item;
@@ -238,7 +238,7 @@ and arm_gate_pump t =
         t.gate_pump <-
           Sim.schedule_at t.sim at (fun () ->
               t.gate_pump <- Sim.none;
-              Tm.incr t.tm_gate_wakeups;
+              Tm.incr_in (Sim.metrics t.sim) t.tm_gate_wakeups;
               pump t)
       end
 

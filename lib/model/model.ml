@@ -441,6 +441,7 @@ module Estimator = struct
 
   let tick t () =
     let dt = Time.to_sec_f t.e_window in
+    let store = Sim.metrics (System.sim t.e_sys) in
     List.iter
       (fun er ->
         let f = er.er_s.s_read () in
@@ -463,16 +464,16 @@ module Estimator = struct
         in
         t.e_cum_pred_j <- t.e_cum_pred_j +. pred;
         t.e_cum_ledger_j <- t.e_cum_ledger_j +. dj;
-        Tm.set er.er_g_est (pred /. dt);
+        Tm.set_in store er.er_g_est (pred /. dt);
         if dj > 0.0 then begin
           let ape = Float.abs (pred -. dj) /. dj *. 100.0 in
-          Tm.observe er.er_h_resid ape;
+          Tm.observe_in store er.er_h_resid ape;
           er.er_ring.(er.er_ring_i) <- ape;
           er.er_ring_i <- (er.er_ring_i + 1) mod Array.length er.er_ring;
           if er.er_ring_n < Array.length er.er_ring then
             er.er_ring_n <- er.er_ring_n + 1
         end;
-        Tm.set er.er_g_mape (windowed_mape er))
+        Tm.set_in store er.er_g_mape (windowed_mape er))
       t.e_rails
 
   let start sys ~models ?(window = Time.ms 50) () =
@@ -556,7 +557,7 @@ module Estimator = struct
         er.er_ring_i <- 0;
         er.er_ring_n <- 0;
         t.e_swaps <- t.e_swaps + 1;
-        Tm.incr m_swaps;
+        Tm.incr_in (Sim.metrics (System.sim t.e_sys)) m_swaps;
         if Tt.recording () then
           Tt.instant ~track:model_track ~lane:er.er_s.s_rail ~name:"swap"
             ~args:[ ("swaps", float_of_int t.e_swaps) ]

@@ -9,16 +9,17 @@ let fmt_value v =
   else Printf.sprintf "%g" v
 
 module Metrics = struct
-  (* Mutable metric state (cells) lives in a per-domain store; handles are
+  (* Mutable metric state (cells) lives in a store; handles are
      process-global, memoized by name, and carry a dense per-kind index
-     into cell-cache arrays held by the store itself. A hot-path update is
-     one DLS read, one array load and a float store — and because the
-     caches live {e inside} the store, switching stores (a fresh domain,
-     or a {!with_fresh_store} scope) atomically starts from a cold cache
-     with no per-operation validation. The same handle transparently
-     accumulates into whichever store its domain currently owns; that is
-     what lets N concurrent device simulations share instrumented code
-     without ever interleaving their metrics. *)
+     into cell-cache arrays held by the store itself. Each domain owns a
+     current store (a {!with_fresh_store} scope swaps in a fresh one), and
+     a simulator captures the current store when it is created, so an
+     update inside its event loop names its store: one array load and a
+     float store, no domain-local read. Because the caches live {e inside}
+     the store, switching stores starts from a cold cache with no
+     per-operation validation. The same handle accumulates into whichever
+     store it is handed; that is what lets N concurrent device simulations
+     share instrumented code without ever interleaving their metrics. *)
 
   type ccell = { mutable c : float }
   type gcell = { mutable g : float }
@@ -36,12 +37,33 @@ module Metrics = struct
     mutable ccache : ccell option array; (* indexed by counter handle idx *)
     mutable gcache : gcell option array;
     mutable hcache : hcell option array;
+    live : bool; (* false only for [detached] *)
   }
 
   let new_store () =
-    { cells = Hashtbl.create 64; ccache = [||]; gcache = [||]; hcache = [||] }
+    {
+      cells = Hashtbl.create 64;
+      ccache = [||];
+      gcache = [||];
+      hcache = [||];
+      live = true;
+    }
 
   let store_key : store Domain.DLS.key = Domain.DLS.new_key new_store
+  let current () = Domain.DLS.get store_key
+
+  (* The store of a retired simulator: it keeps no cell, so it pins no
+     device's metrics, and any update against it lands in a throwaway
+     cell. Its caches stay empty, so every update takes the slow path,
+     which is where the throwaway is made. *)
+  let detached =
+    {
+      cells = Hashtbl.create 1;
+      ccache = [||];
+      gcache = [||];
+      hcache = [||];
+      live = false;
+    }
 
   type counter = { c_name : string; c_idx : int }
   type gauge = { g_name : string; g_idx : int }
@@ -78,23 +100,25 @@ module Metrics = struct
 
   (* Slow paths: first touch of a handle in a given store. Find (or create)
      the named cell in the store's hashtable and publish it in the store's
-     cache array at the handle's index. *)
+     cache array at the handle's index; [detached] gets a throwaway. *)
   let materialize_c store (h : counter) =
-    let cell =
-      match Hashtbl.find_opt store.cells h.c_name with
-      | Some (CCounter c) -> c
-      | Some _ -> assert false (* kind is fixed by the handle memo *)
-      | None ->
-          let c = { c = 0.0 } in
-          Hashtbl.replace store.cells h.c_name (CCounter c);
-          c
-    in
-    store.ccache <- grown store.ccache h.c_idx;
-    store.ccache.(h.c_idx) <- Some cell;
-    cell
+    if not store.live then { c = 0.0 }
+    else begin
+      let cell =
+        match Hashtbl.find_opt store.cells h.c_name with
+        | Some (CCounter c) -> c
+        | Some _ -> assert false (* kind is fixed by the handle memo *)
+        | None ->
+            let c = { c = 0.0 } in
+            Hashtbl.replace store.cells h.c_name (CCounter c);
+            c
+      in
+      store.ccache <- grown store.ccache h.c_idx;
+      store.ccache.(h.c_idx) <- Some cell;
+      cell
+    end
 
-  let ccell_of (h : counter) =
-    let store = Domain.DLS.get store_key in
+  let[@inline] ccell_in store (h : counter) =
     let cache = store.ccache in
     if h.c_idx < Array.length cache then
       match Array.unsafe_get cache h.c_idx with
@@ -103,21 +127,23 @@ module Metrics = struct
     else materialize_c store h
 
   let materialize_g store (h : gauge) =
-    let cell =
-      match Hashtbl.find_opt store.cells h.g_name with
-      | Some (CGauge g) -> g
-      | Some _ -> assert false
-      | None ->
-          let g = { g = 0.0 } in
-          Hashtbl.replace store.cells h.g_name (CGauge g);
-          g
-    in
-    store.gcache <- grown store.gcache h.g_idx;
-    store.gcache.(h.g_idx) <- Some cell;
-    cell
+    if not store.live then { g = 0.0 }
+    else begin
+      let cell =
+        match Hashtbl.find_opt store.cells h.g_name with
+        | Some (CGauge g) -> g
+        | Some _ -> assert false
+        | None ->
+            let g = { g = 0.0 } in
+            Hashtbl.replace store.cells h.g_name (CGauge g);
+            g
+      in
+      store.gcache <- grown store.gcache h.g_idx;
+      store.gcache.(h.g_idx) <- Some cell;
+      cell
+    end
 
-  let gcell_of (h : gauge) =
-    let store = Domain.DLS.get store_key in
+  let[@inline] gcell_in store (h : gauge) =
     let cache = store.gcache in
     if h.g_idx < Array.length cache then
       match Array.unsafe_get cache h.g_idx with
@@ -125,28 +151,31 @@ module Metrics = struct
       | None -> materialize_g store h
     else materialize_g store h
 
-  let materialize_h store (h : histogram) =
-    let cell =
-      match Hashtbl.find_opt store.cells h.hm_name with
-      | Some (CHist c) -> c
-      | Some _ -> assert false
-      | None ->
-          let c =
-            {
-              h_edges = h.hm_edges;
-              h_counts = Array.make (Array.length h.hm_edges + 1) 0;
-              h_sum = 0.0;
-            }
-          in
-          Hashtbl.replace store.cells h.hm_name (CHist c);
-          c
-    in
-    store.hcache <- grown store.hcache h.hm_idx;
-    store.hcache.(h.hm_idx) <- Some cell;
-    cell
+  let empty_hcell (h : histogram) =
+    {
+      h_edges = h.hm_edges;
+      h_counts = Array.make (Array.length h.hm_edges + 1) 0;
+      h_sum = 0.0;
+    }
 
-  let hcell_of (h : histogram) =
-    let store = Domain.DLS.get store_key in
+  let materialize_h store (h : histogram) =
+    if not store.live then empty_hcell h
+    else begin
+      let cell =
+        match Hashtbl.find_opt store.cells h.hm_name with
+        | Some (CHist c) -> c
+        | Some _ -> assert false
+        | None ->
+            let c = empty_hcell h in
+            Hashtbl.replace store.cells h.hm_name (CHist c);
+            c
+      in
+      store.hcache <- grown store.hcache h.hm_idx;
+      store.hcache.(h.hm_idx) <- Some cell;
+      cell
+    end
+
+  let[@inline] hcell_in store (h : histogram) =
     let cache = store.hcache in
     if h.hm_idx < Array.length cache then
       match Array.unsafe_get cache h.hm_idx with
@@ -168,22 +197,24 @@ module Metrics = struct
     in
     (* materialize in the registering domain so never-touched metrics still
        show up in its snapshots *)
-    ignore (ccell_of h : ccell);
+    ignore (ccell_in (current ()) h : ccell);
     h
 
-  let incr h =
+  let incr_in store h =
     if !on then begin
-      let c = ccell_of h in
+      let c = ccell_in store h in
       c.c <- c.c +. 1.0
     end
 
-  let add h v =
+  let add_in store h v =
     if !on then begin
-      let c = ccell_of h in
+      let c = ccell_in store h in
       c.c <- c.c +. v
     end
 
-  let counter_value h = (ccell_of h).c
+  let incr h = incr_in (current ()) h
+  let add h v = add_in (current ()) h v
+  let counter_value h = (ccell_in (current ()) h).c
 
   let gauge name =
     let h =
@@ -197,22 +228,24 @@ module Metrics = struct
               Hashtbl.replace handles name (HGauge g);
               g)
     in
-    ignore (gcell_of h : gcell);
+    ignore (gcell_in (current ()) h : gcell);
     h
 
-  let set h v =
+  let set_in store h v =
     if !on then begin
-      let g = gcell_of h in
+      let g = gcell_in store h in
       g.g <- v
     end
 
-  let set_max h v =
+  let set_max_in store h v =
     if !on then begin
-      let g = gcell_of h in
+      let g = gcell_in store h in
       if v > g.g then g.g <- v
     end
 
-  let gauge_value h = (gcell_of h).g
+  let set h v = set_in (current ()) h v
+  let set_max h v = set_max_in (current ()) h v
+  let gauge_value h = (gcell_in (current ()) h).g
 
   let histogram name ~edges =
     if Array.length edges = 0 then
@@ -241,12 +274,12 @@ module Metrics = struct
               Hashtbl.replace handles name (HHist h);
               h)
     in
-    ignore (hcell_of h : hcell);
+    ignore (hcell_in (current ()) h : hcell);
     h
 
-  let observe h v =
+  let observe_in store h v =
     if !on then begin
-      let cell = hcell_of h in
+      let cell = hcell_in store h in
       let n = Array.length h.hm_edges in
       let i = ref 0 in
       while !i < n && v > h.hm_edges.(!i) do
@@ -256,7 +289,8 @@ module Metrics = struct
       cell.h_sum <- cell.h_sum +. v
     end
 
-  let bucket_counts h = Array.copy (hcell_of h).h_counts
+  let observe h v = observe_in (current ()) h v
+  let bucket_counts h = Array.copy (hcell_in (current ()) h).h_counts
 
   (* Prometheus-style quantile estimate: find the bucket holding the
      rank, interpolate linearly inside it; observations in the overflow
@@ -288,7 +322,7 @@ module Metrics = struct
     end
 
   let quantile h q =
-    let cell = hcell_of h in
+    let cell = hcell_in (current ()) h in
     quantile_ec h.hm_edges cell.h_counts ~sum:cell.h_sum q
 
   (* ---- mergeable exports ------------------------------------------- *)
@@ -301,7 +335,7 @@ module Metrics = struct
   type export = (string * value) list
 
   let export () =
-    let store = Domain.DLS.get store_key in
+    let store = current () in
     Hashtbl.fold
       (fun name cell acc ->
         let v =
@@ -386,7 +420,7 @@ module Metrics = struct
            | Histogram_v _ -> None)
 
   let find name =
-    let store = Domain.DLS.get store_key in
+    let store = current () in
     match Hashtbl.find_opt store.cells name with
     | Some (CCounter c) -> Some c.c
     | Some (CGauge g) -> Some g.g
@@ -426,7 +460,7 @@ module Metrics = struct
   let dump_string () = Format.asprintf "%a" dump ()
 
   let reset () =
-    let store = Domain.DLS.get store_key in
+    let store = current () in
     Hashtbl.iter
       (fun _ cell ->
         match cell with
@@ -438,7 +472,7 @@ module Metrics = struct
       store.cells
 
   let with_fresh_store f =
-    let prev = Domain.DLS.get store_key in
+    let prev = current () in
     Domain.DLS.set store_key (new_store ());
     Fun.protect ~finally:(fun () -> Domain.DLS.set store_key prev) f
 end

@@ -9,10 +9,11 @@
 
     Two switches control cost:
 
-    - {!set_enabled} (default [true]) gates {e all} recording. Metric updates
-      against pre-resolved handles are a single branch + float store when
-      enabled and a single branch when disabled, so instrumented hot paths
-      stay within noise of uninstrumented ones.
+    - {!set_enabled} (default [true]) gates {e all} recording. A metric
+      update against a pre-resolved handle and a named store (the one its
+      simulator carries, see {!Metrics.store}) is a branch, an array load
+      and a float store when enabled and a single branch when disabled, so
+      instrumented hot paths stay within noise of uninstrumented ones.
     - {!Tracing.start} additionally arms event recording. Until armed (for
       instance by [psbox_sim --trace-out]), {!Tracing.span} and friends are
       a branch and nothing else — no allocation, no buffering. *)
@@ -33,31 +34,58 @@ val set_enabled : bool -> unit
     by a mutex, so registration is safe from any domain): calling
     {!Metrics.counter} twice with the same name returns the same handle, so
     several simulator instances share (and sum into) the same metric. The
-    mutable state behind a handle, however, is {e domain-local}: each
-    domain — and each {!Metrics.with_fresh_store} scope — accumulates into
-    its own store, so concurrent device simulations never interleave
+    mutable state behind a handle, however, lives in a {!Metrics.store}:
+    each domain — and each {!Metrics.with_fresh_store} scope — has its own
+    current store, so concurrent device simulations never interleave
     metrics, and a shard's totals are collected with {!Metrics.export} and
     combined with {!Metrics.merge}. Resolve handles once, at subsystem
-    creation; hot-path updates on a handle are O(1) and allocation-free. *)
+    creation; hot-path updates on a handle are O(1) and allocation-free.
+
+    A simulator captures the current store when it is created
+    ([Psbox_engine.Sim.metrics]), and every update made inside its event
+    loop names that store with the [*_in] functions, so the loop never
+    reads domain-local state per update. The plain updates ({!Metrics.incr}
+    and friends) write the current store, one domain-local read each. *)
 module Metrics : sig
   type counter
   type gauge
   type histogram
 
+  type store
+  (** Where the values behind the handles accumulate. A cell appears in a
+      store the first time a handle touches it there (an update, a read, or
+      the registration itself), so a family that a device never touches is
+      absent from that device's {!export}. *)
+
+  val current : unit -> store
+  (** The current domain's store: the one {!with_fresh_store} swaps. *)
+
+  val detached : store
+  (** A store that keeps nothing: an update against it is dropped. A
+      retired simulator holds it in place of the store it ran in. *)
+
   val counter : string -> counter
   (** Find or create. @raise Invalid_argument if [name] is already
       registered as a different kind of metric. *)
 
+  val incr_in : store -> counter -> unit
+  val add_in : store -> counter -> float -> unit
+
   val incr : counter -> unit
+  (** [incr h] is [incr_in (current ()) h]; likewise {!add}, {!set},
+      {!set_max} and {!observe}. *)
+
   val add : counter -> float -> unit
   val counter_value : counter -> float
 
   val gauge : string -> gauge
-  val set : gauge -> float -> unit
+  val set_in : store -> gauge -> float -> unit
 
-  val set_max : gauge -> float -> unit
+  val set_max_in : store -> gauge -> float -> unit
   (** Keep the running maximum of the observed values. *)
 
+  val set : gauge -> float -> unit
+  val set_max : gauge -> float -> unit
   val gauge_value : gauge -> float
 
   val histogram : string -> edges:float array -> histogram
@@ -66,6 +94,7 @@ module Metrics : sig
       [+inf] overflow bucket. @raise Invalid_argument on empty or
       non-increasing edges, or if [name] exists with different edges. *)
 
+  val observe_in : store -> histogram -> float -> unit
   val observe : histogram -> float -> unit
 
   val bucket_counts : histogram -> int array

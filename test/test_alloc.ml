@@ -1,9 +1,11 @@
-(* Allocation guards for two hot paths. A rail transition settles the
+(* Allocation guards for three hot paths. A rail transition settles the
    kernel energy ledger, the joule audit and the live usage splitter; none
-   of them may allocate per transition beyond the fixed margins below. And
-   the event loop must run Smp's replan pattern without allocating per
-   tick. Minor words are deterministic, so the margins are exact counts,
-   not timings. *)
+   of them may allocate per transition beyond the fixed margins below. The
+   event loop must run Smp's replan pattern without allocating per tick.
+   And a context switch, which publishes a share change that the audit,
+   the budget's splitter and the quota planner all settle, must stay under
+   a ceiling of minor words. Minor words are deterministic, so the margins
+   are exact counts, not timings. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
@@ -11,6 +13,9 @@ module Temporal_sched = Psbox_kernel.Temporal_sched
 module Audit = Psbox_audit.Audit
 module Split = Psbox_accounting.Split
 module Power_rail = Psbox_hw.Power_rail
+module Budget = Psbox_budget.Budget
+module W = Psbox_workloads.Workload
+module Tm = Psbox_telemetry.Metrics
 
 let warmup = 1_000
 let transitions = 20_000
@@ -106,10 +111,62 @@ let test_replan_words () =
     (Printf.sprintf "a replan tick allocates %.3f <= 0.25 words" words)
     true (words <= 0.25)
 
+(* The switch path under every observer: a 2-core machine with the audit
+   attached and three apps, a (1 ms bursts) and c (3 ms) on core 0 and b
+   (2 ms) on core 1, each sleeping 300 us between bursts, with a 0.4 W
+   budget cap on a. Every switch publishes a share change that the audit,
+   the budget's CPU splitter and a's quota planner settle. The words per
+   switch are the whole machine's: the workload scripts, CFS and the
+   events count too. The ceiling is this scenario's reading rounded up to
+   half a word; a change that lowers the reading lowers the ceiling. *)
+let switch_words_ceiling = 59.5
+
+let test_switch_words () =
+  Tm.with_fresh_store (fun () ->
+      let sys = System.create ~cores:2 () in
+      ignore (Audit.attach sys : Audit.t);
+      let app name ~core ~burst =
+        let a = System.new_app sys ~name in
+        ignore
+          (W.spawn sys ~app:a ~name ~core
+             (W.forever (fun () -> [ W.Compute burst; W.Sleep (Time.us 300) ]))
+            : Psbox_kernel.Task.t);
+        a
+      in
+      let a = app "a" ~core:0 ~burst:(Time.ms 1) in
+      ignore (app "b" ~core:1 ~burst:(Time.ms 2) : System.app);
+      ignore (app "c" ~core:0 ~burst:(Time.ms 3) : System.app);
+      let ctl = Budget.create sys () in
+      Budget.set_cap ctl ~app:a.System.app_id ~watts:0.4;
+      System.start sys;
+      System.run_for sys (Time.sec 2);
+      let switches () =
+        Option.value ~default:0.0 (Tm.find "smp.ctx_switches")
+      in
+      let s0 = switches () in
+      let w0 = Gc.minor_words () and t0 = Sys.time () in
+      System.run_for sys (Time.sec 60);
+      let t1 = Sys.time () and w1 = Gc.minor_words () in
+      let n = switches () -. s0 in
+      let words = (w1 -. w0) /. n in
+      Printf.printf
+        "context switch: %.0f switches, %.2f words, %.0f ns (CPU time, not \
+         gated)\n"
+        n words ((t1 -. t0) *. 1e9 /. n);
+      Budget.stop ctl;
+      Alcotest.(check bool)
+        (Printf.sprintf "a context switch allocates %.2f <= %.1f words" words
+           switch_words_ceiling)
+        true
+        (words <= switch_words_ceiling))
+
 let suite =
   [
     ( "power transitions settle without allocating",
       `Quick,
       test_transition_words );
     ("event loop replans without allocating", `Quick, test_replan_words);
+    ( "a context switch stays under its word ceiling",
+      `Quick,
+      test_switch_words );
   ]

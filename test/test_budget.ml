@@ -328,9 +328,40 @@ let test_live_cpu_attribution_total () =
   Split.live_detach lv;
   System.shutdown sys
 
+(* An app id is an index into the controllers' per-app arrays; a negative
+   one is refused by name, before the budget loop arms or a splitter bills
+   the rail to an app that can never run. *)
+let test_negative_app_rejected () =
+  let sys = System.create ~cores:2 () in
+  let smp = System.smp sys in
+  let lv = Split.live_cpu smp ~from:(System.now sys) in
+  let ctl = Budget.create sys () in
+  let rejects name f =
+    Alcotest.check_raises name
+      (Invalid_argument (name ^ ": app -1 is negative"))
+      f
+  in
+  rejects "Smp.set_quota" (fun () -> Smp.set_quota smp ~app:(-1) (Some 0.5));
+  rejects "Split.live_set_share" (fun () ->
+      Split.live_set_share lv ~at:(System.now sys) ~app:(-1) 1.0);
+  rejects "Budget.set_cap" (fun () ->
+      Budget.set_cap ctl ~app:(-1) ~watts:0.4);
+  rejects "Budget.set_envelope" (fun () ->
+      Budget.set_envelope ctl ~app:(-1) ~joules:1.0 ~horizon:(Time.sec 1));
+  System.start sys;
+  System.run_for sys (Time.sec 1);
+  check_int "no budget tick for a refused app" 0
+    (List.length (Budget.history ctl ~app:(-1)));
+  check_bool "nothing billed to app -1" true
+    (not (List.mem_assoc (-1) (Split.live_read lv ~until:(System.now sys))));
+  Budget.stop ctl;
+  Split.live_detach lv
+
 let suite =
   [
     Alcotest.test_case "quota caps a solo app" `Quick test_quota_caps_solo_app;
+    Alcotest.test_case "negative app ids rejected" `Quick
+      test_negative_app_rejected;
     Alcotest.test_case "cap converges within 10%" `Quick test_cap_converges;
     Alcotest.test_case "cap below idle floor degrades gracefully" `Quick
       test_cap_below_idle_floor;

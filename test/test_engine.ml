@@ -783,6 +783,60 @@ let prop_pooling_invisible =
       in
       trace true = trace false)
 
+(* ---- Shares against the Hashtbl it replaced ---------------------------- *)
+
+(* A random script of share changes on app ids 0-80: a positive share sets
+   the app, zero, a negative share or NaN removes it. Long enough, and
+   biased towards setting, so that more than 32 apps are live at once and
+   the emulated bucket count doubles. After every change, [Shares] must
+   hold the reference table's apps in its iteration order, with its shares,
+   and a running sum with the bits of a fold from 0 in that order. *)
+let share_script =
+  let open QCheck.Gen in
+  let share =
+    frequency
+      [
+        (6, float_range 0.001 8.0);
+        (1, map float_of_int (int_range 1 3));
+        (2, return 0.0);
+        (1, return (-1.0));
+        (1, return Float.nan);
+      ]
+  in
+  list_size (int_range 1 400) (pair (int_range 0 80) share)
+
+let prop_shares_iterate_like_hashtbl =
+  QCheck.Test.make ~name:"Shares iterates, shares and sums like a Hashtbl"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (fun (app, s) -> Printf.sprintf "%d:%g" app s) ops))
+       share_script)
+    (fun ops ->
+      let sh = Shares.create () in
+      let tbl : (int, float) Hashtbl.t = Hashtbl.create 8 in
+      List.for_all
+        (fun (app, share) ->
+          Shares.set sh ~app share;
+          if share > 0.0 then Hashtbl.replace tbl app share
+          else Hashtbl.remove tbl app;
+          let entries = ref [] and sum = ref 0.0 in
+          Hashtbl.iter
+            (fun a s ->
+              entries := (a, s) :: !entries;
+              sum := !sum +. s)
+            tbl;
+          let got =
+            List.init sh.Shares.len (fun i ->
+                (sh.Shares.apps.(i), sh.Shares.shares.(i)))
+          in
+          got = List.rev !entries
+          && Int64.equal
+               (Int64.bits_of_float sh.Shares.total.sum)
+               (Int64.bits_of_float !sum))
+        ops)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -830,6 +884,7 @@ let suite =
     qcheck prop_heap_sorts;
     qcheck prop_heap_filter_keeps_order;
     qcheck prop_heap_model;
+    qcheck prop_shares_iterate_like_hashtbl;
     qcheck prop_timeline_matches_naive;
     qcheck prop_rng_int_bounds;
     qcheck prop_rng_float_bounds;

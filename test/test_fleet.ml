@@ -172,6 +172,84 @@ let test_two_domains_do_not_interleave () =
   Alcotest.(check (float 1e-9)) "domain 2 sees only its own" 777.0 v2
 
 (* ------------------------------------------------------------------ *)
+(* Each simulator carries the store it was created in *)
+
+module System = Psbox_kernel.System
+module Sim = Psbox_engine.Sim
+module Time = Psbox_engine.Time
+module W = Psbox_workloads.Workload
+
+let check_export msg want got =
+  Alcotest.(check (list (pair string string)))
+    msg (Tm.export_rows want) (Tm.export_rows got);
+  Alcotest.(check bool) (msg ^ ", bit for bit") true (want = got)
+
+(* A retired simulator is reused by the next device on the domain: the
+   second device's counts must land in its own store, exactly as when it
+   runs alone on a fresh domain. *)
+let test_reused_simulator_keeps_its_store () =
+  let run idx =
+    Fleet.run_device ~health:true ~scenario:"budget" ~fleet_seed:42 idx
+  in
+  ignore (run 0 : Fleet.device);
+  let after_0 = run 1 in
+  let alone = Domain.join (Domain.spawn (fun () -> run 1)) in
+  check_export "device 1 after device 0 = device 1 alone"
+    alone.Fleet.d_metrics after_0.Fleet.d_metrics
+
+(* Two apps on a 2-core machine with the joule audit and a budget cap:
+   Smp, the audit, the splitters, DVFS and the budget loop all count. *)
+let run_capped_machine () =
+  let sys = System.create ~cores:2 () in
+  ignore (Psbox_audit.Audit.attach sys : Psbox_audit.Audit.t);
+  let spin app core ms =
+    ignore
+      (W.spawn sys ~app ~name:"spin" ~core
+         (W.forever (fun () ->
+              [
+                W.Compute (Time.ms ms);
+                W.Sleep (Time.us 300);
+                W.Count ("units", 1.0);
+              ]))
+        : Psbox_kernel.Task.t)
+  in
+  let a = System.new_app sys ~name:"a" and b = System.new_app sys ~name:"b" in
+  spin a 0 1;
+  spin b 1 2;
+  let ctl = Psbox_budget.Budget.create sys () in
+  Psbox_budget.Budget.set_cap ctl ~app:a.System.app_id ~watts:0.4;
+  System.start sys;
+  System.run_for sys (Time.ms 500);
+  Psbox_budget.Budget.stop ctl;
+  System.shutdown sys
+
+let test_fresh_store_machine_leaves_outer () =
+  (* the machine below reuses a simulator retired in this store *)
+  let sim = Sim.create () in
+  Sim.retire sim;
+  Alcotest.(check bool)
+    "a retired simulator drops its store" true
+    (Sim.metrics sim == Tm.detached);
+  let before = Tm.export () in
+  Tm.with_fresh_store (fun () ->
+      run_capped_machine ();
+      Alcotest.(check bool)
+        "the machine counted in the fresh store" true
+        (Option.value ~default:0.0 (Tm.find "smp.ctx_switches") > 0.0));
+  check_export "outer store unchanged" before (Tm.export ())
+
+let test_disabled_run_counts_nothing () =
+  Tm.with_fresh_store (fun () ->
+      (* a first run materializes every family the machine touches *)
+      run_capped_machine ();
+      let before = Tm.export () in
+      Psbox_telemetry.set_enabled false;
+      Fun.protect
+        ~finally:(fun () -> Psbox_telemetry.set_enabled true)
+        run_capped_machine;
+      check_export "no counter moved while disabled" before (Tm.export ()))
+
+(* ------------------------------------------------------------------ *)
 (* Fleet byte-determinism *)
 
 let device_bytes d = Format.asprintf "%a" Fleet.pp_device d
@@ -276,4 +354,10 @@ let suite =
     Alcotest.test_case "device isolation across fleet sizes" `Quick
       test_device_runs_in_any_order;
     Alcotest.test_case "summary shape" `Quick test_summary_shape;
+    Alcotest.test_case "a reused simulator keeps its device's store" `Quick
+      test_reused_simulator_keeps_its_store;
+    Alcotest.test_case "a machine in a fresh store leaves the outer one"
+      `Quick test_fresh_store_machine_leaves_outer;
+    Alcotest.test_case "a disabled run changes no counter" `Quick
+      test_disabled_run_counts_nothing;
   ]

@@ -52,6 +52,52 @@ let prop_dtw_nonneg =
     (fun (a, b) ->
       Dtw.distance (Array.of_list a) (Array.of_list b) >= 0.0)
 
+(* The textbook full-matrix dynamic program, the reference for the
+   two-row, band-only [Dtw.distance]: every cell of the (n+1) x (m+1)
+   matrix, infinity outside the band, [Float.min] for the minimum. *)
+let reference_dtw ?band a b =
+  let n = Array.length a and m = Array.length b in
+  if n = 0 || m = 0 then Float.infinity
+  else begin
+    let w =
+      match band with None -> max n m | Some w -> max w (abs (n - m))
+    in
+    let d = Array.make_matrix (n + 1) (m + 1) Float.infinity in
+    d.(0).(0) <- 0.0;
+    for i = 1 to n do
+      for j = 1 to m do
+        if abs (i - j) <= w then
+          d.(i).(j) <-
+            Float.abs (a.(i - 1) -. b.(j - 1))
+            +. Float.min d.(i - 1).(j)
+                 (Float.min d.(i).(j - 1) d.(i - 1).(j - 1))
+      done
+    done;
+    d.(n).(m)
+  end
+
+(* Small integers make ties between the three predecessors common. *)
+let dtw_case =
+  let open QCheck.Gen in
+  let value =
+    oneof [ float_range (-100.0) 100.0; map float_of_int (int_range (-3) 3) ]
+  in
+  let series = array_size (int_range 0 60) value in
+  triple series series (opt (int_range 0 70))
+
+let prop_dtw_matches_full_matrix =
+  QCheck.Test.make ~name:"dtw equals the full-matrix reference, bit for bit"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b, band) ->
+         Printf.sprintf "n=%d m=%d band=%s" (Array.length a) (Array.length b)
+           (match band with None -> "none" | Some w -> string_of_int w))
+       dtw_case)
+    (fun (a, b, band) ->
+      Int64.equal
+        (Int64.bits_of_float (Dtw.distance ?band a b))
+        (Int64.bits_of_float (reference_dtw ?band a b)))
+
 let sine ~freq ~n =
   Array.init n (fun i -> sin (freq *. float_of_int i) +. 1.5)
 
@@ -79,4 +125,5 @@ let suite =
     ("downsample", `Quick, test_downsample);
     ("attack classifies distinct signals", `Quick, test_attack_classifies_distinct_signals);
     QCheck_alcotest.to_alcotest prop_dtw_nonneg;
+    QCheck_alcotest.to_alcotest prop_dtw_matches_full_matrix;
   ]
