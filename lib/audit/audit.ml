@@ -111,7 +111,7 @@ let credit store rs app rank j =
 
 (* Bill the open sub-interval: split the rail's draw into an idle floor and
    a dynamic part, and credit the dynamic part first — to the only app,
-   to every app by share (in reverse table order), or, with nobody using
+   to every app by share (in descending app order), or, with nobody using
    the device, to the last active app as a lingering state (a DVFS
    transition when the governor has not stepped down yet). The parts need
    not sum to the draw bit-exactly: read-time rows re-derive the

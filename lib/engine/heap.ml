@@ -80,8 +80,6 @@ let drop h =
   if n > 0 then
     sift_down h.time h.seq h.data n 0 h.time.(n) h.seq.(n) h.data.(n)
 
-let clear h = h.len <- 0
-
 let filter_in_place h ~keep =
   let time = h.time and seq = h.seq and data = h.data in
   let n = ref 0 in

@@ -27,9 +27,6 @@ val top : t -> int
 val drop : t -> unit
 (** Remove the least entry. The heap must not be empty. *)
 
-val clear : t -> unit
-(** Remove every entry, keeping the arrays for reuse. *)
-
 val filter_in_place : t -> keep:(int -> bool) -> unit
 (** [filter_in_place h ~keep] removes every entry whose payload fails
     [keep], calling [keep] once per entry in array order, then restores

@@ -1,8 +1,7 @@
 type total = { mutable sum : float }
 
 type t = {
-  order : Ordtbl.t; (* the apps holding a share, in Hashtbl order *)
-  mutable by_app : float array; (* app -> share, while in [order] *)
+  mutable by_app : float array; (* app -> share, 0 if it holds none *)
   mutable len : int;
   mutable apps : int array;
   mutable shares : float array;
@@ -11,38 +10,39 @@ type t = {
 
 let create () =
   {
-    order = Ordtbl.create ();
     by_app = [||];
     len = 0;
-    apps = Array.make 4 0;
-    shares = Array.make 4 0.0;
+    apps = [||];
+    shares = [||];
     total = { sum = 0.0 };
   }
 
 let set t ~app share =
   if share > 0.0 then begin
-    Ordtbl.add t.order app;
+    if app < 0 then
+      invalid_arg (Printf.sprintf "Shares.set: app %d is negative" app);
     if app >= Array.length t.by_app then begin
-      let a = Array.make (max 8 (2 * app)) 0.0 in
+      let n = max 8 (2 * app) in
+      let a = Array.make n 0.0 in
       Array.blit t.by_app 0 a 0 (Array.length t.by_app);
-      t.by_app <- a
+      t.by_app <- a;
+      t.apps <- Array.make n 0;
+      t.shares <- Array.make n 0.0
     end;
     t.by_app.(app) <- share
   end
-  else Ordtbl.remove t.order app;
-  let n = Ordtbl.length t.order in
-  if n > Array.length t.apps then begin
-    t.apps <- Array.make (2 * n) 0;
-    t.shares <- Array.make (2 * n) 0.0
-  end;
-  (* re-sum from zero in iteration order, never by the delta, so the sum
-     has the bits a fold over the table would give *)
-  t.len <- n;
+  else if app >= 0 && app < Array.length t.by_app then t.by_app.(app) <- 0.0;
+  (* re-sum from zero in app order, never by the delta, so the sum has
+     the bits of a fold over the holders in that order *)
+  let n = ref 0 in
   t.total.sum <- 0.0;
-  for i = 0 to n - 1 do
-    let a = Ordtbl.key t.order i in
+  for a = 0 to Array.length t.by_app - 1 do
     let s = t.by_app.(a) in
-    t.apps.(i) <- a;
-    t.shares.(i) <- s;
-    t.total.sum <- t.total.sum +. s
-  done
+    if s > 0.0 then begin
+      t.apps.(!n) <- a;
+      t.shares.(!n) <- s;
+      incr n;
+      t.total.sum <- t.total.sum +. s
+    end
+  done;
+  t.len <- !n

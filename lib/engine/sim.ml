@@ -89,9 +89,9 @@ type t = {
   mutable depth_max : int;
   mutable gauges_dirty : bool; (* queue-depth gauges need a flush *)
   keep : int -> bool; (* the bulk reap's test, built once per simulator *)
-  mutable store : Tm.store;
-      (* the metric store current when [create] made or reused this
-         simulator; every update inside its event loop lands here *)
+  store : Tm.store;
+      (* the metric store current when [create] made this simulator;
+         every update inside its event loop lands here *)
 }
 
 let noop () = ()
@@ -117,11 +117,6 @@ let pooling_key = Domain.DLS.new_key (fun () -> true)
 let set_default_pooling b = Domain.DLS.set pooling_key b
 let default_pooling () = Domain.DLS.get pooling_key
 
-(* Retired simulators waiting for reuse (scratch-buffer recycling across
-   fleet devices): domain-local, so shards never share one. *)
-let retired_key = Domain.DLS.new_key (fun () -> ([] : t list))
-let max_retired = 4
-
 (* Called exactly once per event, when its slot physically leaves the
    queue: on fire, on head tombstone discard, and on bulk reap. Bumps the
    generation (staling every outstanding handle) and returns the index to
@@ -143,7 +138,10 @@ let keep_pending sim idx =
     false
   end
 
-let make ~pool =
+let create ?pooling () =
+  let pool =
+    match pooling with Some p -> p | None -> default_pooling ()
+  in
   let rec sim =
     {
       clock = Time.zero;
@@ -164,50 +162,6 @@ let make ~pool =
     }
   in
   sim
-
-let create ?pooling () =
-  let pool =
-    match pooling with Some p -> p | None -> default_pooling ()
-  in
-  let retired = Domain.DLS.get retired_key in
-  let rec take acc = function
-    | [] -> make ~pool
-    | sim :: rest ->
-        if sim.pool = pool then begin
-          Domain.DLS.set retired_key (List.rev_append acc rest);
-          sim.store <- Tm.current ();
-          sim
-        end
-        else take (sim :: acc) rest
-  in
-  take [] retired
-
-(* Invalidate every outstanding handle, empty the queue, rewind the clock,
-   drop the metric store, and hand the carcass (queue arrays, slot pool,
-   free stack) to the next [create] on this domain. Fleet shards retire
-   each device's simulator so the per-device warm-up allocations happen
-   once per worker, not once per device. *)
-let retire sim =
-  Heap.clear sim.q;
-  for i = 0 to sim.hi - 1 do
-    sim.gens.(i) <- sim.gens.(i) + 1;
-    (if sim.pool then
-       let s = sim.slots.(i) in
-       s.s_fn <- noop (* drop closures so retired pools pin no user state *)
-     else sim.slots.(i) <- dummy_slot);
-    sim.free.(i) <- sim.hi - 1 - i
-  done;
-  sim.n_free <- sim.hi;
-  sim.clock <- Time.zero;
-  sim.next_seq <- 0;
-  sim.dead <- 0;
-  sim.fired_n <- 0;
-  sim.depth_max <- 0;
-  sim.gauges_dirty <- false;
-  sim.store <- Tm.detached;
-  let retired = Domain.DLS.get retired_key in
-  if List.length retired < max_retired then
-    Domain.DLS.set retired_key (sim :: retired)
 
 let now sim = sim.clock
 let metrics sim = sim.store

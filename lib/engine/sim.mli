@@ -16,9 +16,12 @@
     ids backed by pre-resolved counters, and queue-depth gauge updates
     batch behind a dirty flag. See DESIGN.md, "Allocation discipline".
 
-    The event loop feeds the telemetry registry
-    ({!Psbox_telemetry.Metrics}), in the store the simulator carries (see
-    {!metrics}): [sim.events_fired], [sim.events_scheduled],
+    Each simulator serves one run: it captures the current metric store
+    when it is created and keeps it, so its counts land in the store of
+    the run that made it (a fleet device makes a fresh simulator inside its
+    own store). The event loop feeds the telemetry registry
+    ({!Psbox_telemetry.Metrics}) in that store (see {!metrics}):
+    [sim.events_fired], [sim.events_scheduled],
     [sim.events_cancelled], [sim.queue_depth]/[sim.queue_depth_max] and the
     tombstone-reap counters [sim.reap_passes]/[sim.tombstones_reaped].
     Scheduling calls accept an optional [?label] that additionally counts
@@ -31,9 +34,8 @@ type t
 type handle
 (** A handle on a scheduled event, usable to cancel it. Handles are
     immediate ints (no allocation per event): a generation stamp plus a
-    pool index. Once the event fires, is reaped, or the simulator is
-    {!retire}d, the handle goes stale and every operation on it is a
-    harmless no-op. *)
+    pool index. Once the event fires or is reaped, the handle goes stale
+    and every operation on it is a harmless no-op. *)
 
 val none : handle
 (** A handle on no event: {!cancel} and {!cancelled} treat it as already
@@ -53,9 +55,8 @@ val default_backend : unit -> backend
 
 val create : ?pooling:bool -> unit -> t
 (** [create ()] uses the domain's default pooling mode (initially on; see
-    {!set_default_pooling}). Reuses a {!retire}d simulator of the same
-    pooling mode when one is available on this domain. Either way the
-    simulator captures the current metric store. *)
+    {!set_default_pooling}). The simulator captures the current metric
+    store. *)
 
 val set_default_pooling : bool -> unit
 (** Set whether subsequent {!create} calls recycle event-slot records
@@ -76,8 +77,7 @@ val metrics : t -> Psbox_telemetry.Metrics.store
 (** The metric store the simulator captured at {!create}
     ([Metrics.current ()] then): every metric update made inside its event
     loop, by the simulator or by the subsystems it drives, names this
-    store, so the loop makes no domain-local read per update. After
-    {!retire} it is [Metrics.detached]. *)
+    store, so the loop makes no domain-local read per update. *)
 
 type label
 (** An interned event label: an id resolved once via {!label}, counted
@@ -117,15 +117,6 @@ val run_until : t -> Time.t -> unit
 
 val run : t -> unit
 (** Fire events until the queue is empty. *)
-
-val retire : t -> unit
-(** Return [sim]'s scratch storage (queue arrays, slot pool) to a small
-    domain-local cache for reuse by the next {!create} of the same
-    pooling mode, invalidating every outstanding handle and dropping the
-    captured metric store, so a retired simulator neither pins nor writes
-    the store it ran in. The simulator must not be used afterwards. Fleet
-    shards retire each device's simulator so per-device warm-up allocation
-    happens once per worker. *)
 
 val pending : t -> int
 (** Number of live events still scheduled. Cancelled events are excluded,

@@ -267,25 +267,18 @@ let run_device ?(health = false) ~scenario ~fleet_seed idx =
             run_scenario ~health ~scenario ~sys_seed p
           in
           let d_violations, d_windows = count_violations hist in
-          let dev =
-            {
-              d_index = idx;
-              d_seed = sys_seed;
-              d_params = p;
-              d_energy_j = app_energies audit sys;
-              d_cause_j = cause_totals audit;
-              d_violations;
-              d_windows;
-              d_total_j = System.live_energy_j sys;
-              d_metrics = Tm.export ();
-              d_incidents;
-            }
-          in
-          (* hand the device's simulator scratch (queue arrays, slot pool)
-             back to this worker's cache so the next device skips warm-up
-             allocation *)
-          Sim.retire (System.sim sys);
-          dev))
+          {
+            d_index = idx;
+            d_seed = sys_seed;
+            d_params = p;
+            d_energy_j = app_energies audit sys;
+            d_cause_j = cause_totals audit;
+            d_violations;
+            d_windows;
+            d_total_j = System.live_energy_j sys;
+            d_metrics = Tm.export ();
+            d_incidents;
+          }))
 
 (* ---- work-stealing domain pool -------------------------------------- *)
 

@@ -38,6 +38,8 @@ let emission d s =
   d.w_per_mnit_pixel *. (float_of_int s.pixels /. 1e6) *. s.luminance
 
 let app_rail d ~app =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Display.app_rail: app %d is negative" app);
   match Hashtbl.find_opt d.app_rails app with
   | Some r -> r
   | None ->
@@ -77,6 +79,8 @@ let update d =
     d.app_rails
 
 let set_surface d ~app ~pixels ~luminance =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Display.set_surface: app %d is negative" app);
   if pixels < 0 || pixels > d.width * d.height then
     invalid_arg "Display.set_surface: pixels out of range";
   if luminance < 0.0 || luminance > 1.0 then

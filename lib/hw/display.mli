@@ -33,15 +33,15 @@ val rail : t -> Power_rail.t
 val set_surface : t -> app:int -> pixels:int -> luminance:float -> unit
 (** Declare the app's current surface: how many pixels it lights and their
     mean luminance in [0, 1]. Replaces the app's previous surface.
-    @raise Invalid_argument if [pixels] exceeds the panel or [luminance] is
-    outside [0, 1]. *)
+    @raise Invalid_argument if [app] is negative, [pixels] exceeds the
+    panel or [luminance] is outside [0, 1]. *)
 
 val remove_surface : t -> app:int -> unit
 
 val app_rail : t -> app:int -> Power_rail.t
 (** The app's exact attributed power: its emission term plus its pixel
     share of the base — the per-app view a psbox exposes. Created on first
-    use. *)
+    use. @raise Invalid_argument if [app] is negative. *)
 
 val app_power_w : t -> app:int -> float
 

@@ -42,6 +42,8 @@ let device_w g =
   match g.st with Off -> off_w | Acquiring -> acquire_w | Tracking -> track_w
 
 let app_rail g ~app =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Gps.app_rail: app %d is negative" app);
   match Hashtbl.find_opt g.app_rails app with
   | Some r -> r
   | None ->
@@ -67,6 +69,8 @@ let update g =
     g.app_rails
 
 let subscribe g ~app =
+  if app < 0 then
+    invalid_arg (Printf.sprintf "Gps.subscribe: app %d is negative" app);
   if not (subscribed g ~app) then begin
     Hashtbl.replace g.subs app ();
     ignore (app_rail g ~app);

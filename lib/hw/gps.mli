@@ -31,7 +31,8 @@ val state : t -> state
 
 val subscribe : t -> app:int -> unit
 (** Idempotent. The first subscriber cold-starts the receiver; later ones
-    join the live fix at no extra power. *)
+    join the live fix at no extra power.
+    @raise Invalid_argument if [app] is negative. *)
 
 val unsubscribe : t -> app:int -> unit
 (** The last unsubscribe powers the receiver off immediately. *)
@@ -40,7 +41,8 @@ val subscribers : t -> int
 
 val app_rail : t -> app:int -> Power_rail.t
 (** The per-app view a psbox exposes: the device's power while this app is
-    subscribed, the off draw otherwise — other apps' fixes never show. *)
+    subscribed, the off draw otherwise — other apps' fixes never show.
+    @raise Invalid_argument if [app] is negative. *)
 
 val set_on_app_rail : t -> (Power_rail.t -> unit) -> unit
 (** Install a hook fired for every lazily-created per-app rail, so machine

@@ -11,38 +11,29 @@ let app_label = function
   | -2 -> "forced-idle"
   | a -> "app" ^ string_of_int a
 
-type config = {
-  tick : Time.span;
-  wakeup_granularity : float;
-  ipi_delay : Time.span;
-  max_loan : float;
-      (* a single coscheduling period ends once any core's loan exceeds
-         this much vruntime: a balloon whose entity keeps the best credit
-         on one core must still not starve waiters on the others *)
-  max_period : Time.span;
-      (* hard bound on one coscheduling period; re-entry is immediate if
-         the balloon still holds the best credit, so this only bounds how
-         stale the loan bookkeeping can get *)
-  confine_cost : bool;
-      (* the paper's key design: bill balloon-forced idle to the sandboxed
-         app and settle scheduling loans. Disable only for the ablation
-         bench, which shows unsandboxed apps losing their share without
-         it. *)
-  quota_period : Time.span;
-      (* CFS-bandwidth style refill period for per-app CPU quotas; a
-         throttled app stays off the runqueues until the next refill *)
-}
+(* Minimum preemption granularity: a running task is never preempted on
+   credit grounds sooner than this after dispatch. *)
+let tick = Time.ms 1
 
-let default_config =
-  {
-    tick = Time.ms 1;
-    wakeup_granularity = 1e6;
-    ipi_delay = Time.us 5;
-    max_loan = 2e7;
-    max_period = Time.ms 20;
-    confine_cost = true;
-    quota_period = Time.ms 10;
-  }
+(* vruntime headroom before wake preemption *)
+let wakeup_granularity = 1e6
+
+(* shootdown propagation *)
+let ipi_delay = Time.us 5
+
+(* A single coscheduling period ends once any core's loan exceeds this
+   much vruntime (20 ms): a balloon whose entity keeps the best credit on
+   one core must still not starve waiters on the others. *)
+let max_loan = 2e7
+
+(* Hard bound on one coscheduling period; re-entry is immediate if the
+   balloon still holds the best credit, so this only bounds how stale the
+   loan bookkeeping can get. *)
+let max_period = Time.ms 20
+
+(* CFS-bandwidth style refill period for per-app CPU quotas; a throttled
+   app stays off the runqueues until the next refill. *)
+let quota_period = Time.ms 10
 
 type quota_state = {
   mutable q_limit : float; (* core-seconds of runtime per second, >= 0 *)
@@ -71,7 +62,10 @@ type balloon = {
 type t = {
   sim : Sim.t;
   cpu : Psbox_hw.Cpu.t;
-  cfg : config;
+  confine_cost : bool;
+      (* the paper's key design: bill balloon-forced idle to the sandboxed
+         app and settle scheduling loans. Off only for the ablation, which
+         shows unsandboxed apps losing their share without it. *)
   rqs : Cfs.t array;
   curr_started : Time.t array;
   dispatched : Time.t array;
@@ -104,10 +98,9 @@ type t = {
   mutable stopped : bool;
   share_bus : Temporal_sched.share_change Bus.t;
   mutable share_counts : int array; (* app -> cores currently running it *)
-  quotas : Ordtbl.t;
-      (* the apps with a quota, walked in the order of the [Hashtbl] this
-         replaced: refills re-plan, and so schedule events, in this order *)
-  mutable quota_of : quota_state option array; (* app -> its quota *)
+  mutable quota_of : quota_state option array;
+      (* app -> its quota; refills re-plan, and so schedule events, in app
+         order *)
   mutable quota_epoch : Time.t option;
       (* grid anchor for refill boundaries (epoch + k * quota_period), fixed
          by the first quota ever set so demand-armed refills land on the
@@ -130,7 +123,7 @@ type t = {
   tm_ev_refill : Tm.counter;
 }
 
-let create sim cpu ?(config = default_config) () =
+let create sim cpu ~confine_cost =
   let n = Psbox_hw.Cpu.cores cpu in
   let retention =
     Timeline.retention (Psbox_hw.Power_rail.timeline (Psbox_hw.Cpu.rail cpu))
@@ -138,7 +131,7 @@ let create sim cpu ?(config = default_config) () =
   {
     sim;
     cpu;
-    cfg = config;
+    confine_cost;
     rqs = Array.init n (fun _ -> Cfs.create ());
     curr_started = Array.make n Time.zero;
     dispatched = Array.make n Time.zero;
@@ -158,7 +151,6 @@ let create sim cpu ?(config = default_config) () =
     stopped = false;
     share_bus = Bus.create ();
     share_counts = [||];
-    quotas = Ordtbl.create ();
     quota_of = [||];
     quota_epoch = None;
     quota_next = Sim.none;
@@ -195,14 +187,11 @@ let find_quota smp app =
   if app >= 0 && app < Array.length smp.quota_of then smp.quota_of.(app)
   else None
 
-(* Walk the quotas in table order. The length is re-read on every step,
-   so a walk stays in bounds even if the callback drops a quota. *)
+(* Walk the quotas in app order. [quota_of] never shrinks, so the walk
+   stays in bounds whatever the callback does to the quotas. *)
 let iter_quotas smp f =
-  let i = ref 0 in
-  while !i < Ordtbl.length smp.quotas do
-    let app = Ordtbl.key smp.quotas !i in
-    (match smp.quota_of.(app) with Some q -> f app q | None -> ());
-    incr i
+  for app = 0 to Array.length smp.quota_of - 1 do
+    match smp.quota_of.(app) with Some q -> f app q | None -> ()
   done
 
 (* By start, then stop; of two spans with equal bounds, the one completed
@@ -261,7 +250,8 @@ let note_share smp app delta =
     smp.share_counts.(app) <- nw;
     Bus.publish smp.share_bus
       { Temporal_sched.at = Sim.now smp.sim; app; share = float_of_int nw };
-    if Ordtbl.mem smp.quotas app then !quota_share_hook smp app
+    if app < Array.length smp.quota_of && Option.is_some smp.quota_of.(app)
+    then !quota_share_hook smp app
   end
 
 let complete_span smp core app now =
@@ -328,7 +318,7 @@ let update_curr smp core =
           | Entity.EGroup g -> g.Entity.gcurr = None
           | Entity.ETask _ -> false
         in
-        if smp.cfg.confine_cost || not forced_idle then Cfs.charge rq e delta;
+        if smp.confine_cost || not forced_idle then Cfs.charge rq e delta;
         (match running_task_of e with
         | Some t -> (
             t.Task.remaining <- t.Task.remaining - delta;
@@ -363,7 +353,7 @@ let curr_vruntime_now smp core e =
   let delta = Sim.now smp.sim - smp.curr_started.(core) in
   let charging =
     match e.Entity.kind with
-    | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+    | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
     | Entity.ETask _ -> true
   in
   if delta <= 0 || not charging then e.Entity.vruntime
@@ -633,7 +623,7 @@ and start_balloon smp core b =
     for j = 0 to cores smp - 1 do
       if j <> core then
         ignore
-          (Sim.schedule_after smp.sim smp.cfg.ipi_delay (fun () ->
+          (Sim.schedule_after smp.sim ipi_delay (fun () ->
                join_balloon smp b j period))
     done
 
@@ -707,7 +697,7 @@ and cosched_out smp ?(local = 0) b =
   let n = float_of_int (List.length groups) in
   List.iter
     (fun (e, g) ->
-      if smp.cfg.confine_cost then
+      if smp.confine_cost then
         e.Entity.vruntime <- e.Entity.vruntime +. ((total /. n) -. g.Entity.loan);
       g.Entity.loan <- 0.0)
     groups;
@@ -715,7 +705,7 @@ and cosched_out smp ?(local = 0) b =
   resched smp local;
   for j = 0 to cores smp - 1 do
     if j <> local then
-      ignore (Sim.schedule_after smp.sim smp.cfg.ipi_delay (fun () -> resched smp j))
+      ignore (Sim.schedule_after smp.sim ipi_delay (fun () -> resched smp j))
   done
 
 (* Balloon bookkeeping on the designated tick: loan growth and the
@@ -745,11 +735,11 @@ and balloon_tick smp ~local b =
     Array.exists
       (fun e ->
         match e.Entity.kind with
-        | Entity.EGroup g -> g.Entity.loan > smp.cfg.max_loan
+        | Entity.EGroup g -> g.Entity.loan > max_loan
         | Entity.ETask _ -> false)
       b.b_entities
   in
-  let over_period = Sim.now smp.sim - b.b_started > smp.cfg.max_period in
+  let over_period = Sim.now smp.sim - b.b_started > max_period in
   if !wins = 0 || loan_capped || over_period || not any_runnable then
     cosched_out smp ~local b
 
@@ -808,7 +798,7 @@ and replan_core smp core =
         let dv = l.Entity.vruntime -. v in
         let charging =
           match c.Entity.kind with
-          | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+          | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
           | Entity.ETask _ -> true
         in
         let at =
@@ -816,7 +806,7 @@ and replan_core smp core =
           else if not charging then now + plan_horizon
           else now + max 1 (ns_until_dv ~weight:c.Entity.weight dv)
         in
-        let at = max at (smp.dispatched.(core) + smp.cfg.tick) in
+        let at = max at (smp.dispatched.(core) + tick) in
         smp.plan_events.(core) <-
           Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
     | (Some _ | None), None -> ()
@@ -867,7 +857,7 @@ and replan_rotate smp core =
             in
             (match next with
             | Some at ->
-                let at = max at (smp.dispatched.(core) + smp.cfg.tick) in
+                let at = max at (smp.dispatched.(core) + tick) in
                 smp.plan_events.(core) <-
                   Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
             | None -> ()))
@@ -904,7 +894,7 @@ and replan_balloon smp b =
   cancel_balloon_event smp;
   if (not smp.stopped) && b.b_live && b.b_metering then begin
     let now = Sim.now smp.sim in
-    let at = ref (b.b_started + smp.cfg.max_period + 1) in
+    let at = ref (b.b_started + max_period + 1) in
     (* running max of per-core win-loss instants; None = some core has no
        waiter, so wins can never reach zero *)
     let lose_all = ref (Some now) in
@@ -920,7 +910,7 @@ and replan_balloon smp b =
         curr_is rq e
         &&
         match e.Entity.kind with
-        | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+        | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
         | Entity.ETask _ -> true
       in
       let v =
@@ -941,9 +931,9 @@ and replan_balloon smp b =
           | None -> ());
           (match e.Entity.kind with
           | Entity.EGroup g ->
-              if g.Entity.loan > smp.cfg.max_loan then at := min !at now
+              if g.Entity.loan > max_loan then at := min !at now
               else if charging then begin
-                let dv_cap = smp.cfg.max_loan +. best.Entity.vruntime -. v in
+                let dv_cap = max_loan +. best.Entity.vruntime -. v in
                 at :=
                   min !at
                     (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
@@ -1071,7 +1061,7 @@ let preempt_check smp core e =
       match Cfs.curr rq with
       | None -> resched smp core
       | Some c ->
-          if e.Entity.vruntime +. smp.cfg.wakeup_granularity < c.Entity.vruntime
+          if e.Entity.vruntime +. wakeup_granularity < c.Entity.vruntime
           then resched smp core
           else
             (* no immediate preemption; the crossing with the new waiter
@@ -1218,7 +1208,7 @@ let rec replan_quota smp app =
       then begin
         let ncores = shares_of smp app in
         if ncores > 0 then begin
-          let limit_ns = q.q_limit *. float_of_int smp.cfg.quota_period in
+          let limit_ns = q.q_limit *. float_of_int quota_period in
           let used_ns = float_of_int (quota_used_now smp app q) in
           let dt =
             if used_ns >= limit_ns then 1
@@ -1254,7 +1244,7 @@ and quota_fired smp app =
           && balloon_of_app smp app = None
           && shares_of smp app > 0
           && Time.to_sec_f q.q_used
-             >= q.q_limit *. Time.to_sec_f smp.cfg.quota_period
+             >= q.q_limit *. Time.to_sec_f quota_period
         then throttle smp app q
         else replan_quota smp app
       end
@@ -1266,7 +1256,7 @@ and quota_fired smp app =
 let rec arm_refill smp =
   match smp.quota_epoch with
   | Some epoch when Sim.is_none smp.quota_next && not smp.stopped ->
-      let period = smp.cfg.quota_period in
+      let period = quota_period in
       let k = ((Sim.now smp.sim - epoch) / period) + 1 in
       smp.quota_next <-
         Sim.schedule_at smp.sim
@@ -1281,8 +1271,9 @@ and refill_fired smp =
     quota_refill smp ();
     iter_quotas smp (fun app _ -> replan_quota smp app);
     let active = ref false in
-    for i = 0 to Ordtbl.length smp.quotas - 1 do
-      if shares_of smp (Ordtbl.key smp.quotas i) > 0 then active := true
+    for app = 0 to Array.length smp.quota_of - 1 do
+      if Option.is_some smp.quota_of.(app) && shares_of smp app > 0 then
+        active := true
     done;
     if !active then arm_refill smp
   end
@@ -1311,7 +1302,6 @@ let set_quota smp ~app limit =
           Sim.cancel smp.sim q.q_event;
           q.q_event <- Sim.none;
           if q.q_throttled then unthrottle smp app q;
-          Ordtbl.remove smp.quotas app;
           smp.quota_of.(app) <- None
       | None -> ())
   | Some l ->
@@ -1321,7 +1311,6 @@ let set_quota smp ~app limit =
       | None ->
           if app >= Array.length smp.quota_of then
             smp.quota_of <- grown smp.quota_of app None;
-          Ordtbl.add smp.quotas app;
           smp.quota_of.(app) <-
             Some
               {

@@ -18,38 +18,23 @@
     tells a listener at its edges, so a psbox virtual power meter reads its
     exclusive intervals here. It also records the per-core schedule as
     spans in a {!Psbox_engine.Trace.events} ring, stamped at their end and
-    kept for the CPU rail's retention window. *)
+    kept for the CPU rail's retention window.
 
-type config = {
-  tick : Psbox_engine.Time.span;
-      (** minimum preemption granularity (default 1 ms): a running task is
-          never preempted on credit grounds sooner than this after dispatch *)
-  wakeup_granularity : float;  (** vruntime headroom before wake preemption *)
-  ipi_delay : Psbox_engine.Time.span;  (** shootdown propagation (default 5 us) *)
-  max_loan : float;
-      (** cap on a core's scheduling loan within one coscheduling period
-          (default 20 ms of vruntime): bounds how long a balloon can starve
-          a waiter on a core where the balloon never loses the credit race *)
-  max_period : Psbox_engine.Time.span;
-      (** hard bound on one coscheduling period (default 20 ms); a balloon
-          that still holds the best credit re-enters immediately *)
-  confine_cost : bool;
-      (** bill balloon-forced idle to the sandboxed app and settle loans
-          (default true — the paper's design; disable only to reproduce the
-          ablation) *)
-  quota_period : Psbox_engine.Time.span;
-      (** refill period for per-app CPU quotas (default 10 ms); see
-          {!set_quota} *)
-}
-
-val default_config : config
+    Its timing knobs are fixed: a 1 ms minimum quantum before a credit
+    preemption, 1 ms of vruntime headroom before a wake preemption, 5 us
+    of shootdown propagation, coscheduling periods bounded at 20 ms and at
+    20 ms of vruntime loan per core, and a 10 ms quota refill period. The
+    only setting is [confine_cost] (see {!create}). *)
 
 type t
 
 type balloon
 (** Handle on a sandboxed app's CPU balloon. *)
 
-val create : Psbox_engine.Sim.t -> Psbox_hw.Cpu.t -> ?config:config -> unit -> t
+val create : Psbox_engine.Sim.t -> Psbox_hw.Cpu.t -> confine_cost:bool -> t
+(** [confine_cost] bills balloon-forced idle to the sandboxed app and
+    settles scheduling loans: the paper's design, off only to reproduce
+    the ablation. *)
 
 val cpu : t -> Psbox_hw.Cpu.t
 val cores : t -> int
@@ -72,8 +57,8 @@ val app_tasks : t -> app:int -> Task.t list
 (** {1 Per-app CPU quotas (power-budget actuation)}
 
     CFS-bandwidth style throttling: each budgeted app may consume up to
-    [quota * quota_period] of runtime per period (so a quota of [1.5] on a
-    dual-core machine means one and a half cores' worth of CPU time).
+    [quota * 10 ms] of runtime per 10 ms refill period (so a quota of [1.5]
+    on a dual-core machine means one and a half cores' worth of CPU time).
     An app that exhausts its budget is pulled off the runqueues until the
     next refill; its tasks stay runnable but do not compete, so co-runners
     are unaffected. Sandboxed (ballooned) apps are exempt — balloons are

@@ -92,11 +92,7 @@ let create ?(seed = 42) ?(cores = 2)
     Psbox_hw.Cpu.create sim ?retention ~governor:cpu_governor
       ~idle_w:cpu_idle_w ~cores ()
   in
-  let smp =
-    Smp.create sim cpu
-      ~config:{ Smp.default_config with Smp.confine_cost }
-      ()
-  in
+  let smp = Smp.create sim cpu ~confine_cost in
   let gpu =
     if not gpu then None
     else begin

@@ -37,7 +37,6 @@ module Metrics = struct
     mutable ccache : ccell option array; (* indexed by counter handle idx *)
     mutable gcache : gcell option array;
     mutable hcache : hcell option array;
-    live : bool; (* false only for [detached] *)
   }
 
   let new_store () =
@@ -46,24 +45,10 @@ module Metrics = struct
       ccache = [||];
       gcache = [||];
       hcache = [||];
-      live = true;
     }
 
   let store_key : store Domain.DLS.key = Domain.DLS.new_key new_store
   let current () = Domain.DLS.get store_key
-
-  (* The store of a retired simulator: it keeps no cell, so it pins no
-     device's metrics, and any update against it lands in a throwaway
-     cell. Its caches stay empty, so every update takes the slow path,
-     which is where the throwaway is made. *)
-  let detached =
-    {
-      cells = Hashtbl.create 1;
-      ccache = [||];
-      gcache = [||];
-      hcache = [||];
-      live = false;
-    }
 
   type counter = { c_name : string; c_idx : int }
   type gauge = { g_name : string; g_idx : int }
@@ -100,23 +85,20 @@ module Metrics = struct
 
   (* Slow paths: first touch of a handle in a given store. Find (or create)
      the named cell in the store's hashtable and publish it in the store's
-     cache array at the handle's index; [detached] gets a throwaway. *)
+     cache array at the handle's index. *)
   let materialize_c store (h : counter) =
-    if not store.live then { c = 0.0 }
-    else begin
-      let cell =
-        match Hashtbl.find_opt store.cells h.c_name with
-        | Some (CCounter c) -> c
-        | Some _ -> assert false (* kind is fixed by the handle memo *)
-        | None ->
-            let c = { c = 0.0 } in
-            Hashtbl.replace store.cells h.c_name (CCounter c);
-            c
-      in
-      store.ccache <- grown store.ccache h.c_idx;
-      store.ccache.(h.c_idx) <- Some cell;
-      cell
-    end
+    let cell =
+      match Hashtbl.find_opt store.cells h.c_name with
+      | Some (CCounter c) -> c
+      | Some _ -> assert false (* kind is fixed by the handle memo *)
+      | None ->
+          let c = { c = 0.0 } in
+          Hashtbl.replace store.cells h.c_name (CCounter c);
+          c
+    in
+    store.ccache <- grown store.ccache h.c_idx;
+    store.ccache.(h.c_idx) <- Some cell;
+    cell
 
   let[@inline] ccell_in store (h : counter) =
     let cache = store.ccache in
@@ -127,21 +109,18 @@ module Metrics = struct
     else materialize_c store h
 
   let materialize_g store (h : gauge) =
-    if not store.live then { g = 0.0 }
-    else begin
-      let cell =
-        match Hashtbl.find_opt store.cells h.g_name with
-        | Some (CGauge g) -> g
-        | Some _ -> assert false
-        | None ->
-            let g = { g = 0.0 } in
-            Hashtbl.replace store.cells h.g_name (CGauge g);
-            g
-      in
-      store.gcache <- grown store.gcache h.g_idx;
-      store.gcache.(h.g_idx) <- Some cell;
-      cell
-    end
+    let cell =
+      match Hashtbl.find_opt store.cells h.g_name with
+      | Some (CGauge g) -> g
+      | Some _ -> assert false
+      | None ->
+          let g = { g = 0.0 } in
+          Hashtbl.replace store.cells h.g_name (CGauge g);
+          g
+    in
+    store.gcache <- grown store.gcache h.g_idx;
+    store.gcache.(h.g_idx) <- Some cell;
+    cell
 
   let[@inline] gcell_in store (h : gauge) =
     let cache = store.gcache in
@@ -151,29 +130,25 @@ module Metrics = struct
       | None -> materialize_g store h
     else materialize_g store h
 
-  let empty_hcell (h : histogram) =
-    {
-      h_edges = h.hm_edges;
-      h_counts = Array.make (Array.length h.hm_edges + 1) 0;
-      h_sum = 0.0;
-    }
-
   let materialize_h store (h : histogram) =
-    if not store.live then empty_hcell h
-    else begin
-      let cell =
-        match Hashtbl.find_opt store.cells h.hm_name with
-        | Some (CHist c) -> c
-        | Some _ -> assert false
-        | None ->
-            let c = empty_hcell h in
-            Hashtbl.replace store.cells h.hm_name (CHist c);
-            c
-      in
-      store.hcache <- grown store.hcache h.hm_idx;
-      store.hcache.(h.hm_idx) <- Some cell;
-      cell
-    end
+    let cell =
+      match Hashtbl.find_opt store.cells h.hm_name with
+      | Some (CHist c) -> c
+      | Some _ -> assert false
+      | None ->
+          let c =
+            {
+              h_edges = h.hm_edges;
+              h_counts = Array.make (Array.length h.hm_edges + 1) 0;
+              h_sum = 0.0;
+            }
+          in
+          Hashtbl.replace store.cells h.hm_name (CHist c);
+          c
+    in
+    store.hcache <- grown store.hcache h.hm_idx;
+    store.hcache.(h.hm_idx) <- Some cell;
+    cell
 
   let[@inline] hcell_in store (h : histogram) =
     let cache = store.hcache in

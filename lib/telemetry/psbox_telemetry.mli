@@ -60,10 +60,6 @@ module Metrics : sig
   val current : unit -> store
   (** The current domain's store: the one {!with_fresh_store} swaps. *)
 
-  val detached : store
-  (** A store that keeps nothing: an update against it is dropped. A
-      retired simulator holds it in place of the store it ran in. *)
-
   val counter : string -> counter
   (** Find or create. @raise Invalid_argument if [name] is already
       registered as a different kind of metric. *)

@@ -783,14 +783,14 @@ let prop_pooling_invisible =
       in
       trace true = trace false)
 
-(* ---- Shares against the Hashtbl it replaced ---------------------------- *)
+(* ---- Shares in app order ---------------------------------------------- *)
 
 (* A random script of share changes on app ids 0-80: a positive share sets
-   the app, zero, a negative share or NaN removes it. Long enough, and
-   biased towards setting, so that more than 32 apps are live at once and
-   the emulated bucket count doubles. After every change, [Shares] must
-   hold the reference table's apps in its iteration order, with its shares,
-   and a running sum with the bits of a fold from 0 in that order. *)
+   the app, zero, a negative share or NaN removes it; biased towards
+   setting, so that many apps are live at once. After every change,
+   [Shares] must hold the reference map's apps in ascending order, with
+   their shares, and a running sum with the bits of a fold from 0 in that
+   order. *)
 let share_script =
   let open QCheck.Gen in
   let share =
@@ -805,8 +805,10 @@ let share_script =
   in
   list_size (int_range 1 400) (pair (int_range 0 80) share)
 
-let prop_shares_iterate_like_hashtbl =
-  QCheck.Test.make ~name:"Shares iterates, shares and sums like a Hashtbl"
+module Int_map = Map.Make (Int)
+
+let prop_shares_in_app_order =
+  QCheck.Test.make ~name:"Shares lists, shares and sums in app order"
     ~count:200
     (QCheck.make
        ~print:(fun ops ->
@@ -815,26 +817,23 @@ let prop_shares_iterate_like_hashtbl =
        share_script)
     (fun ops ->
       let sh = Shares.create () in
-      let tbl : (int, float) Hashtbl.t = Hashtbl.create 8 in
+      let want = ref Int_map.empty in
       List.for_all
         (fun (app, share) ->
           Shares.set sh ~app share;
-          if share > 0.0 then Hashtbl.replace tbl app share
-          else Hashtbl.remove tbl app;
-          let entries = ref [] and sum = ref 0.0 in
-          Hashtbl.iter
-            (fun a s ->
-              entries := (a, s) :: !entries;
-              sum := !sum +. s)
-            tbl;
+          want :=
+            if share > 0.0 then Int_map.add app share !want
+            else Int_map.remove app !want;
+          let entries = Int_map.bindings !want in
+          let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 entries in
           let got =
             List.init sh.Shares.len (fun i ->
                 (sh.Shares.apps.(i), sh.Shares.shares.(i)))
           in
-          got = List.rev !entries
+          got = entries
           && Int64.equal
                (Int64.bits_of_float sh.Shares.total.sum)
-               (Int64.bits_of_float !sum))
+               (Int64.bits_of_float sum))
         ops)
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -884,7 +883,7 @@ let suite =
     qcheck prop_heap_sorts;
     qcheck prop_heap_filter_keeps_order;
     qcheck prop_heap_model;
-    qcheck prop_shares_iterate_like_hashtbl;
+    qcheck prop_shares_in_app_order;
     qcheck prop_timeline_matches_naive;
     qcheck prop_rng_int_bounds;
     qcheck prop_rng_float_bounds;

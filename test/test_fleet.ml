@@ -175,7 +175,6 @@ let test_two_domains_do_not_interleave () =
 (* Each simulator carries the store it was created in *)
 
 module System = Psbox_kernel.System
-module Sim = Psbox_engine.Sim
 module Time = Psbox_engine.Time
 module W = Psbox_workloads.Workload
 
@@ -184,9 +183,9 @@ let check_export msg want got =
     msg (Tm.export_rows want) (Tm.export_rows got);
   Alcotest.(check bool) (msg ^ ", bit for bit") true (want = got)
 
-(* A retired simulator is reused by the next device on the domain: the
-   second device's counts must land in its own store, exactly as when it
-   runs alone on a fresh domain. *)
+(* Devices run one after another on a domain: the second device's counts
+   must land in its own store, exactly as when it runs alone on a fresh
+   domain. *)
 let test_reused_simulator_keeps_its_store () =
   let run idx =
     Fleet.run_device ~health:true ~scenario:"budget" ~fleet_seed:42 idx
@@ -224,12 +223,6 @@ let run_capped_machine () =
   System.shutdown sys
 
 let test_fresh_store_machine_leaves_outer () =
-  (* the machine below reuses a simulator retired in this store *)
-  let sim = Sim.create () in
-  Sim.retire sim;
-  Alcotest.(check bool)
-    "a retired simulator drops its store" true
-    (Sim.metrics sim == Tm.detached);
   let before = Tm.export () in
   Tm.with_fresh_store (fun () ->
       run_capped_machine ();

@@ -401,6 +401,48 @@ let prop_wifi_window_matches_filter_fold =
              level = st.level)
            (List.rev !sent))
 
+(* App ids are non-negative: the display and the GPS reject app -1 at
+   each entry point before any state changes, so no [*.app-1] attribution
+   rail appears and nothing is billed to it, with or without the joule
+   audit reading those rails as share feeds. *)
+let test_negative_app_rejected () =
+  let module System = Psbox_kernel.System in
+  List.iter
+    (fun audited ->
+      let sys = System.create ~display:true ~gps:true () in
+      if audited then
+        ignore (Psbox_audit.Audit.attach sys : Psbox_audit.Audit.t);
+      let rails = ref [] in
+      ignore
+        (Bus.subscribe (System.power_bus sys)
+           (fun (tr : Power_rail.transition) ->
+             rails := tr.rail_name :: !rails)
+          : Bus.subscription);
+      let d = System.display sys and g = System.gps sys in
+      let raises fn f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s (audit %b)" fn audited)
+          (Invalid_argument (fn ^ ": app -1 is negative"))
+          f
+      in
+      raises "Display.set_surface" (fun () ->
+          Display.set_surface d ~app:(-1) ~pixels:100_000 ~luminance:0.5);
+      raises "Display.app_rail" (fun () ->
+          ignore (Display.app_rail d ~app:(-1) : Power_rail.t));
+      raises "Gps.subscribe" (fun () -> Gps.subscribe g ~app:(-1));
+      raises "Gps.app_rail" (fun () ->
+          ignore (Gps.app_rail g ~app:(-1) : Power_rail.t));
+      System.start sys;
+      System.run_for sys (Time.sec 1);
+      Alcotest.(check (list string))
+        "no *.app-1 rail" []
+        (List.filter (String.ends_with ~suffix:".app-1") !rails);
+      Alcotest.(check bool) "the GPS stays off" true (Gps.state g = Gps.Off);
+      Alcotest.(check (float 0.0))
+        "the panel stays dark" 0.0
+        (Power_rail.power (Display.rail d)))
+    [ false; true ]
+
 let suite =
   [
     ("rail energy", `Quick, test_rail_energy);
@@ -427,4 +469,5 @@ let suite =
       `Quick,
       test_wifi_window_bounded_without_adaptation );
     QCheck_alcotest.to_alcotest prop_wifi_window_matches_filter_fold;
+    ("negative app ids rejected", `Quick, test_negative_app_rejected);
   ]
