@@ -8,9 +8,15 @@
 # goes to a temporary directory (printed at the start), so nothing under
 # either tree's perfbench/ is written. Prints every run's metrics line, then,
 # for each end-to-end metric of CHANGE_TREE/BENCHMARK.json: both medians, the
-# parent's quartiles, the change's median relative to the parent's, and in
-# how many pairs (same seed) the change was better; ties count for neither.
-# Quartiles interpolate linearly between order statistics.
+# parent's quartiles, the change's median relative to the parent's, in how
+# many pairs (same seed) the change was better (ties count for neither), and
+# a verdict against the metric's bound B, with margin = B x parent median:
+#   worse       the change's median is worse than the parent's by > margin;
+#   unresolved  the parent's interquartile spread exceeds the margin and not
+#               every change run beats every parent run;
+#   ok          anything else.
+# Quartiles interpolate linearly between order statistics. Exits 1 if a
+# metric is worse or the change failed more ops than the parent.
 set -u
 
 if [ $# -lt 4 ]; then
@@ -80,6 +86,7 @@ NR == FNR {
   if (!/"bound"/) next
   name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
   better[name] = ($0 ~ /"better": "higher"/) ? "higher" : "lower"
+  bound[name] = num($0, "bound")
   order[++m] = name
   next
 }
@@ -92,8 +99,9 @@ NR == FNR {
 }
 END {
   printf "%s, %d pairs\n", workload, ns
-  printf "%-20s %12s %12s %12s %12s %8s %6s\n", "metric", "parent_p50",
-    "parent_q1", "parent_q3", "change_p50", "change", "won"
+  printf "%-20s %12s %12s %12s %12s %8s %6s %s\n", "metric", "parent_p50",
+    "parent_q1", "parent_q3", "change_p50", "change", "won", "verdict"
+  bad = 0
   for (k = 1; k <= m; k++) {
     name = order[k]; np = 0; nc = 0; won = 0; pairs = 0
     for (s = 1; s <= ns; s++) {
@@ -106,10 +114,25 @@ END {
     }
     if (np == 0 || nc == 0) { printf "%-20s no readings\n", name; continue }
     pm = quantile(pv, np, 0.5); cm = quantile(cv, nc, 0.5)
-    printf "%-20s %12.6g %12.6g %12.6g %12.6g %+7.2f%% %3d/%d\n", name, pm,
-      quantile(pv, np, 0.25), quantile(pv, np, 0.75), cm,
-      pm != 0 ? 100 * (cm - pm) / pm : 0, won, pairs
+    q1 = quantile(pv, np, 0.25); q3 = quantile(pv, np, 0.75)
+    margin = bound[name] * (pm < 0 ? -pm : pm)
+    # the worst change run against the best parent run
+    cworst = cv[1]; pbest = pv[1]
+    for (i = 2; i <= nc; i++)
+      if (better[name] == "lower" ? cv[i] > cworst : cv[i] < cworst) cworst = cv[i]
+    for (i = 2; i <= np; i++)
+      if (better[name] == "lower" ? pv[i] < pbest : pv[i] > pbest) pbest = pv[i]
+    if ((better[name] == "lower" ? cm - pm : pm - cm) > margin) verdict = "worse"
+    else if (q3 - q1 > margin &&
+             !(better[name] == "lower" ? cworst < pbest : cworst > pbest))
+      verdict = "unresolved"
+    else verdict = "ok"
+    if (verdict == "worse") bad = 1
+    printf "%-20s %12.6g %12.6g %12.6g %12.6g %+7.2f%% %3d/%d %s\n", name, pm,
+      q1, q3, cm, pm != 0 ? 100 * (cm - pm) / pm : 0, won, pairs, verdict
   }
   printf "failed ops: parent %d of %d, change %d of %d\n", failed["parent"],
     attempted["parent"], failed["change"], attempted["change"]
+  if (failed["change"] > failed["parent"]) bad = 1
+  exit bad
 }' "$change/BENCHMARK.json" "$lines"

@@ -17,8 +17,9 @@ let m_ticks = Tm.counter "budget.ticks"
    denominator). *)
 let m_violations = Tm.counter "budget.cap_violations"
 
-(* pre-resolved: control ticks are one-shot events, re-armed on demand *)
-let l_tick = Sim.label "budget.tick" (* counts under sim.events.budget.tick *)
+(* interned at load, so sim.events.budget.tick has its row in the initial
+   store whether or not a controller ever ticks *)
+let l_tick = Sim.label "budget.tick"
 
 type demand =
   | Cap of float
@@ -60,9 +61,7 @@ type t = {
   sys : System.t;
   entries : (int, entry) Hashtbl.t;
   splitters : Split.live list; (* one per actuated rail, auto-wired *)
-  epoch : Time.t; (* anchor of the control-period grid (creation time) *)
-  mutable tick : Sim.handle; (* armed control tick; Sim.none while idle *)
-  mutable stopped : bool;
+  tick : Sim.timer; (* the control-period grid, from creation *)
   (* admission *)
   mutable machine_budget_w : float option;
   reserved : (int, float * float) Hashtbl.t;
@@ -204,32 +203,18 @@ let control_entry ctl e =
   Tm.set_in (store ctl) e.e_g_throttle e.e_throttle;
   if e.e_throttle <> t0 then actuate ctl e
 
-(* The control tick is demand-armed on the fixed grid [epoch + k*period]:
-   it runs only while there is an entry to control. An idle controller
-   costs no simulator events, and because skipped periods would have
-   iterated zero entries they are exact no-ops. *)
+(* The control tick is demand-armed on its timer's grid: it runs only
+   while there is an entry to control. An idle controller costs no
+   simulator events, and because skipped periods would have iterated zero
+   entries they are exact no-ops. *)
 let rec arm_tick ctl =
-  if Sim.is_none ctl.tick && (not ctl.stopped)
-     && Hashtbl.length ctl.entries > 0
-  then begin
-    let k = ((now ctl - ctl.epoch) / period) + 1 in
-    ctl.tick <-
-      Sim.schedule_at (sim ctl) ~label:l_tick
-        (ctl.epoch + (k * period))
-        (fun () -> tick_fired ctl)
-  end
+  if Hashtbl.length ctl.entries > 0 then
+    Sim.arm ctl.tick (fun () -> tick_fired ctl)
 
 and tick_fired ctl =
-  ctl.tick <- Sim.none;
-  if not ctl.stopped then begin
-    Tm.incr_in (store ctl) m_ticks;
-    Hashtbl.iter (fun _ e -> control_entry ctl e) ctl.entries;
-    arm_tick ctl
-  end
-
-let cancel_tick ctl =
-  Sim.cancel (sim ctl) ctl.tick;
-  ctl.tick <- Sim.none
+  Tm.incr_in (store ctl) m_ticks;
+  Hashtbl.iter (fun _ e -> control_entry ctl e) ctl.entries;
+  arm_tick ctl
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -249,9 +234,7 @@ let create sys ?machine_budget_w () =
       sys;
       entries = Hashtbl.create 8;
       splitters;
-      epoch = from;
-      tick = Sim.none;
-      stopped = false;
+      tick = Sim.timer (System.sim sys) ~label:l_tick period;
       machine_budget_w;
       reserved = Hashtbl.create 8;
       wait_q = Queue.create ();
@@ -343,9 +326,8 @@ let history ctl ~app =
   | None -> []
 
 let stop ctl =
-  if not ctl.stopped then begin
-    ctl.stopped <- true;
-    cancel_tick ctl;
+  if Sim.timer_state ctl.tick <> Sim.Stopped then begin
+    Sim.stop_timer ctl.tick;
     Hashtbl.iter (fun app _ -> release_actuation ctl app) ctl.entries;
     List.iter Split.live_detach ctl.splitters
   end

@@ -47,8 +47,10 @@ val create :
 (** Attach a controller to a machine, with a 50 ms control period, a
     4-period measurement window and a 5% hysteresis band. Default: no
     machine budget (admission always admits). Splitters are wired to
-    whatever rails the machine has; the first budget arms the control tick
-    on the machine's simulator. *)
+    whatever rails the machine has; the first budget arms the control tick,
+    a {!Psbox_engine.Sim.timer} on the machine's simulator whose grid starts
+    here. A tick runs while some app has a budget and re-arms after its
+    control step. *)
 
 val set_cap : t -> app:int -> watts:float -> unit
 (** Cap [app]'s windowed mean attributed draw at [watts]. Takes effect at

@@ -61,31 +61,28 @@ let evaluate pred samples =
       in
       if n < 2 then None else scan 1 None
 
-type subscription = {
-  mutable live : bool;
-  mutable count : int;
-  mutable tick : Sim.periodic option;
-}
+type subscription = { mutable count : int; tick : Sim.timer }
 
 (* The polling period and the sample period within it. *)
 let period = Time.ms 50
 let sample_period = Time.ms 1
 
 let subscribe ?hub sys box ~predicate callback =
-  let sub = { live = true; count = 0; tick = None } in
   let sim = System.sim sys in
+  let sub = { count = 0; tick = Sim.timer sim period } in
   let fire t =
     sub.count <- sub.count + 1;
     callback t
   in
-  let tick () =
-    if sub.live && Psbox.inside box then begin
+  let rec tick () =
+    Sim.arm sub.tick tick;
+    if Psbox.inside box then begin
       let samples = Psbox.sample ~period:sample_period box in
       (* only this period's window *)
       let now = Sim.now sim in
       let window = Sample.between samples ~from:(now - period) ~until:now in
       let deliver () =
-        if sub.live then
+        if Sim.timer_state sub.tick <> Sim.Stopped then
           match evaluate predicate window with
           | Some t -> fire t
           | None -> ()
@@ -96,15 +93,9 @@ let subscribe ?hub sys box ~predicate callback =
       | None -> deliver ()
     end
   in
-  sub.tick <- Some (Sim.schedule_every sim period tick);
+  Sim.arm sub.tick tick;
   sub
 
-let cancel sub =
-  sub.live <- false;
-  match sub.tick with
-  | Some p ->
-      Sim.cancel_every p;
-      sub.tick <- None
-  | None -> ()
+let cancel sub = Sim.stop_timer sub.tick
 
 let fired sub = sub.count

@@ -229,11 +229,7 @@ let deref sim h =
 
 (* -- scheduling ----------------------------------------------------- *)
 
-let schedule_at sim ?(label = no_label) time fn =
-  if time < sim.clock then
-    invalid_arg
-      (Format.asprintf "Sim.schedule_at: %a is before now (%a)" Time.pp time
-         Time.pp sim.clock);
+let push sim label time fn =
   let s = alloc_slot sim in
   s.s_time <- time;
   s.s_fn <- fn;
@@ -243,6 +239,13 @@ let schedule_at sim ?(label = no_label) time fn =
   sim.next_seq <- sim.next_seq + 1;
   Tm.incr_in sim.store m_scheduled;
   handle_of_slot sim s
+
+let schedule_at sim time fn =
+  if time < sim.clock then
+    invalid_arg
+      (Format.asprintf "Sim.schedule_at: %a is before now (%a)" Time.pp time
+         Time.pp sim.clock);
+  push sim no_label time fn
 
 let schedule_after sim span fn =
   if span < 0 then
@@ -354,32 +357,47 @@ let pending sim = Heap.size sim.q - sim.dead
 let queue_length sim = Heap.size sim.q
 
 (* ------------------------------------------------------------------ *)
-(* Periodic events                                                      *)
+(* Grid timers                                                          *)
 
-type periodic = { p_sim : t; mutable current : handle; mutable stopped : bool }
+type timer_state = Idle | Armed | Stopped
 
-let schedule_every sim ?start span fn =
-  if span <= 0 then invalid_arg "Sim.schedule_every: period must be positive";
-  let p = { p_sim = sim; current = none; stopped = false } in
-  let rec fire () =
-    if not p.stopped then begin
-      (* re-arm before running the body, so events the body schedules for
-         the same future instant fire after the next tick (FIFO order) *)
-      p.current <- schedule_after sim span fire;
-      fn ()
-    end
-  in
-  let first = match start with Some t -> t | None -> sim.clock + span in
-  if first < sim.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_every: start %dns is before now (%dns)"
-         first sim.clock);
-  p.current <- schedule_at sim first fire;
-  p
+(* Whether an occurrence is pending is read off its handle, not kept in a
+   flag: [fire_top] stales the handle before the body runs, so the body
+   sees the timer idle and may re-arm it, and no wrapper closure is built
+   per arm. *)
+type timer = {
+  tm_sim : t;
+  tm_epoch : Time.t; (* the grid is tm_epoch + k * tm_period, k >= 1 *)
+  tm_period : Time.span;
+  tm_label : label;
+  mutable tm_next : handle; (* the latest occurrence scheduled *)
+  mutable tm_stopped : bool;
+}
 
-let cancel_every p =
-  p.stopped <- true;
-  cancel p.p_sim p.current;
-  p.current <- none
+let timer sim ?(label = no_label) period =
+  if period <= 0 then invalid_arg "Sim.timer: period must be positive";
+  {
+    tm_sim = sim;
+    tm_epoch = sim.clock;
+    tm_period = period;
+    tm_label = label;
+    tm_next = none;
+    tm_stopped = false;
+  }
 
-let periodic_stopped p = p.stopped
+let timer_state tm =
+  if tm.tm_stopped then Stopped
+  else if (deref tm.tm_sim tm.tm_next).s_state = Pending then Armed
+  else Idle
+
+let arm tm body =
+  match timer_state tm with
+  | Idle ->
+      let sim = tm.tm_sim in
+      let k = ((sim.clock - tm.tm_epoch) / tm.tm_period) + 1 in
+      tm.tm_next <- push sim tm.tm_label (tm.tm_epoch + (k * tm.tm_period)) body
+  | Armed | Stopped -> ()
+
+let stop_timer tm =
+  tm.tm_stopped <- true;
+  cancel tm.tm_sim tm.tm_next

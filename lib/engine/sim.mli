@@ -24,10 +24,16 @@
     [sim.events_fired], [sim.events_scheduled],
     [sim.events_cancelled], [sim.queue_depth]/[sim.queue_depth_max] and the
     tombstone-reap counters [sim.reap_passes]/[sim.tombstones_reaped].
-    Scheduling calls accept an optional [?label] that additionally counts
-    fires of that source under [sim.events.<label>]. While a trace is being
-    recorded, the loop also emits a decimated queue-depth timeline on the
-    ["engine.sim"] track. *)
+    A {!timer} may carry a {!label} that additionally counts its fires
+    under [sim.events.<label>]. While a trace is being recorded, the loop
+    also emits a decimated queue-depth timeline on the ["engine.sim"]
+    track.
+
+    Recurring work (the budget control tick, the health evaluation grid,
+    DVFS governor sampling, the CFS-bandwidth quota refill, the power-model
+    recorder and estimator windows, power-event polling) runs on
+    {!timer}s: one grid per timer, anchored when it is made, with at most
+    one occurrence pending. *)
 
 type t
 
@@ -81,18 +87,19 @@ val metrics : t -> Psbox_telemetry.Metrics.store
 
 type label
 (** An interned event label: an id resolved once via {!label}, counted
-    under [sim.events.<name>] when a so-labelled event fires. The fire
-    path is a branch plus an array-indexed counter bump — no string,
-    hashtable, or closure per event. *)
+    under [sim.events.<name>] when an occurrence of a so-labelled {!timer}
+    fires. The fire path is a branch plus an array-indexed counter bump —
+    no string, hashtable, or closure per event. *)
 
 val label : string -> label
 (** Intern [name], resolving its [sim.events.<name>] counter. Idempotent;
-    safe from any domain. Resolve once at subsystem creation, not per
-    schedule call. *)
+    safe from any domain. The counter is registered (its zero row
+    created) only in the metric store current at the first interning in
+    the process, so where a label is interned decides where that row
+    shows. *)
 
-val schedule_at : t -> ?label:label -> Time.t -> (unit -> unit) -> handle
-(** [schedule_at sim t f] runs [f] when the clock reaches [t]. [?label]
-    counts the fire under the label's [sim.events.<name>] counter.
+val schedule_at : t -> Time.t -> (unit -> unit) -> handle
+(** [schedule_at sim t f] runs [f] when the clock reaches [t].
 
     @raise Invalid_argument if [t] is in the past. *)
 
@@ -126,27 +133,39 @@ val queue_length : t -> int
 (** Physical queue length, including cancelled tombstones awaiting the next
     bulk reap — a diagnostic; use {!pending} for the live count. *)
 
-(** {1 Periodic events}
+(** {1 Grid timers}
 
-    The common self-rescheduling-timer pattern (scheduler ticks, DVFS
-    governor sampling, housekeeping) packaged once: the timer re-arms itself
-    {e before} running its body, so events the body schedules for the same
-    future instant keep firing after the tick, and {!cancel_every} cancels
-    the in-flight occurrence at once: it never fires, and like any cancelled
-    event it leaves a tombstone in the queue until the head or a bulk reap
-    reaches it. *)
+    A timer owns the grid [epoch + k*period] ([k >= 1]), [epoch] being the
+    clock when the timer is made, and keeps at most one occurrence of it
+    pending. {!arm} schedules the first grid instant strictly after now,
+    unless an occurrence is already pending or the timer is stopped; an
+    idle stretch skips grid instants but never moves the grid. An
+    occurrence stops counting as pending when its body starts, so the body
+    decides whether and when to re-arm. Same-instant events fire in
+    scheduling order, so a body that re-arms first gets its next tick
+    ahead of anything it schedules for that instant, and one that re-arms
+    last behind it. An arm that does nothing allocates nothing, so a
+    caller on a hot path builds its body closure only when {!timer_state}
+    reads [Idle]. *)
 
-type periodic
-(** A recurring event, usable to stop the recurrence. *)
+type timer
 
-val schedule_every :
-  t -> ?start:Time.t -> Time.span -> (unit -> unit) -> periodic
-(** [schedule_every sim ~start span f] runs [f] at [start] (default: one
-    period from now) and every [span] thereafter until {!cancel_every}.
-    @raise Invalid_argument if [span] is not positive or [start] is in the
-    past. *)
+type timer_state =
+  | Idle  (** nothing pending: {!arm} schedules *)
+  | Armed  (** one occurrence pending *)
+  | Stopped  (** {!stop_timer} was called: {!arm} does nothing, for good *)
 
-val cancel_every : periodic -> unit
-(** Stop the recurrence and cancel the in-flight occurrence. Idempotent. *)
+val timer : t -> ?label:label -> Time.span -> timer
+(** [timer sim ~label period] makes an idle timer whose grid is anchored
+    at [now sim]; [?label] counts each fire under its counter.
+    @raise Invalid_argument if [period] is not positive. *)
 
-val periodic_stopped : periodic -> bool
+val arm : timer -> (unit -> unit) -> unit
+(** [arm tm body] schedules [body] at the first grid instant after now if
+    [tm] is [Idle]; otherwise it does nothing. *)
+
+val timer_state : timer -> timer_state
+
+val stop_timer : timer -> unit
+(** Cancel the pending occurrence, if any; later arms do nothing.
+    Idempotent. *)

@@ -175,15 +175,12 @@ type live = {
 type t = {
   h_sim : Sim.t;
   h_period : Time.span;
-  h_epoch : Time.t;
+  h_tick : Sim.timer; (* the evaluation grid, from creation *)
   mutable h_rules : live list;  (* evaluation (= add) order *)
   mutable h_responders : (string * (incident -> unit)) list;  (* add order *)
   mutable h_incidents : incident list;  (* newest first *)
   mutable h_next_id : int;
-  mutable h_tick : Sim.handle;
-  h_lbl_tick : Sim.label; (* counts under sim.events.health.tick *)
   mutable h_evals : int;
-  mutable h_stopped : bool;
 }
 
 let evals t = t.h_evals
@@ -205,19 +202,21 @@ let incident_counts t =
 
 (* ---- signal reading ------------------------------------------------ *)
 
-let read_signal lv ~now_s = function
-  | Metric n -> Tm.find n
-  | Rate _ -> Tm.rate_sample (Option.get lv.lv_rate) ~now_s
+let read_signal store lv ~now_s = function
+  | Metric n -> Tm.find_in store n
+  | Rate _ -> Tm.rate_sample store (Option.get lv.lv_rate) ~now_s
   | Probe (_, f) -> f ()
 
 (* One evaluation of one rule: did the raw condition breach this eval, has
    the hysteresis margin cleared, and what value do we record as evidence.
    A missing signal is no evidence either way: it neither breaches nor
-   clears, so an open incident rides out a gap in the data. *)
-let judge lv ~now_s =
+   clears, so an open incident rides out a gap in the data. Metrics are
+   read in the store of the simulator the engine rides, the one its
+   machine writes. *)
+let judge store lv ~now_s =
   match lv.lv_rule.r_kind with
   | Threshold { t_signal; t_cmp; t_limit; _ } -> (
-      match read_signal lv ~now_s t_signal with
+      match read_signal store lv ~now_s t_signal with
       | None -> (false, false, None)
       | Some v ->
           let breach, clear =
@@ -227,7 +226,7 @@ let judge lv ~now_s =
           in
           (breach, clear, Some v))
   | Rate_of_change { rc_signal; rc_per_s; _ } -> (
-      match read_signal lv ~now_s rc_signal with
+      match read_signal store lv ~now_s rc_signal with
       | None -> (false, false, None)
       | Some v -> (
           let prev = lv.lv_roc_prev in
@@ -238,7 +237,7 @@ let judge lv ~now_s =
               (dv > rc_per_s, dv < 0.8 *. rc_per_s, Some dv)
           | Some _ | None -> (false, false, None)))
   | Absence { a_metric; a_stale } ->
-      (match Tm.find a_metric with
+      (match Tm.find_in store a_metric with
       | None ->
           (* never registered counts as stale *)
           lv.lv_abs_streak <- lv.lv_abs_streak + 1
@@ -252,8 +251,8 @@ let judge lv ~now_s =
         lv.lv_abs_streak = 0,
         Some (float_of_int lv.lv_abs_streak) )
   | Slo_burn { b_bad; b_total; b_slo; b_short; b_long; b_factor } ->
-      let bad = Option.value ~default:0.0 (Tm.find b_bad) in
-      let total = Option.value ~default:0.0 (Tm.find b_total) in
+      let bad = Option.value ~default:0.0 (Tm.find_in store b_bad) in
+      let total = Option.value ~default:0.0 (Tm.find_in store b_total) in
       let len = Array.length lv.lv_burn in
       lv.lv_burn.(lv.lv_burn_i) <- (bad, total);
       lv.lv_burn_i <- (lv.lv_burn_i + 1) mod len;
@@ -316,7 +315,7 @@ let resolve t lv ~now_s =
   lv.lv_streak <- 0
 
 let eval_rule t lv ~now_s =
-  let breach, clear, value = judge lv ~now_s in
+  let breach, clear, value = judge (Sim.metrics t.h_sim) lv ~now_s in
   (match lv.lv_incident with
   | Some inc ->
       inc.i_evals <- inc.i_evals + 1;
@@ -364,45 +363,32 @@ let eval_now t =
 (* ---- the evaluation grid ------------------------------------------- *)
 
 (* Same demand-armed pattern as Budget's control tick: evaluations land on
-   the fixed grid [epoch + k*period], and the engine schedules exactly one
-   pending event — none at all while it has no rules. Skipped periods
-   would have evaluated an empty rule list, so they are exact no-ops. *)
-let tick_needed t = (not t.h_stopped) && t.h_rules <> []
-
+   the timer's grid, one pending at most and none at all while the engine
+   has no rules. Skipped periods would have evaluated an empty rule list,
+   so they are exact no-ops. *)
 let rec arm_tick t =
-  if Sim.is_none t.h_tick && tick_needed t then begin
-    let k = ((Sim.now t.h_sim - t.h_epoch) / t.h_period) + 1 in
-    t.h_tick <-
-      Sim.schedule_at t.h_sim ~label:t.h_lbl_tick
-        (t.h_epoch + (k * t.h_period))
-        (fun () -> tick_fired t)
-  end
+  if t.h_rules <> [] then Sim.arm t.h_tick (fun () -> tick_fired t)
 
 and tick_fired t =
-  t.h_tick <- Sim.none;
-  if not t.h_stopped then begin
-    eval_now t;
-    arm_tick t
-  end
+  eval_now t;
+  arm_tick t
 
 let create sim ?(period = Time.ms 50) () =
   if period <= 0 then invalid_arg "Health.create: period must be positive";
   {
     h_sim = sim;
     h_period = period;
-    h_epoch = Sim.now sim;
+    h_tick = Sim.timer sim ~label:(Sim.label "health.tick") period;
     h_rules = [];
     h_responders = [];
     h_incidents = [];
     h_next_id = 1;
-    h_tick = Sim.none;
-    h_lbl_tick = Sim.label "health.tick";
     h_evals = 0;
-    h_stopped = false;
   }
 
 let add_rule t r =
-  if t.h_stopped then invalid_arg "Health.add_rule: engine stopped";
+  if Sim.timer_state t.h_tick = Sim.Stopped then
+    invalid_arg "Health.add_rule: engine stopped";
   let needs_rate =
     match r.r_kind with
     | Threshold { t_signal = Rate n; _ } | Rate_of_change { rc_signal = Rate n; _ }
@@ -436,12 +422,7 @@ let add_rules t rs = List.iter (add_rule t) rs
 
 let on_firing t ~rule fn = t.h_responders <- t.h_responders @ [ (rule, fn) ]
 
-let stop t =
-  if not t.h_stopped then begin
-    t.h_stopped <- true;
-    Sim.cancel t.h_sim t.h_tick;
-    t.h_tick <- Sim.none
-  end
+let stop t = Sim.stop_timer t.h_tick
 
 (* ---- incident-log JSON --------------------------------------------- *)
 

@@ -12,11 +12,14 @@
     {!default_pack} alone decides that a model has drifted.
 
     Determinism contract: evaluations land on the fixed grid
-    [epoch + k*period] riding the simulator's event queue, demand-armed
-    like {!Psbox_budget.Budget}'s control tick (an engine with no rules
-    schedules nothing). The incident log is a pure function of the run's
-    event history — same seed, same bytes — and rule evaluation is a pure
-    observer; only registered responders act. *)
+    [epoch + k*period] of a {!Psbox_engine.Sim.timer} made with the
+    engine, demand-armed like {!Psbox_budget.Budget}'s control tick (an
+    engine with no rules schedules nothing; an evaluation re-arms after it
+    has run). Metric signals are read in the simulator's metric store
+    ({!Psbox_engine.Sim.metrics}), the one its machine writes, whichever
+    store is current when the loop runs. The incident log is a pure
+    function of the run's event history — same seed, same bytes — and rule
+    evaluation is a pure observer; only registered responders act. *)
 
 (** {1 Signals}
 

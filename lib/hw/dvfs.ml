@@ -19,11 +19,8 @@ type t = {
   changes : change Bus.t;
   name : string;
   tm_transitions : Tm.counter;
-  lbl_sample : Sim.label; (* interned: samples are hot one-shot events *)
-  epoch : Time.t; (* anchor of the sampling grid (creation time) *)
+  sampler : Sim.timer; (* the ondemand governor's sampling grid *)
   mutable index : int;
-  mutable next : Sim.handle; (* armed sample; Sim.none while parked *)
-  mutable stopped : bool;
   mutable frozen : bool;
 }
 
@@ -46,55 +43,51 @@ let set_index d i =
       { at = Sim.now d.sim; index_before = before; index_after = i; opp = d.opps.(i) }
   end
 
-(* Demand-armed governor sampling. Samples stay on the creation-epoch grid
-   (epoch + k*sampling) so an active device behaves exactly like the old
-   periodic timer; a device that reads zero utilization while already at
-   the bottom OPP parks instead of re-arming, and an activity edge (or an
+(* Demand-armed governor sampling on the sampler's grid (creation +
+   k*sampling), so an active device behaves exactly like a periodic
+   governor; a device that reads zero utilization while already at the
+   bottom OPP parks instead of re-arming, and an activity edge (or an
    externally raised OPP, or a thaw) unparks it. *)
-let rec arm d ~up_threshold ~sampling =
-  let k = ((Sim.now d.sim - d.epoch) / sampling) + 1 in
-  d.next <-
-    Sim.schedule_at d.sim ~label:d.lbl_sample (d.epoch + (k * sampling))
-      (fun () -> sample d ~up_threshold ~sampling)
-
-and sample d ~up_threshold ~sampling =
-  d.next <- Sim.none;
-  if not d.stopped then begin
-    let util = d.get_util () in
-    if not d.frozen then begin
-      if util >= up_threshold then set_index d (Array.length d.opps - 1)
-      else set_index d (d.index - 1)
-    end;
-    (* a frozen governor keeps sampling: each read resets the utilization
-       window, so the first decision after a thaw sees one period of load,
-       not the whole frozen stretch *)
-    if not (util = 0.0 && d.index = 0 && not d.frozen) then
-      arm d ~up_threshold ~sampling
-  end
+let rec sample d ~up_threshold () =
+  let util = d.get_util () in
+  if not d.frozen then begin
+    if util >= up_threshold then set_index d (Array.length d.opps - 1)
+    else set_index d (d.index - 1)
+  end;
+  (* a frozen governor keeps sampling: each read resets the utilization
+     window, so the first decision after a thaw sees one period of load,
+     not the whole frozen stretch *)
+  if not (util = 0.0 && d.index = 0 && not d.frozen) then
+    Sim.arm d.sampler (sample d ~up_threshold)
 
 let unpark d =
   match d.governor with
-  | Ondemand { up_threshold; sampling } ->
-      if Sim.is_none d.next && not d.stopped then begin
-        (* discard the idle stretch, as the periodic governor's regular
-           reads would have, so the next sample's window starts here *)
-        ignore (d.get_util ());
-        arm d ~up_threshold ~sampling
-      end
-  | Performance | Userspace -> ()
+  | Ondemand { up_threshold; _ } when Sim.timer_state d.sampler = Sim.Idle ->
+      (* discard the idle stretch, as the periodic governor's regular
+         reads would have, so the next sample's window starts here *)
+      ignore (d.get_util ());
+      Sim.arm d.sampler (sample d ~up_threshold)
+  | Ondemand _ | Performance | Userspace -> ()
 
 let create sim ?(name = "dvfs") ?activity ~opps ~governor ~get_util () =
   if Array.length opps = 0 then invalid_arg "Dvfs.create: no OPPs";
   let index = match governor with Performance -> Array.length opps - 1 | Ondemand _ | Userspace -> 0 in
+  (* every governor makes its sampler, interning the label, so the
+     [sim.events.dvfs.<name>] row appears wherever it did; only ondemand
+     arms it *)
+  let sampling =
+    match governor with
+    | Ondemand { sampling; _ } -> sampling
+    | Performance | Userspace -> max_int
+  in
   let d =
     { sim; opps; governor; get_util; changes = Bus.create (); name;
       tm_transitions = Tm.counter (Printf.sprintf "dvfs.%s.transitions" name);
-      lbl_sample = Sim.label ("dvfs." ^ name);
-      epoch = Sim.now sim; index;
-      next = Sim.none; stopped = false; frozen = false }
+      sampler = Sim.timer sim ~label:(Sim.label ("dvfs." ^ name)) sampling;
+      index; frozen = false }
   in
   (match governor with
-  | Ondemand { up_threshold; sampling } -> arm d ~up_threshold ~sampling
+  | Ondemand { up_threshold; _ } -> Sim.arm d.sampler (sample d ~up_threshold)
   | Performance | Userspace -> ());
   (match activity with
   | Some bus -> ignore (Bus.subscribe bus (fun () -> unpark d))
@@ -123,7 +116,4 @@ let thaw d =
 
 let frozen d = d.frozen
 
-let stop d =
-  d.stopped <- true;
-  Sim.cancel d.sim d.next;
-  d.next <- Sim.none
+let stop d = Sim.stop_timer d.sampler

@@ -45,7 +45,7 @@ val create :
   t
 (** [get_util] must return the device utilization (0..1) accumulated since
     the previous call; the ondemand governor samples it on the fixed grid
-    [creation + k*sampling]. Whenever the OPP index moves, a {!change} is
+    [creation + k*sampling] of a {!Psbox_engine.Sim.timer}. Whenever the OPP index moves, a {!change} is
     published on {!changes} (the owner subscribes to update its rail). The
     initial OPP is the lowest (or highest for [Performance]); setting it
     publishes nothing.
@@ -56,7 +56,8 @@ val create :
     the un-parking signal — the owner publishes on it at each idle-to-busy
     edge; {!set_opp} raising the OPP and {!thaw} also unpark. An unpark
     discards the idle stretch from the utilization window and resumes on
-    the original sampling grid.
+    the original sampling grid. A sample re-arms the timer last, after its
+    decision has been published.
 
     [?name] (default ["dvfs"]) labels the instance in telemetry: OPP moves
     count under [dvfs.<name>.transitions], governor samples under
@@ -87,4 +88,5 @@ val thaw : t -> unit
 val frozen : t -> bool
 
 val stop : t -> unit
-(** Cancel the periodic governor event (end of simulation). *)
+(** Stop the sampling timer (end of simulation): the governor never
+    samples again. *)

@@ -31,13 +31,6 @@ let dequeue rq e =
     rq.set <- ESet.remove (key e) rq.set
   end
 
-let requeue rq e =
-  if e.Entity.on_rq then begin
-    (* the stored key may carry a stale vruntime; rebuild *)
-    rq.set <- ESet.filter (fun (_, id, _) -> id <> e.Entity.eid) rq.set;
-    rq.set <- ESet.add (key e) rq.set
-  end
-
 let leftmost rq =
   match ESet.min_elt_opt rq.set with Some (_, _, e) -> Some e | None -> None
 
@@ -61,7 +54,10 @@ let place_new rq e = e.Entity.vruntime <- Float.max e.Entity.vruntime rq.min_vrt
 let place_woken rq e =
   e.Entity.vruntime <- Float.max e.Entity.vruntime (rq.min_vrt -. wakeup_bonus)
 
+(* Only the running entity is charged, and it is off the queue while it
+   runs: a queued entity's vruntime is its key in [set]. *)
 let charge rq e span =
+  if e.Entity.on_rq then invalid_arg "Cfs.charge: the entity is queued";
   let delta = float_of_int span *. nice0_weight /. e.Entity.weight in
   e.Entity.vruntime <- e.Entity.vruntime +. delta;
   (match e.Entity.kind with
@@ -73,5 +69,4 @@ let charge rq e span =
             t.Task.vruntime +. (float_of_int span *. nice0_weight /. t.Task.weight)
       | None -> ())
   | Entity.ETask t -> t.Task.vruntime <- e.Entity.vruntime);
-  if e.Entity.on_rq then requeue rq e;
   update_min_vruntime rq

@@ -18,10 +18,6 @@ val enqueue : t -> Entity.t -> unit
 
 val dequeue : t -> Entity.t -> unit
 
-val requeue : t -> Entity.t -> unit
-(** [dequeue] then [enqueue]; call after changing a queued entity's
-    vruntime. *)
-
 val leftmost : t -> Entity.t option
 (** The queued entity with the least vruntime (excluding the running one). *)
 
@@ -45,6 +41,9 @@ val place_woken : t -> Entity.t -> unit
 
 val charge : t -> Entity.t -> Psbox_engine.Time.span -> unit
 (** Bill [span] of execution to an entity: advances its vruntime by
-    [span * nice0/weight] and updates [min_vruntime]. *)
+    [span * nice0/weight] and updates [min_vruntime]. Only an entity off
+    the queue (the running one) is charged, since the queue is keyed by
+    vruntime.
+    @raise Invalid_argument if the entity is queued. *)
 
 val update_min_vruntime : t -> unit

@@ -9,9 +9,14 @@ type snapshot =
   | Opp of int
   | Nic of Psbox_hw.Wifi.power_state
 
-(* The private ondemand decision period: matches the real governors so a
+(* The private ondemand decision period. It counts in-balloon time, so a
    psbox's frequency trajectory is the same whether its balloons are one
-   long stretch (running alone) or many short slices (heavy co-running). *)
+   long stretch (running alone) or many short slices (heavy co-running).
+   One period and one up-threshold (0.6, see [governor_step]) serve every
+   device, while the devices' own governors default to 0.7/50 ms on the
+   CPU, 0.6/20 ms on the GPU and 0.5/50 ms on the DSP: a private decision
+   can differ from the one the device's governor would take. Following
+   each device's governor would change the paper outputs. *)
 let sampling = Time.ms 50
 
 type t = {

@@ -101,11 +101,10 @@ type t = {
   mutable quota_of : quota_state option array;
       (* app -> its quota; refills re-plan, and so schedule events, in app
          order *)
-  mutable quota_epoch : Time.t option;
-      (* grid anchor for refill boundaries (epoch + k * quota_period), fixed
-         by the first quota ever set so demand-armed refills land on the
-         same instants a periodic timer would have *)
-  mutable quota_next : Sim.handle; (* armed refill boundary, if any *)
+  mutable refill : Sim.timer option;
+      (* the refill boundaries' grid, anchored by the first quota ever set
+         so demand-armed refills land on the same instants a periodic
+         timer would have *)
   (* telemetry handles, resolved once at create; lanes precomputed so the
      tracing hot path allocates nothing when recording is off *)
   tm_switch : Tm.counter;
@@ -114,8 +113,10 @@ type t = {
   tm_unthrottles : Tm.counter;
   tm_wake_lat : Tm.histogram;
   tm_lanes : string array;
-  (* demand-wakeup fire counters, pre-resolved (these are hot one-shots,
-     so the per-call ?label lookup of Sim.schedule_at is avoided) *)
+  (* fire counters of the demand wakeups and the quota refill, bumped by
+     hand: preempt and rotate are told apart inside the handler, and each
+     counter is registered in every machine's store, whose zero rows the
+     fleet reports print (a timer label is interned once per process) *)
   tm_ev_preempt : Tm.counter;
   tm_ev_rotate : Tm.counter;
   tm_ev_balloon : Tm.counter;
@@ -152,8 +153,7 @@ let create sim cpu ~confine_cost =
     share_bus = Bus.create ();
     share_counts = [||];
     quota_of = [||];
-    quota_epoch = None;
-    quota_next = Sim.none;
+    refill = None;
     tm_switch = Tm.counter "smp.ctx_switches";
     tm_core_switch =
       Array.init n (fun core ->
@@ -305,6 +305,14 @@ let entity_throttled smp e =
   | Entity.ETask t -> throttled_app smp t.Task.app
   | Entity.EGroup _ -> false
 
+(* Whether a core's current entity accrues vruntime while it holds the
+   CPU: a balloon group with no runnable member (forced idle) is charged
+   only when confinement bills it. *)
+let accrues smp e =
+  match e.Entity.kind with
+  | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
+  | Entity.ETask _ -> true
+
 let update_curr smp core =
   let rq = smp.rqs.(core) in
   match Cfs.curr rq with
@@ -313,12 +321,7 @@ let update_curr smp core =
       let now = Sim.now smp.sim in
       let delta = now - smp.curr_started.(core) in
       if delta > 0 then begin
-        let forced_idle =
-          match e.Entity.kind with
-          | Entity.EGroup g -> g.Entity.gcurr = None
-          | Entity.ETask _ -> false
-        in
-        if smp.confine_cost || not forced_idle then Cfs.charge rq e delta;
+        if accrues smp e then Cfs.charge rq e delta;
         (match running_task_of e with
         | Some t -> (
             t.Task.remaining <- t.Task.remaining - delta;
@@ -351,12 +354,7 @@ let cancel_balloon_event smp =
    quantity when the wakeup actually fires). *)
 let curr_vruntime_now smp core e =
   let delta = Sim.now smp.sim - smp.curr_started.(core) in
-  let charging =
-    match e.Entity.kind with
-    | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
-    | Entity.ETask _ -> true
-  in
-  if delta <= 0 || not charging then e.Entity.vruntime
+  if delta <= 0 || not (accrues smp e) then e.Entity.vruntime
   else
     e.Entity.vruntime
     +. (float_of_int delta *. Cfs.nice0_weight /. e.Entity.weight)
@@ -370,6 +368,21 @@ let ns_until_dv ~weight dv =
     if Float.is_finite dt && dt < float_of_int plan_horizon then
       int_of_float dt + 1
     else plan_horizon
+
+(* The waiter a balloon entity [e] races on core [i]: the core's best
+   queued entity other than [e]. *)
+let best_rival smp i e =
+  List.find_opt (fun e' -> e'.Entity.eid <> e.Entity.eid) (Cfs.queued smp.rqs.(i))
+
+(* The loan rule: a balloon group's loan is the most vruntime it has had
+   to borrow this period to beat [best]. Loans start each period at 0 and
+   only grow here. *)
+let borrow e best =
+  match e.Entity.kind with
+  | Entity.EGroup g ->
+      g.Entity.loan <-
+        Float.max g.Entity.loan (e.Entity.vruntime -. best.Entity.vruntime)
+  | Entity.ETask _ -> ()
 
 let put_prev smp core =
   let rq = smp.rqs.(core) in
@@ -633,17 +646,7 @@ and join_balloon smp b j period =
     put_prev smp j;
     let e = b.b_entities.(j) in
     (* initial loan: what E_j must borrow to beat the core's best runnable *)
-    let best =
-      List.find_opt
-        (fun e' -> e'.Entity.eid <> e.Entity.eid)
-        (Cfs.queued smp.rqs.(j))
-    in
-    (match (e.Entity.kind, best) with
-    | Entity.EGroup g, Some best ->
-        g.Entity.loan <-
-          Float.max g.Entity.loan
-            (Float.max 0.0 (e.Entity.vruntime -. best.Entity.vruntime))
-    | _ -> ());
+    (match best_rival smp j e with Some best -> borrow e best | None -> ());
     run smp j (Some e);
     b.b_joined <- b.b_joined + 1;
     if b.b_joined = cores smp then begin
@@ -663,16 +666,7 @@ and cosched_out smp ?(local = 0) b =
      tick-driven scheduler sampled this at most a tick late) *)
   for i = 0 to cores smp - 1 do
     let e = b.b_entities.(i) in
-    let best =
-      List.find_opt
-        (fun e' -> e'.Entity.eid <> e.Entity.eid)
-        (Cfs.queued smp.rqs.(i))
-    in
-    match (e.Entity.kind, best) with
-    | Entity.EGroup g, Some best ->
-        g.Entity.loan <-
-          Float.max g.Entity.loan (e.Entity.vruntime -. best.Entity.vruntime)
-    | _ -> ()
+    match best_rival smp i e with Some best -> borrow e best | None -> ()
   done;
   b.b_live <- false;
   smp.live <- None;
@@ -715,20 +709,9 @@ and balloon_tick smp ~local b =
   let wins = ref 0 in
   for i = 0 to n - 1 do
     let e = b.b_entities.(i) in
-    let best =
-      List.find_opt (fun e' -> e'.Entity.eid <> e.Entity.eid) (Cfs.queued smp.rqs.(i))
-    in
-    match best with
-    | None -> incr wins
-    | Some best ->
-        if e.Entity.vruntime <= best.Entity.vruntime then incr wins
-        else begin
-          match e.Entity.kind with
-          | Entity.EGroup g ->
-              g.Entity.loan <-
-                Float.max g.Entity.loan (e.Entity.vruntime -. best.Entity.vruntime)
-          | Entity.ETask _ -> ()
-        end
+    match best_rival smp i e with
+    | Some best when e.Entity.vruntime > best.Entity.vruntime -> borrow e best
+    | Some _ | None -> incr wins
   done;
   let any_runnable = Array.exists Entity.runnable b.b_entities in
   let loan_capped =
@@ -796,14 +779,9 @@ and replan_core smp core =
            the horizon instead. *)
         let v = curr_vruntime_now smp core c in
         let dv = l.Entity.vruntime -. v in
-        let charging =
-          match c.Entity.kind with
-          | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
-          | Entity.ETask _ -> true
-        in
         let at =
           if dv < 0.0 then now
-          else if not charging then now + plan_horizon
+          else if not (accrues smp c) then now + plan_horizon
           else now + max 1 (ns_until_dv ~weight:c.Entity.weight dv)
         in
         let at = max at (smp.dispatched.(core) + tick) in
@@ -901,22 +879,11 @@ and replan_balloon smp b =
     for i = 0 to cores smp - 1 do
       let e = b.b_entities.(i) in
       let rq = smp.rqs.(i) in
-      let best =
-        List.find_opt
-          (fun e' -> e'.Entity.eid <> e.Entity.eid)
-          (Cfs.queued rq)
-      in
-      let charging =
-        curr_is rq e
-        &&
-        match e.Entity.kind with
-        | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
-        | Entity.ETask _ -> true
-      in
+      let charging = curr_is rq e && accrues smp e in
       let v =
         if curr_is rq e then curr_vruntime_now smp i e else e.Entity.vruntime
       in
-      match best with
+      match best_rival smp i e with
       | None -> lose_all := None
       | Some best ->
           let dv = best.Entity.vruntime -. v in
@@ -966,12 +933,7 @@ and balloon_fired smp =
            balloon forever, starving a competing sandbox.) *)
         let local = ref 0 and best_v = ref infinity in
         for i = 0 to cores smp - 1 do
-          let e = b.b_entities.(i) in
-          match
-            List.find_opt
-              (fun e' -> e'.Entity.eid <> e.Entity.eid)
-              (Cfs.queued smp.rqs.(i))
-          with
+          match best_rival smp i b.b_entities.(i) with
           | Some w when w.Entity.vruntime < !best_v ->
               best_v := w.Entity.vruntime;
               local := i
@@ -1031,8 +993,7 @@ let stop smp =
     iter_quotas smp (fun _ q ->
         Sim.cancel smp.sim q.q_event;
         q.q_event <- Sim.none);
-    Sim.cancel smp.sim smp.quota_next;
-    smp.quota_next <- Sim.none;
+    Option.iter Sim.stop_timer smp.refill;
     (match smp.live with Some b -> cosched_out smp b | None -> ());
     (* complete the open spans, without a Chrome span or a share change *)
     let now = Sim.now smp.sim in
@@ -1249,41 +1210,34 @@ and quota_fired smp app =
         else replan_quota smp app
       end
 
-(* Refill boundaries stay on the epoch grid the first quota pinned, but a
+(* Refill boundaries stay on the grid the first quota anchored, but a
    boundary is only armed while some budgeted app is consuming (or
    throttled); skipped boundaries are exact no-ops — every balance is
-   already zero and nothing is waiting. *)
+   already zero and nothing is waiting. Every share change of a budgeted
+   app re-arms, so the body closure is built only when the timer is idle. *)
 let rec arm_refill smp =
-  match smp.quota_epoch with
-  | Some epoch when Sim.is_none smp.quota_next && not smp.stopped ->
-      let period = quota_period in
-      let k = ((Sim.now smp.sim - epoch) / period) + 1 in
-      smp.quota_next <-
-        Sim.schedule_at smp.sim
-          (epoch + (k * period))
-          (fun () -> refill_fired smp)
-  | _ -> ()
+  match smp.refill with
+  | Some tm when Sim.timer_state tm = Sim.Idle ->
+      Sim.arm tm (fun () -> refill_fired smp)
+  | Some _ | None -> ()
 
 and refill_fired smp =
-  smp.quota_next <- Sim.none;
-  if not smp.stopped then begin
-    Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_refill;
-    quota_refill smp ();
-    iter_quotas smp (fun app _ -> replan_quota smp app);
-    let active = ref false in
-    for app = 0 to Array.length smp.quota_of - 1 do
-      if Option.is_some smp.quota_of.(app) && shares_of smp app > 0 then
-        active := true
-    done;
-    if !active then arm_refill smp
-  end
+  Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_refill;
+  quota_refill smp ();
+  iter_quotas smp (fun app _ -> replan_quota smp app);
+  let active = ref false in
+  for app = 0 to Array.length smp.quota_of - 1 do
+    if Option.is_some smp.quota_of.(app) && shares_of smp app > 0 then
+      active := true
+  done;
+  if !active then arm_refill smp
 
 (* The grid starts lazily with the first quota, so an unbudgeted machine
-   schedules exactly the same events as before this feature. *)
+   schedules exactly the same events as before this feature; a stopped
+   machine starts none. *)
 let ensure_quota_tick smp =
-  (match smp.quota_epoch with
-  | Some _ -> ()
-  | None -> smp.quota_epoch <- Some (Sim.now smp.sim));
+  if Option.is_none smp.refill && not smp.stopped then
+    smp.refill <- Some (Sim.timer smp.sim quota_period);
   arm_refill smp
 
 let () =

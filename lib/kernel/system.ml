@@ -305,8 +305,6 @@ let rail_energy_table sys =
 
 let uid sys = sys.uid
 
-let every sys span fn = Sim.schedule_every sys.sim span fn
-
 let shutdown sys =
   Smp.stop sys.smp;
   Psbox_hw.Cpu.stop sys.cpu;

@@ -133,12 +133,6 @@ val on_boot : (t -> unit) -> unit
     the kernel depending on them. Hooks run in registration order and are
     never unregistered — make them cheap no-ops when disabled. *)
 
-val every :
-  t -> Psbox_engine.Time.span -> (unit -> unit) -> Psbox_engine.Sim.periodic
-(** [every sys span f] arms a periodic timer on the machine's simulator
-    (first firing one period from now); stop it with
-    {!Psbox_engine.Sim.cancel_every}. *)
-
 (** {1 Apps} *)
 
 val new_app : t -> name:string -> app

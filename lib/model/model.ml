@@ -337,11 +337,10 @@ module Recorder = struct
   type t = {
     rc_sys : System.t;
     rc_rails : rail_rec list;
-    rc_periodic : Sim.periodic;
-    mutable rc_stopped : bool;
+    rc_tick : Sim.timer;
   }
 
-  let tick sys rails () =
+  let tick sys rails =
     let t_s = Time.to_sec_f (System.now sys) in
     List.iter
       (fun rr ->
@@ -367,12 +366,13 @@ module Recorder = struct
           })
         (samplers sys)
     in
-    {
-      rc_sys = sys;
-      rc_rails = rails;
-      rc_periodic = System.every sys window (tick sys rails);
-      rc_stopped = false;
-    }
+    let tm = Sim.timer (System.sim sys) window in
+    let rec body () =
+      Sim.arm tm body;
+      tick sys rails
+    in
+    Sim.arm tm body;
+    { rc_sys = sys; rc_rails = rails; rc_tick = tm }
 
   let traces_of t =
     List.map
@@ -389,9 +389,8 @@ module Recorder = struct
   let current t = traces_of t
 
   let stop t =
-    if not t.rc_stopped then begin
-      t.rc_stopped <- true;
-      Sim.cancel_every t.rc_periodic;
+    if Sim.timer_state t.rc_tick <> Sim.Stopped then begin
+      Sim.stop_timer t.rc_tick;
       List.iter (fun rr -> rr.rr_s.s_detach ()) t.rc_rails
     end;
     traces_of t
@@ -420,13 +419,12 @@ module Estimator = struct
     e_sys : System.t;
     e_window : Time.span;
     e_rails : est_rail list;
-    mutable e_periodic : Sim.periodic option;
+    e_tick : Sim.timer;
     e_splitters : Split.live list;
     e_t0 : Time.t;
     mutable e_cum_pred_j : float;
     mutable e_cum_ledger_j : float;
     mutable e_swaps : int;
-    mutable e_stopped : bool;
   }
 
   let windowed_mape er =
@@ -439,7 +437,7 @@ module Estimator = struct
       !acc /. float_of_int er.er_ring_n
     end
 
-  let tick t () =
+  let tick t =
     let dt = Time.to_sec_f t.e_window in
     let store = Sim.metrics (System.sim t.e_sys) in
     List.iter
@@ -514,24 +512,24 @@ module Estimator = struct
         e_sys = sys;
         e_window = window;
         e_rails = rails;
-        e_periodic = None;
+        e_tick = Sim.timer (System.sim sys) window;
         e_splitters = splitters;
         e_t0 = from;
         e_cum_pred_j = 0.0;
         e_cum_ledger_j = 0.0;
         e_swaps = 0;
-        e_stopped = false;
       }
     in
-    t.e_periodic <- Some (System.every sys window (fun () -> tick t ()));
+    let rec body () =
+      Sim.arm t.e_tick body;
+      tick t
+    in
+    Sim.arm t.e_tick body;
     t
 
   let stop t =
-    if not t.e_stopped then begin
-      t.e_stopped <- true;
-      (match t.e_periodic with
-      | Some p -> Sim.cancel_every p
-      | None -> ());
+    if Sim.timer_state t.e_tick <> Sim.Stopped then begin
+      Sim.stop_timer t.e_tick;
       List.iter (fun er -> er.er_s.s_detach ()) t.e_rails;
       List.iter Split.live_detach t.e_splitters
     end

@@ -394,12 +394,13 @@ module Metrics = struct
            | Gauge_v g -> Some (name, g)
            | Histogram_v _ -> None)
 
-  let find name =
-    let store = current () in
+  let find_in store name =
     match Hashtbl.find_opt store.cells name with
     | Some (CCounter c) -> Some c.c
     | Some (CGauge g) -> Some g.g
     | Some (CHist _) | None -> None
+
+  let find name = find_in (current ()) name
 
   (* ---- windowed counter rates --------------------------------------- *)
 
@@ -415,8 +416,8 @@ module Metrics = struct
 
   let rate name = { r_name = name; r_prev = None }
 
-  let rate_sample r ~now_s =
-    match find r.r_name with
+  let rate_sample store r ~now_s =
+    match find_in store r.r_name with
     | None ->
         r.r_prev <- None;
         None

@@ -119,12 +119,11 @@ module Metrics : sig
   (** A fresh tracker over the named counter or gauge. The metric does not
       have to exist yet. *)
 
-  val rate_sample : rate -> now_s:float -> float option
-  (** Record the metric's current value at [now_s] and return
+  val rate_sample : store -> rate -> now_s:float -> float option
+  (** Record the metric's value in [store] at [now_s] and return
       [(value - previous) / (now_s - previous_t)]. [None] on the first
-      sample after creation, whenever the metric is unregistered in the
-      current store (the tracker then restarts from scratch), or if no
-      time has passed. *)
+      sample after creation, whenever the metric is unregistered in
+      [store] (the tracker then starts over), or if no time has passed. *)
 
   val snapshot : unit -> (string * string) list
   (** Every registered metric as [(row_name, value)] pairs, metrics sorted
@@ -136,9 +135,12 @@ module Metrics : sig
   val values : unit -> (string * float) list
   (** Counters and gauges only (no histogram rows), sorted by name. *)
 
+  val find_in : store -> string -> float option
+  (** Current value of a counter or gauge by name in [store]; [None] if
+      unregistered there or a histogram. *)
+
   val find : string -> float option
-  (** Current value of a counter or gauge by name; [None] if unregistered
-      or a histogram. *)
+  (** [find name] is [find_in (current ()) name]. *)
 
   val dump_string : unit -> string
   (** {!snapshot} as one [name value] row per line. *)

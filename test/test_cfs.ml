@@ -107,19 +107,14 @@ let test_entity_app_of () =
   check_bool "is_group" true (Entity.is_group e2);
   check_bool "task not group" false (Entity.is_group e1)
 
-let test_requeue_after_vruntime_change () =
+let test_charge_rejects_queued () =
   let rq = Cfs.create () in
-  let e1 = Entity.of_task (task "a") and e2 = Entity.of_task (task "b") in
-  e1.Entity.vruntime <- 10.0;
-  e2.Entity.vruntime <- 20.0;
-  Cfs.enqueue rq e1;
-  Cfs.enqueue rq e2;
-  e1.Entity.vruntime <- 30.0;
-  Cfs.requeue rq e1;
-  check_int "order follows new vruntime" e2.Entity.eid
-    (Option.get (Cfs.leftmost rq)).Entity.eid;
-  (* the stale key must not linger *)
-  check_int "still two queued" 2 (Cfs.n_queued rq)
+  let e = Entity.of_task (task "a") in
+  Cfs.enqueue rq e;
+  Alcotest.check_raises "queued"
+    (Invalid_argument "Cfs.charge: the entity is queued") (fun () ->
+      Cfs.charge rq e 1_000_000);
+  check_float "vruntime untouched" 0.0 e.Entity.vruntime
 
 let suite =
   [
@@ -131,5 +126,5 @@ let suite =
     ("wake/new placement", `Quick, test_place_new_and_woken);
     ("group entity pick", `Quick, test_group_entity_pick);
     ("entity app_of/is_group", `Quick, test_entity_app_of);
-    ("requeue after vruntime change", `Quick, test_requeue_after_vruntime_change);
+    ("charge rejects a queued entity", `Quick, test_charge_rejects_queued);
   ]

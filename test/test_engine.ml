@@ -126,10 +126,6 @@ let test_sim_past_errors_name_caller () =
   Alcotest.check_raises "negative span"
     (Invalid_argument "Sim.schedule_after: span -5ns is negative") (fun () ->
       ignore (Sim.schedule_after sim (-5) ignore));
-  Alcotest.check_raises "periodic start in the past"
-    (Invalid_argument
-       "Sim.schedule_every: start 1000000ns is before now (5000000ns)")
-    (fun () -> ignore (Sim.schedule_every sim ~start:(Time.ms 1) 10 ignore));
   check_int "nothing scheduled" 0 (Sim.queue_length sim)
 
 let test_sim_nested_schedule () =
@@ -443,42 +439,66 @@ let test_sim_stale_handle_no_ops () =
   Sim.run sim;
   check_int "recycled occupant fired" 2 !fired
 
+(* A body that re-arms first makes the timer periodic; a second arm of a
+   pending timer and any arm of a stopped one do nothing. *)
 let test_sim_schedule_every () =
   let sim = Sim.create () in
+  Alcotest.check_raises "period must be positive"
+    (Invalid_argument "Sim.timer: period must be positive") (fun () ->
+      ignore (Sim.timer sim 0));
   let fires = ref [] in
-  let p = Sim.schedule_every sim 10 (fun () -> fires := Sim.now sim :: !fires) in
+  let tm = Sim.timer sim 10 in
+  let rec body () =
+    Sim.arm tm body;
+    fires := Sim.now sim :: !fires
+  in
+  check_bool "made idle" true (Sim.timer_state tm = Sim.Idle);
+  Sim.arm tm body;
+  Sim.arm tm body;
+  check_int "one occurrence pending" 1 (Sim.pending sim);
   Sim.run_until sim 35;
   Alcotest.(check (list int)) "fires every period" [ 10; 20; 30 ] (List.rev !fires);
-  check_bool "not stopped" false (Sim.periodic_stopped p);
-  Sim.cancel_every p;
-  check_bool "stopped" true (Sim.periodic_stopped p);
+  check_bool "armed" true (Sim.timer_state tm = Sim.Armed);
+  Sim.stop_timer tm;
+  check_bool "stopped" true (Sim.timer_state tm = Sim.Stopped);
   check_int "in-flight occurrence cancelled" 0 (Sim.pending sim);
+  Sim.arm tm body;
+  check_int "a stopped timer does not arm" 0 (Sim.pending sim);
   Sim.run_until sim 100;
   check_int "no more fires" 3 (List.length !fires);
-  Sim.cancel_every p (* idempotent *)
+  Sim.stop_timer tm (* idempotent *)
 
+(* The grid is anchored where the timer is made, not where it is armed: an
+   idle gap skips grid instants without moving them, and an arm exactly on
+   a grid instant takes the next one. *)
 let test_sim_schedule_every_start () =
   let sim = Sim.create () in
+  Sim.run_until sim 5;
   let fires = ref [] in
-  let p =
-    Sim.schedule_every sim ~start:5 10 (fun () -> fires := Sim.now sim :: !fires)
-  in
-  Sim.run_until sim 26;
-  Alcotest.(check (list int)) "offset start" [ 5; 15; 25 ] (List.rev !fires);
-  Sim.cancel_every p
+  let tm = Sim.timer sim 10 in
+  let note () = fires := Sim.now sim :: !fires in
+  Sim.arm tm note;
+  Sim.run_until sim 40;
+  Sim.arm tm note;
+  Sim.run_until sim 55;
+  Sim.arm tm note;
+  Sim.run_until sim 100;
+  Alcotest.(check (list int)) "grid from 5" [ 15; 45; 65 ] (List.rev !fires)
 
 let test_sim_schedule_every_rearms_before_body () =
   (* The body schedules work for its own instant; because the timer re-armed
      first, that work still runs before the next tick. *)
   let sim = Sim.create () in
   let log = ref [] in
-  let p =
-    Sim.schedule_every sim 10 (fun () ->
-        log := `Tick (Sim.now sim) :: !log;
-        ignore (Sim.schedule_after sim 0 (fun () -> log := `After (Sim.now sim) :: !log)))
+  let tm = Sim.timer sim 10 in
+  let rec body () =
+    Sim.arm tm body;
+    log := `Tick (Sim.now sim) :: !log;
+    ignore (Sim.schedule_after sim 0 (fun () -> log := `After (Sim.now sim) :: !log))
   in
+  Sim.arm tm body;
   Sim.run_until sim 20;
-  Sim.cancel_every p;
+  Sim.stop_timer tm;
   Alcotest.(check bool) "tick then same-instant work, twice" true
     (List.rev !log = [ `Tick 10; `After 10; `Tick 20; `After 20 ])
 
@@ -838,6 +858,100 @@ let prop_shares_in_app_order =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* Grid timers against a model: random programs of make, arm, stop and
+   run_until over up to four timers, some of whose bodies re-arm first.
+   After every step each timer's fires and state match the model, in which
+   an arm fires once, at the first point epoch + k*period (k >= 1) after
+   the arm instant, nothing fires after a stop, and a timer has at most one
+   occurrence pending. *)
+type model_timer = {
+  mt : Sim.timer;
+  m_epoch : Time.t;
+  m_period : Time.span;
+  m_rearm : bool;
+  mutable m_next : Time.t option;
+  mutable m_stopped : bool;
+  mutable m_fires : Time.t list; (* newest first *)
+  fires : Time.t list ref; (* what the timer's bodies saw, newest first *)
+}
+
+let prop_timer_model =
+  QCheck.Test.make ~name:"grid timers fire like an anchored-grid model"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 9) (int_bound 40)))
+    (fun ops ->
+      let sim = Sim.create () in
+      let now = ref 0 and timers = ref [||] in
+      (* the first of t, t + period, ... after now *)
+      let rec grid_after period t =
+        if t > !now then t else grid_after period (t + period)
+      in
+      let make period rearm =
+        let fires = ref [] in
+        let tm = Sim.timer sim period in
+        let m =
+          { mt = tm; m_epoch = !now; m_period = period; m_rearm = rearm;
+            m_next = None; m_stopped = false; m_fires = []; fires }
+        in
+        timers := Array.append !timers [| m |]
+      in
+      let rec body m () =
+        if m.m_rearm then Sim.arm m.mt (body m);
+        m.fires := Sim.now sim :: !(m.fires)
+      in
+      let arm m =
+        Sim.arm m.mt (body m);
+        if (not m.m_stopped) && m.m_next = None then
+          m.m_next <- Some (grid_after m.m_period (m.m_epoch + m.m_period))
+      in
+      let stop m =
+        Sim.stop_timer m.mt;
+        m.m_stopped <- true;
+        m.m_next <- None
+      in
+      let run_model limit =
+        Array.iter
+          (fun m ->
+            let rec go () =
+              match m.m_next with
+              | Some t when t <= limit ->
+                  m.m_fires <- t :: m.m_fires;
+                  m.m_next <- (if m.m_rearm then Some (t + m.m_period) else None);
+                  go ()
+              | Some _ | None -> ()
+            in
+            go ())
+          !timers
+      in
+      let agrees () =
+        Sim.pending sim
+        = Array.fold_left
+            (fun n m -> if m.m_next = None then n else n + 1)
+            0 !timers
+        && Array.for_all
+             (fun m ->
+               !(m.fires) = m.m_fires
+               && Sim.timer_state m.mt
+                  = (if m.m_stopped then Sim.Stopped
+                     else if m.m_next = None then Sim.Idle
+                     else Sim.Armed))
+             !timers
+      in
+      let pick k = !timers.(k mod Array.length !timers) in
+      let step (op, x) =
+        (match op with
+        | 0 | 1 when Array.length !timers < 4 -> make (1 + (x mod 12)) (op = 1)
+        | 0 | 1 | 2 | 3 | 4 when Array.length !timers > 0 -> arm (pick x)
+        | 5 when Array.length !timers > 0 -> stop (pick x)
+        | _ ->
+            let limit = !now + x in
+            Sim.run_until sim limit;
+            run_model limit;
+            now := limit);
+        agrees ()
+      in
+      List.for_all step ops)
+
 let suite =
   [
     ("time units", `Quick, test_time_units);
@@ -893,4 +1007,5 @@ let suite =
     qcheck prop_sim_model;
     qcheck prop_pooling_invisible;
     qcheck prop_trace_retention;
+    qcheck prop_timer_model;
   ]

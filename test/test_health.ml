@@ -658,6 +658,33 @@ let test_json_quotes_names () =
                 (Json.member name fired = Some (Json.Num 1.0))
           | None -> Alcotest.fail "no fired counts"))
 
+(* ------------------------------------------------------------------ *)
+(* The engine reads the store its machine writes: a machine built in one
+   store and run inside another files the same incidents as one run in
+   the store it was built in (none; a read of the outer store would see
+   sim.events_fired frozen and open telemetry.dead).                     *)
+
+let test_reads_machine_store () =
+  let run ~elsewhere =
+    Tm.with_fresh_store (fun () ->
+        let sys = System.create ~cores:2 () in
+        let a = System.new_app sys ~name:"duty" in
+        ignore
+          (W.spawn sys ~app:a ~name:"duty"
+             (W.forever (fun () ->
+                  [ W.Compute (Time.ms 3); W.Sleep (Time.ms 7) ])));
+        System.start sys;
+        let eng = Health.create (System.sim sys) () in
+        Health.add_rules eng (Health.default_pack sys);
+        let go () = System.run_for sys (Time.sec 1) in
+        if elsewhere then Tm.with_fresh_store go else go ();
+        Health.stop eng;
+        System.shutdown sys;
+        Health.json eng)
+  in
+  Alcotest.(check string)
+    "same incident log" (run ~elsewhere:false) (run ~elsewhere:true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_hysteresis_once_per_excursion;
@@ -696,4 +723,6 @@ let suite =
       test_json_deterministic;
     Alcotest.test_case "incident-log JSON quotes names" `Quick
       test_json_quotes_names;
+    Alcotest.test_case "engine reads its machine's store" `Quick
+      test_reads_machine_store;
   ]

@@ -317,9 +317,12 @@ let test_wifi_window_bounded_without_adaptation () =
   let sim = Sim.create () in
   let nic = Wifi.create sim ~retention:(Time.sec 1) () in
   Wifi.set_mode_adapt nic false;
-  ignore
-    (Sim.schedule_every sim (Time.ms 1) (fun () ->
-         Wifi.transmit nic (Wifi.packet ~app:1 ~socket:1 ~bytes:1_000 ())));
+  let tm = Sim.timer sim (Time.ms 1) in
+  let rec send () =
+    Sim.arm tm send;
+    Wifi.transmit nic (Wifi.packet ~app:1 ~socket:1 ~bytes:1_000 ())
+  in
+  Sim.arm tm send;
   let words () = Obj.reachable_words (Obj.repr nic) in
   Sim.run_until sim (Time.sec 3);
   let w3 = words () in

@@ -115,16 +115,6 @@ let test_power_bus_and_ledger () =
   check_bool "live power positive" true (System.live_power_w sys > 0.0);
   System.shutdown sys
 
-let test_system_every () =
-  let sys = System.create () in
-  let fires = ref 0 in
-  let p = System.every sys (Time.ms 100) (fun () -> incr fires) in
-  System.run_for sys (Time.ms 550);
-  check_int "five fires" 5 !fires;
-  Psbox_engine.Sim.cancel_every p;
-  System.run_for sys (Time.ms 500);
-  check_int "stopped" 5 !fires
-
 let suite =
   [
     ("platform presets", `Quick, test_presets);
@@ -133,5 +123,4 @@ let suite =
     ("run_for advances clock", `Quick, test_run_for_advances_clock);
     ("pay-as-you-go cycling", `Quick, test_pay_as_you_go_cycles);
     ("power bus and energy ledger", `Quick, test_power_bus_and_ledger);
-    ("System.every periodic", `Quick, test_system_every);
   ]

@@ -219,9 +219,8 @@ let test_sim_counters () =
   for i = 1 to 10 do
     ignore (Sim.schedule_at sim (Time.ms i) (fun () -> incr hits))
   done;
-  ignore
-    (Sim.schedule_at sim ~label:(Sim.label "test.tick") (Time.ms 50)
-       (fun () -> incr hits));
+  Sim.arm (Sim.timer sim ~label:(Sim.label "test.tick") (Time.ms 50))
+    (fun () -> incr hits);
   let doomed = Sim.schedule_at sim (Time.ms 60) (fun () -> incr hits) in
   Sim.cancel sim doomed;
   Sim.run_until sim (Time.ms 100);
