@@ -181,7 +181,7 @@ let live rail ~from =
          (Psbox_hw.Power_rail.transitions rail)
          (fun (tr : Psbox_hw.Power_rail.transition) ->
            live_settle lv ~at:tr.at;
-           lv.cur_w.v <- tr.after_w));
+           lv.cur_w.v <- tr.draws.after_w));
   lv
 
 let live_set_share lv ~at ~app share =
@@ -223,7 +223,7 @@ let follow lv bus =
     Some
       (Psbox_engine.Bus.subscribe bus
          (fun (c : Psbox_kernel.Temporal_sched.share_change) ->
-           live_set_share lv ~at:c.at ~app:c.app c.share));
+           live_set_share lv ~at:c.at ~app:c.app (float_of_int c.share)));
   lv
 
 let live_cpu smp ~from =
@@ -232,11 +232,10 @@ let live_cpu smp ~from =
   (* seed with whoever is on-core right now; later changes stream in *)
   let counts = Hashtbl.create 4 in
   for core = 0 to Smp.cores smp - 1 do
-    match Smp.running_app smp ~core with
-    | Some app ->
-        let c = match Hashtbl.find_opt counts app with Some c -> c | None -> 0 in
-        Hashtbl.replace counts app (c + 1)
-    | None -> ()
+    let app = Smp.running_app smp ~core in
+    if app >= 0 then
+      let c = match Hashtbl.find_opt counts app with Some c -> c | None -> 0 in
+      Hashtbl.replace counts app (c + 1)
   done;
   Hashtbl.iter
     (fun app c -> live_set_share lv ~at:from ~app (float_of_int c))

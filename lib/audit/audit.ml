@@ -234,7 +234,7 @@ let attach sys =
                  e.total_j
                  +. (e.cur_w *. (float_of_int (tr.at - rs.rs_seg_start) /. 1e9));
                rs.rs_seg_start <- tr.at;
-               e.cur_w <- tr.after_w));
+               e.cur_w <- tr.draws.after_w));
         rs
       in
       let cpu = System.cpu sys in
@@ -244,7 +244,7 @@ let attach sys =
       let follow rs bus =
         ignore
           (Bus.subscribe bus (fun (c : Temporal_sched.share_change) ->
-               set_share rs c.at c.app c.share))
+               set_share rs c.at c.app (float_of_int c.share)))
       in
       follow cpu_rs (Smp.share_bus (System.smp sys));
       let accel name drv =
@@ -290,8 +290,8 @@ let attach sys =
                        with
                        | Some app ->
                            set_share rs tr.at app
-                             (if tr.after_w <= rs.rs_e.floor_w then 0.0
-                              else tr.after_w)
+                             (if tr.draws.after_w <= rs.rs_e.floor_w then 0.0
+                              else tr.draws.after_w)
                        | None -> ())
                    | _ -> ())));
       let w = Weak.create 1 in

@@ -173,7 +173,7 @@ let control_entry ctl e =
     Tm.incr_in store m_violations;
     Tm.incr_in store e.e_c_viol
   end;
-  if Tt.recording () then
+  if Tt.recording_in (Sim.tracer (sim ctl)) then
     Tt.span ~track:budget_track ~lane:e.e_lane ~name:"control"
       ~args:
         [

@@ -115,7 +115,7 @@ let make_binding sys ~app ~virtualize target =
   (* A balloon ended (for Display and GPS, a stay): count it and draw it. *)
   let closed target t0 =
     Tm.incr_in (Sim.metrics sim) m_balloons;
-    if Tt.recording () then
+    if Tt.recording_in (Sim.tracer sim) then
       Tt.span ~track:psbox_track ~lane:(target_label target) ~name:"balloon"
         ~start:t0 ~stop:(Sim.now sim) ()
   in
@@ -261,7 +261,7 @@ let enter psbox =
       | Some a -> Audit.app_blame a ~app:psbox.p_app
       | None -> []);
     Tm.incr_in (Sim.metrics (System.sim psbox.sys)) m_enters;
-    if Tt.recording () then
+    if Tt.recording_in (Sim.tracer (System.sim psbox.sys)) then
       Tt.instant ~track:psbox_track
         ~lane:("app" ^ string_of_int psbox.p_app)
         ~name:"enter" (now psbox);
@@ -293,7 +293,7 @@ let leave psbox =
             ]
     | None -> ());
     Tm.incr_in (Sim.metrics (System.sim psbox.sys)) m_leaves;
-    if Tt.recording () then
+    if Tt.recording_in (Sim.tracer (System.sim psbox.sys)) then
       Tt.instant ~track:psbox_track
         ~lane:("app" ^ string_of_int psbox.p_app)
         ~name:"leave" (now psbox)

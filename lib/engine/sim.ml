@@ -92,6 +92,7 @@ type t = {
   store : Tm.store;
       (* the metric store current when [create] made this simulator;
          every update inside its event loop lands here *)
+  tracer : Tt.state; (* the creating domain's tracer state, likewise *)
 }
 
 let noop () = ()
@@ -159,12 +160,14 @@ let create ?pooling () =
       gauges_dirty = false;
       keep = (fun idx -> keep_pending sim idx);
       store = Tm.current ();
+      tracer = Tt.current ();
     }
   in
   sim
 
 let now sim = sim.clock
 let metrics sim = sim.store
+let tracer sim = sim.tracer
 
 (* -- pool plumbing -------------------------------------------------- *)
 
@@ -311,7 +314,7 @@ let note_fired sim =
   sim.gauges_dirty <- true;
   if sim.fired_n land 4095 = 0 then begin
     flush_gauges sim;
-    if Tt.recording () then
+    if Tt.recording_in sim.tracer then
       Tt.sample ~track:"engine.sim" ~name:"sim.queue_depth" sim.clock
         (float_of_int depth)
   end

@@ -85,6 +85,13 @@ val metrics : t -> Psbox_telemetry.Metrics.store
     loop, by the simulator or by the subsystems it drives, names this
     store, so the loop makes no domain-local read per update. *)
 
+val tracer : t -> Psbox_telemetry.Tracing.state
+(** The tracer state the simulator captured at {!create}
+    ([Tracing.current ()] then). The subsystems it drives guard their
+    trace events with [Tracing.recording_in (tracer sim)], which makes no
+    domain-local read. The state is never replaced, so a trace started
+    after the simulator was made is still recorded. *)
+
 type label
 (** An interned event label: an id resolved once via {!label}, counted
     under [sim.events.<name>] when an occurrence of a so-labelled {!timer}

@@ -278,7 +278,7 @@ let judge store lv ~now_s =
 
 let transition t lv inc ~now_s name counter =
   Tm.incr_in (Sim.metrics t.h_sim) counter;
-  if Tt.recording () then
+  if Tt.recording_in (Sim.tracer t.h_sim) then
     Tt.instant ~track:health_track ~lane:lv.lv_rule.r_subject ~name
       ~args:[ ("id", float_of_int inc.i_id); ("peak", inc.i_peak) ]
       (Time.of_sec_f now_s)

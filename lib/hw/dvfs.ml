@@ -30,7 +30,7 @@ let set_index d i =
     let before = d.index in
     d.index <- i;
     Tm.incr_in (Sim.metrics d.sim) d.tm_transitions;
-    (if Tt.recording () then begin
+    (if Tt.recording_in (Sim.tracer d.sim) then begin
        let now = Sim.now d.sim in
        let freq = float_of_int d.opps.(i).freq_mhz in
        Tt.instant ~track:"hw.dvfs" ~lane:d.name

@@ -1,10 +1,11 @@
 open Psbox_engine
 
+type draws = { mutable before_w : float; mutable after_w : float }
+
 type transition = {
   rail_name : string;
-  at : Time.t;
-  before_w : float;
-  after_w : float;
+  mutable at : Time.t;
+  draws : draws;
 }
 
 type t = {
@@ -14,6 +15,7 @@ type t = {
   floor_w : float;
   timeline : Timeline.t;
   bus : transition Bus.t;
+  tr : transition; (* the one record [bus] carries *)
   mutable cur_w : float;
 }
 
@@ -27,6 +29,12 @@ let create ?retention ?floor_w sim ~name ~idle_w =
     floor_w;
     timeline = Timeline.create ~initial:idle_w ?retention ();
     bus = Bus.create ();
+    tr =
+      {
+        rail_name = name;
+        at = Time.zero;
+        draws = { before_w = idle_w; after_w = idle_w };
+      };
     cur_w = idle_w;
   }
 
@@ -38,9 +46,13 @@ let set_power rail w =
   let before = rail.cur_w in
   Timeline.set rail.timeline (Sim.now rail.sim) w;
   rail.cur_w <- w;
-  if w <> before then
-    Bus.publish rail.bus
-      { rail_name = rail.name; at = Sim.now rail.sim; before_w = before; after_w = w }
+  if w <> before then begin
+    let tr = rail.tr in
+    tr.at <- Sim.now rail.sim;
+    tr.draws.before_w <- before;
+    tr.draws.after_w <- w;
+    Bus.publish rail.bus tr
+  end
 
 let power rail = rail.cur_w
 let energy_j rail ~from ~until = Timeline.integrate rail.timeline from until

@@ -8,14 +8,24 @@
     transition on a {!Psbox_engine.Bus}, so meters, accountants and
     governors can subscribe instead of polling the history. *)
 
-type transition = {
+type draws = private { mutable before_w : float; mutable after_w : float }
+(** The draws around a transition, in watts (float-only, so the rail
+    rewrites them without boxing). *)
+
+type transition = private {
   rail_name : string;
-  at : Psbox_engine.Time.t;
-  before_w : float;
-  after_w : float;
+  mutable at : Psbox_engine.Time.t;
+  draws : draws;
 }
-(** One power transition: at instant [at] the draw changed from [before_w]
-    to [after_w] watts. *)
+(** One power transition: at instant [at] the draw changed from
+    [draws.before_w] to [draws.after_w] watts.
+
+    Each rail allocates one record when it is made and rewrites it for
+    every transition, so a record is valid only while it is being
+    delivered. A subscriber reads the fields it needs during delivery and
+    copies what it keeps, and must never set the same rail's power from
+    inside that rail's delivery: the nested transition would rewrite the
+    record under the subscribers still to be called. *)
 
 type t
 
@@ -48,8 +58,9 @@ val floor_w : t -> float
 
 val set_power : t -> float -> unit
 (** Record the rail's instantaneous draw changing to the given watts at the
-    current simulated time. If the draw actually changes, a {!transition} is
-    published on {!transitions} after the history is updated. *)
+    current simulated time. If the draw actually changes, the rail's
+    {!transition} record is rewritten and published on {!transitions} after
+    the history is updated. *)
 
 val power : t -> float
 (** The current draw in watts (O(1)). *)
@@ -62,4 +73,5 @@ val timeline : t -> Psbox_engine.Timeline.t
 
 val transitions : t -> transition Psbox_engine.Bus.t
 (** The rail's transition bus. Subscribers are invoked synchronously, in
-    subscription order, every time the draw changes. *)
+    subscription order, every time the draw changes, with the rail's one
+    reused record (see {!transition}). *)

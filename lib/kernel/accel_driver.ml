@@ -105,7 +105,7 @@ let create sim dev ?(buffering = Per_process_queues) ?(window = 2)
           let app = cmd.Accel.app in
           Tm.incr_in (Sim.metrics sim) tm_completed;
           (* guard keeps the lane-string allocation off the untraced path *)
-          (if Tt.recording () then
+          (if Tt.recording_in (Sim.tracer sim) then
              match (cmd.Accel.started_at, cmd.Accel.finished_at) with
              | Some t0, Some t1 ->
                  Tt.span ~track ~lane:("app" ^ string_of_int app)

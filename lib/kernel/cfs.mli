@@ -4,7 +4,13 @@
     vruntime (the scheduling credit). The running entity is dequeued while it
     runs, as in Linux. [min_vruntime] advances monotonically and anchors the
     placement of newly woken entities so sleepers neither starve nor bank
-    unbounded credit. *)
+    unbounded credit.
+
+    The queue is ordered by [(key, eid)], where an entity's key is its
+    vruntime when it was enqueued; {!dequeue} finds an entity by its
+    current vruntime. Once the queue has grown to its largest length,
+    only {!leftmost} allocates (its [Some]): the other queries answer
+    {!Entity.none} when they find nothing. *)
 
 type t
 
@@ -21,8 +27,17 @@ val dequeue : t -> Entity.t -> unit
 val leftmost : t -> Entity.t option
 (** The queued entity with the least vruntime (excluding the running one). *)
 
-val queued : t -> Entity.t list
-(** All queued entities, least vruntime first. *)
+val first_other : t -> Entity.t -> Entity.t
+(** The first queued entity in queue order whose eid differs from the
+    given one's, or {!Entity.none}. *)
+
+val find_first : t -> (Entity.t -> bool) -> Entity.t
+(** The first queued entity in queue order that satisfies the predicate,
+    or {!Entity.none}. *)
+
+val dequeue_if : t -> (Entity.t -> bool) -> unit
+(** {!dequeue} every queued entity that satisfies the predicate, in queue
+    order. *)
 
 val n_queued : t -> int
 

@@ -43,6 +43,18 @@ let group ~psbox_id ~core =
     on_rq = false;
   }
 
+(* eid 0 is never issued: fresh eids start at 1 *)
+let none =
+  {
+    eid = 0;
+    kind = EGroup { psbox_id = -1; gcore = -1; gtasks = []; gcurr = None; loan = 0.0 };
+    weight = 1024.0;
+    vruntime = 0.0;
+    on_rq = false;
+  }
+
+let is_none e = e == none
+
 let is_group e = match e.kind with EGroup _ -> true | ETask _ -> false
 
 let app_of e =

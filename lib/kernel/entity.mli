@@ -33,6 +33,13 @@ val of_task : Task.t -> t
 val group : psbox_id:int -> core:int -> t
 (** A group entity at the nice-0 weight (1024). *)
 
+val none : t
+(** The entity no runqueue holds: what an allocation-free query that
+    finds nothing answers. Never mutate it. *)
+
+val is_none : t -> bool
+(** [is_none e] is [e == none]. *)
+
 val is_group : t -> bool
 
 val app_of : t -> int

@@ -119,7 +119,7 @@ let create sim nic =
          Tm.incr_in store tm_rx;
          Tm.add_in store tm_rx_bytes (float_of_int pkt.Wifi.bytes)
        end);
-      (if Tt.recording () then
+      (if Tt.recording_in (Sim.tracer sim) then
          let name = if pkt.Wifi.dir = `Tx then "tx" else "rx" in
          let lane = "app" ^ string_of_int pkt.Wifi.app in
          let args = [ ("bytes", float_of_int pkt.Wifi.bytes) ] in

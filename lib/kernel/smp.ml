@@ -40,6 +40,7 @@ type quota_state = {
   mutable q_used : Time.span; (* runtime consumed in the current period *)
   mutable q_throttled : bool;
   mutable q_event : Sim.handle; (* analytic quota-crossing wakeup *)
+  q_fire : unit -> unit; (* the quota-crossing body, built once *)
 }
 
 type balloon = {
@@ -82,21 +83,31 @@ type t = {
       (* single machine-wide wakeup at the live balloon's next boundary:
          min(max_period expiry, earliest loan-cap crossing, the instant the
          balloon loses the credit race on its last winning core) *)
-  span_tag : int option array; (* app code of the open span per core *)
+  (* the bodies of those events, built once per core and per machine *)
+  work_fns : (unit -> unit) array;
+  plan_fns : (unit -> unit) array;
+  mutable balloon_fn : unit -> unit;
+  span_tag : int array; (* app code of the open span per core, or [no_span] *)
   span_start : Time.t array; (* when each core's open span began *)
   span_opened : int array;
       (* opening order of each core's open span, from [spans_opened]:
          [stop] closes the open spans most recent first, the order the
          tie rule of [sched_spans] was defined by *)
   mutable spans_opened : int;
-  task_entities : (int, Entity.t) Hashtbl.t; (* tid -> entity when unsandboxed *)
+  mutable entities : Entity.t array;
+      (* task slot -> its entity while unsandboxed, else [Entity.none] *)
+  mutable wakers : (unit -> unit) array;
+      (* task slot -> the body of its sleep's wakeup, built at spawn *)
+  mutable slots : int; (* slots handed out, one per spawned task *)
   mutable apps : Task.t list array; (* app -> its tasks, newest first *)
-  mutable balloons : balloon list;
+  mutable balloon_of : balloon option array; (* app -> its balloon *)
+  mutable balloons : int; (* sandboxed apps *)
   mutable live : balloon option;
   spans : (int * int) Trace.span Trace.events; (* completed, stamped at stop *)
   latencies : (int * float) Trace.events; (* (app, wake-to-run us) *)
   mutable stopped : bool;
   share_bus : Temporal_sched.share_change Bus.t;
+  share : Temporal_sched.share_change; (* the one record [share_bus] carries *)
   mutable share_counts : int array; (* app -> cores currently running it *)
   mutable quota_of : quota_state option array;
       (* app -> its quota; refills re-plan, and so schedule events, in app
@@ -124,7 +135,12 @@ type t = {
   tm_ev_refill : Tm.counter;
 }
 
-let create sim cpu ~confine_cost =
+(* A core with no open scheduling span. *)
+let no_span = min_int
+
+(* The machine without its event bodies: [create] builds those once the
+   handlers are defined. *)
+let make sim cpu ~confine_cost =
   let n = Psbox_hw.Cpu.cores cpu in
   let retention =
     Timeline.retention (Psbox_hw.Power_rail.timeline (Psbox_hw.Cpu.rail cpu))
@@ -139,18 +155,25 @@ let create sim cpu ~confine_cost =
     work_events = Array.make n Sim.none;
     plan_events = Array.make n Sim.none;
     balloon_event = Sim.none;
-    span_tag = Array.make n None;
+    work_fns = Array.make n ignore;
+    plan_fns = Array.make n ignore;
+    balloon_fn = ignore;
+    span_tag = Array.make n no_span;
     span_start = Array.make n Time.zero;
     span_opened = Array.make n 0;
     spans_opened = 0;
-    task_entities = Hashtbl.create 64;
+    entities = [||];
+    wakers = [||];
+    slots = 0;
     apps = [||];
-    balloons = [];
+    balloon_of = [||];
+    balloons = 0;
     live = None;
     spans = Trace.events ?retention ();
     latencies = Trace.events ?retention ();
     stopped = false;
     share_bus = Bus.create ();
+    share = { Temporal_sched.at = Time.zero; app = 0; share = 0 };
     share_counts = [||];
     quota_of = [||];
     refill = None;
@@ -212,19 +235,22 @@ let wakeup_latencies_of smp ~app =
   |> Array.of_list
 
 let balloon_of_app smp app =
-  List.find_opt (fun b -> b.b_app = app) smp.balloons
+  if app >= 0 && app < Array.length smp.balloon_of then smp.balloon_of.(app)
+  else None
 
-(* The task actually executing inside an entity, if any. *)
+let sandboxed smp app = Option.is_some (balloon_of_app smp app)
+
+(* The task actually executing inside an entity, or [Task.none]. *)
 let running_task_of e =
   match e.Entity.kind with
-  | Entity.ETask t -> if t.Task.state = Task.Running then Some t else None
-  | Entity.EGroup g -> g.Entity.gcurr
+  | Entity.ETask t -> if t.Task.state = Task.Running then t else Task.none
+  | Entity.EGroup g -> (
+      match g.Entity.gcurr with Some t -> t | None -> Task.none)
 
 let running_app smp ~core =
   match Cfs.curr smp.rqs.(core) with
-  | None -> None
-  | Some e -> (
-      match running_task_of e with Some t -> Some t.Task.app | None -> None)
+  | None -> -1
+  | Some e -> (running_task_of e).Task.app
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling spans                                                     *)
@@ -248,8 +274,11 @@ let note_share smp app delta =
       smp.share_counts <- grown smp.share_counts app 0;
     let nw = smp.share_counts.(app) + delta in
     smp.share_counts.(app) <- nw;
-    Bus.publish smp.share_bus
-      { Temporal_sched.at = Sim.now smp.sim; app; share = float_of_int nw };
+    let c = smp.share in
+    c.Temporal_sched.at <- Sim.now smp.sim;
+    c.app <- app;
+    c.share <- nw;
+    Bus.publish smp.share_bus c;
     if app < Array.length smp.quota_of && Option.is_some smp.quota_of.(app)
     then !quota_share_hook smp app
   end
@@ -258,30 +287,29 @@ let complete_span smp core app now =
   Trace.emit smp.spans now
     { Trace.start = smp.span_start.(core); stop = now; tag = (core, app) }
 
+(* Switch a core's open span to [tag] ([no_span] closes it). *)
 let set_span smp core tag =
   let now = Sim.now smp.sim in
-  match (smp.span_tag.(core), tag) with
-  | Some a, Some b when a = b -> ()
-  | old, _ ->
-      (match old with
-      | Some a ->
-          if Tt.recording () then
-            Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
-              ~name:(app_label a) ~start:smp.span_start.(core) ~stop:now ();
-          complete_span smp core a now;
-          note_share smp a (-1)
-      | None -> ());
-      (match tag with
-      | Some b ->
-          smp.span_start.(core) <- now;
-          smp.span_opened.(core) <- smp.spans_opened;
-          smp.spans_opened <- smp.spans_opened + 1;
-          note_share smp b 1
-      | None -> ());
-      let store = Sim.metrics smp.sim in
-      Tm.incr_in store smp.tm_switch;
-      Tm.incr_in store smp.tm_core_switch.(core);
-      smp.span_tag.(core) <- tag
+  let old = smp.span_tag.(core) in
+  if not (old = tag && tag <> no_span) then begin
+    if old <> no_span then begin
+      if Tt.recording_in (Sim.tracer smp.sim) then
+        Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
+          ~name:(app_label old) ~start:smp.span_start.(core) ~stop:now ();
+      complete_span smp core old now;
+      note_share smp old (-1)
+    end;
+    if tag <> no_span then begin
+      smp.span_start.(core) <- now;
+      smp.span_opened.(core) <- smp.spans_opened;
+      smp.spans_opened <- smp.spans_opened + 1;
+      note_share smp tag 1
+    end;
+    let store = Sim.metrics smp.sim in
+    Tm.incr_in store smp.tm_switch;
+    Tm.incr_in store smp.tm_core_switch.(core);
+    smp.span_tag.(core) <- tag
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Core scheduling machinery                                           *)
@@ -310,7 +338,7 @@ let entity_throttled smp e =
    only when confinement bills it. *)
 let accrues smp e =
   match e.Entity.kind with
-  | Entity.EGroup g -> smp.confine_cost || g.Entity.gcurr <> None
+  | Entity.EGroup g -> smp.confine_cost || Option.is_some g.Entity.gcurr
   | Entity.ETask _ -> true
 
 let update_curr smp core =
@@ -322,13 +350,13 @@ let update_curr smp core =
       let delta = now - smp.curr_started.(core) in
       if delta > 0 then begin
         if accrues smp e then Cfs.charge rq e delta;
-        (match running_task_of e with
-        | Some t -> (
-            t.Task.remaining <- t.Task.remaining - delta;
-            match find_quota smp t.Task.app with
-            | Some q -> q.q_used <- q.q_used + delta
-            | None -> ())
-        | None -> ());
+        let t = running_task_of e in
+        if not (Task.is_none t) then begin
+          t.Task.remaining <- t.Task.remaining - delta;
+          match find_quota smp t.Task.app with
+          | Some q -> q.q_used <- q.q_used + delta
+          | None -> ()
+        end;
         smp.curr_started.(core) <- now
       end
 
@@ -369,10 +397,29 @@ let ns_until_dv ~weight dv =
       int_of_float dt + 1
     else plan_horizon
 
+(* The earlier of [at] and the first instant at which a runnable sibling
+   in [ts] undercuts the running task [t], whose vruntime is [v] at
+   [now]. *)
+let rec next_rotation t v now at ts =
+  match ts with
+  | [] -> at
+  | t' :: rest ->
+      let at =
+        if t'.Task.tid <> t.Task.tid && Task.is_runnable t' then
+          (* [group_pick] breaks vruntime ties by list order, so a tie may
+             keep the current task — re-check >= 1 ns later, never at the
+             same instant *)
+          let dv = t'.Task.vruntime -. v in
+          min at
+            (if dv < 0.0 then now
+             else now + max 1 (ns_until_dv ~weight:t.Task.weight dv))
+        else at
+      in
+      next_rotation t v now at rest
+
 (* The waiter a balloon entity [e] races on core [i]: the core's best
-   queued entity other than [e]. *)
-let best_rival smp i e =
-  List.find_opt (fun e' -> e'.Entity.eid <> e.Entity.eid) (Cfs.queued smp.rqs.(i))
+   queued entity other than [e], or [Entity.none]. *)
+let best_rival smp i e = Cfs.first_other smp.rqs.(i) e
 
 (* The loan rule: a balloon group's loan is the most vruntime it has had
    to borrow this period to beat [best]. Loans start each period at 0 and
@@ -390,16 +437,15 @@ let put_prev smp core =
   | None -> ()
   | Some e ->
       cancel_work smp core;
-      (match running_task_of e with
-      | Some t -> if t.Task.state = Task.Running then t.Task.state <- Task.Runnable
-      | None -> ());
+      let t = running_task_of e in
+      if t.Task.state = Task.Running then t.Task.state <- Task.Runnable;
       (match e.Entity.kind with
       | Entity.EGroup g -> g.Entity.gcurr <- None
       | Entity.ETask _ -> ());
       Cfs.set_curr rq None;
       if Entity.runnable e && not (entity_throttled smp e) then Cfs.enqueue rq e;
       Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-      set_span smp core None
+      set_span smp core no_span
 
 (* Program advancement: drive a task's program until it yields an action
    that leaves the CPU or new work to run. Returns [`Runs] if the task has
@@ -422,15 +468,12 @@ let rec advance smp t fuel =
       end
   | Task.Sleep s ->
       t.Task.state <- Task.Blocked;
-      let smp' = smp in
-      ignore (Sim.schedule_after smp.sim s (fun () -> wake_ref smp' t));
+      ignore (Sim.schedule_after smp.sim s smp.wakers.(t.Task.slot));
       `Off
   | Task.Exit ->
       t.Task.state <- Task.Exited;
       `Off
 
-and wake_ref smp t = !wake_impl smp t
-and wake_impl : (t -> Task.t -> unit) ref = ref (fun _ _ -> assert false)
 
 let record_latency smp t =
   if t.Task.last_wake >= 0 then begin
@@ -452,10 +495,16 @@ let rec count_assigned core acc = function
          else acc)
         rest
 
+(* A task entity whose task can run: what an idle core may steal. *)
+let runnable_task e =
+  match e.Entity.kind with
+  | Entity.ETask t -> Task.is_runnable t
+  | Entity.EGroup _ -> false
+
 let rec schedule_work smp core t =
   cancel_work smp core;
   let span = max 0 t.Task.remaining in
-  smp.work_events.(core) <- Sim.schedule_after smp.sim span (fun () -> work_fired smp core)
+  smp.work_events.(core) <- Sim.schedule_after smp.sim span smp.work_fns.(core)
 
 and work_fired smp core =
   smp.work_events.(core) <- Sim.none;
@@ -463,22 +512,25 @@ and work_fired smp core =
   let rq = smp.rqs.(core) in
   match Cfs.curr rq with
   | None -> ()
-  | Some e -> (
-      match running_task_of e with
-      | Some t when t.Task.remaining <= 0 -> (
-          match advance smp t 10_000 with
-          | `Runs -> schedule_work smp core t
-          | `Off ->
-              if t.Task.state = Task.Exited then reap smp t;
-              resched smp core)
-      | Some _ | None -> ())
+  | Some e ->
+      let t = running_task_of e in
+      if (not (Task.is_none t)) && t.Task.remaining <= 0 then begin
+        match advance smp t 10_000 with
+        | `Runs -> schedule_work smp core t
+        | `Off ->
+            if t.Task.state = Task.Exited then reap smp t;
+            resched smp core
+      end
 
 and reap smp t =
   (* Remove an exited task from its app roster and any group. *)
   (* [spawn] grew the rosters to cover the task's app *)
   smp.apps.(t.Task.app) <-
     List.filter (fun t' -> t'.Task.tid <> t.Task.tid) smp.apps.(t.Task.app);
-  (match balloon_of_app smp t.Task.app with
+  (* [wake] ignores an exited task, so a sleep still pending loses
+     nothing; the slot itself is not handed out again *)
+  smp.wakers.(t.Task.slot) <- ignore;
+  match balloon_of_app smp t.Task.app with
   | Some b ->
       Array.iter
         (fun e ->
@@ -488,14 +540,14 @@ and reap smp t =
                 List.filter (fun t' -> t'.Task.tid <> t.Task.tid) g.Entity.gtasks
           | Entity.ETask _ -> ())
         b.b_entities
-  | None -> Hashtbl.remove smp.task_entities t.Task.tid)
+  | None -> smp.entities.(t.Task.slot) <- Entity.none
 
 and start_task smp core t =
   t.Task.state <- Task.Running;
   t.Task.core <- core;
   record_latency smp t;
   Psbox_hw.Cpu.set_core_busy smp.cpu ~core true;
-  set_span smp core (Some t.Task.app);
+  set_span smp core t.Task.app;
   schedule_work smp core t
 
 and run smp core next =
@@ -508,10 +560,10 @@ and do_run smp core next =
   match next with
   | None ->
       Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-      set_span smp core (Some (-1))
+      set_span smp core (-1)
   | Some e -> (
       Cfs.dequeue rq e;
-      Cfs.set_curr rq (Some e);
+      Cfs.set_curr rq next;
       smp.curr_started.(core) <- Sim.now smp.sim;
       smp.dispatched.(core) <- Sim.now smp.sim;
       match e.Entity.kind with
@@ -524,7 +576,7 @@ and do_run smp core next =
           | None ->
               g.Entity.gcurr <- None;
               Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-              set_span smp core (Some (-2));
+              set_span smp core (-2);
               (* a balloon whose app has nothing runnable anywhere should
                  not hold the machine idle until the next tick *)
               (match smp.live with
@@ -556,15 +608,15 @@ and assigned_load smp core =
 and try_steal smp core =
   match smp.live with
   | Some _ -> None
-  | None when smp.balloons <> [] ->
+  | None when smp.balloons > 0 ->
       (* while any app is sandboxed, migrations would scramble the per-core
          loan bookkeeping that keeps coscheduling fair *)
       None
   | None -> (
-      let found = ref None in
+      let found = ref Entity.none and from = ref 0 in
       let my_load = assigned_load smp core in
       for j = 0 to cores smp - 1 do
-        if j <> core && !found = None then begin
+        if j <> core && Entity.is_none !found then begin
           let rqj = smp.rqs.(j) in
           let victim_busy =
             match Cfs.curr rqj with Some _ -> true | None -> false
@@ -572,19 +624,16 @@ and try_steal smp core =
           (* steal only when it moves the assigned-task counts toward
              balance — a core full of briefly-sleeping tasks is not idle
              capacity, and count drift would clump apps onto one core *)
-          if victim_busy && assigned_load smp j >= my_load + 2 then
-            List.iter
-              (fun e ->
-                match e.Entity.kind with
-                | Entity.ETask t when Task.is_runnable t && !found = None ->
-                    found := Some (j, e, t)
-                | Entity.ETask _ | Entity.EGroup _ -> ())
-              (Cfs.queued rqj)
+          if victim_busy && assigned_load smp j >= my_load + 2 then begin
+            found := Cfs.find_first rqj runnable_task;
+            from := j
+          end
         end
       done;
-      match !found with
-      | Some (j, e, t) ->
-          let rqj = smp.rqs.(j) in
+      let e = !found in
+      match e.Entity.kind with
+      | Entity.ETask t when not (Entity.is_none e) ->
+          let rqj = smp.rqs.(!from) in
           Cfs.dequeue rqj e;
           t.Task.core <- core;
           e.Entity.vruntime <-
@@ -592,7 +641,7 @@ and try_steal smp core =
             +. Cfs.min_vruntime smp.rqs.(core);
           t.Task.vruntime <- e.Entity.vruntime;
           Some e
-      | None -> None)
+      | Entity.ETask _ | Entity.EGroup _ -> None)
 
 and resched smp core =
   update_curr smp core;
@@ -646,7 +695,8 @@ and join_balloon smp b j period =
     put_prev smp j;
     let e = b.b_entities.(j) in
     (* initial loan: what E_j must borrow to beat the core's best runnable *)
-    (match best_rival smp j e with Some best -> borrow e best | None -> ());
+    let best = best_rival smp j e in
+    if not (Entity.is_none best) then borrow e best;
     run smp j (Some e);
     b.b_joined <- b.b_joined + 1;
     if b.b_joined = cores smp then begin
@@ -666,35 +716,40 @@ and cosched_out smp ?(local = 0) b =
      tick-driven scheduler sampled this at most a tick late) *)
   for i = 0 to cores smp - 1 do
     let e = b.b_entities.(i) in
-    match best_rival smp i e with Some best -> borrow e best | None -> ()
+    let best = best_rival smp i e in
+    if not (Entity.is_none best) then borrow e best
   done;
   b.b_live <- false;
   smp.live <- None;
   if b.b_metering then begin
     b.b_metering <- false;
     b.b_intervals <- (b.b_started, Sim.now smp.sim) :: b.b_intervals;
-    if Tt.recording () then
+    if Tt.recording_in (Sim.tracer smp.sim) then
       Tt.span ~track:cfs_track ~lane:"balloon" ~name:(app_label b.b_app)
         ~start:b.b_started ~stop:(Sim.now smp.sim) ();
     b.b_on_stop b.b_started
   end;
   (* loan redistribution: entities evenly split the period's total loan *)
-  let groups =
-    Array.to_list b.b_entities
-    |> List.filter_map (fun e ->
-           match e.Entity.kind with
-           | Entity.EGroup g -> Some (e, g)
-           | Entity.ETask _ -> None)
-  in
-  let total = List.fold_left (fun acc (_, g) -> acc +. g.Entity.loan) 0.0 groups in
+  let total = ref 0.0 and groups = ref 0 in
+  for i = 0 to Array.length b.b_entities - 1 do
+    match b.b_entities.(i).Entity.kind with
+    | Entity.EGroup g ->
+        total := !total +. g.Entity.loan;
+        incr groups
+    | Entity.ETask _ -> ()
+  done;
+  let total = !total and n = float_of_int !groups in
   b.b_total_loan <- b.b_total_loan +. total;
-  let n = float_of_int (List.length groups) in
-  List.iter
-    (fun (e, g) ->
-      if smp.confine_cost then
-        e.Entity.vruntime <- e.Entity.vruntime +. ((total /. n) -. g.Entity.loan);
-      g.Entity.loan <- 0.0)
-    groups;
+  for i = 0 to Array.length b.b_entities - 1 do
+    let e = b.b_entities.(i) in
+    match e.Entity.kind with
+    | Entity.EGroup g ->
+        if smp.confine_cost then
+          e.Entity.vruntime <-
+            e.Entity.vruntime +. ((total /. n) -. g.Entity.loan);
+        g.Entity.loan <- 0.0
+    | Entity.ETask _ -> ()
+  done;
   (* schedule out everywhere: local core now, remote cores after the IPI *)
   resched smp local;
   for j = 0 to cores smp - 1 do
@@ -709,9 +764,10 @@ and balloon_tick smp ~local b =
   let wins = ref 0 in
   for i = 0 to n - 1 do
     let e = b.b_entities.(i) in
-    match best_rival smp i e with
-    | Some best when e.Entity.vruntime > best.Entity.vruntime -> borrow e best
-    | Some _ | None -> incr wins
+    let best = best_rival smp i e in
+    if (not (Entity.is_none best)) && e.Entity.vruntime > best.Entity.vruntime
+    then borrow e best
+    else incr wins
   done;
   let any_runnable = Array.exists Entity.runnable b.b_entities in
   let loan_capped =
@@ -769,7 +825,7 @@ and replan_core smp core =
         (* idle core with queued work: pick it up this instant (the
            polling scheduler waited for the next tick) *)
         smp.plan_events.(core) <-
-          Sim.schedule_at smp.sim now (fun () -> plan_fired smp core)
+          Sim.schedule_at smp.sim now smp.plan_fns.(core)
     | Some c, Some l ->
         (* the instant the waiter's static vruntime undercuts the runner's
            growing one, floored by one tick as the minimum quantum. The
@@ -786,7 +842,7 @@ and replan_core smp core =
         in
         let at = max at (smp.dispatched.(core) + tick) in
         smp.plan_events.(core) <-
-          Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
+          Sim.schedule_at smp.sim at smp.plan_fns.(core)
     | (Some _ | None), None -> ()
   end
 
@@ -805,7 +861,7 @@ and replan_rotate smp core =
             match Entity.group_pick g with
             | Some _ ->
                 smp.plan_events.(core) <-
-                  Sim.schedule_at smp.sim now (fun () -> plan_fired smp core)
+                  Sim.schedule_at smp.sim now smp.plan_fns.(core)
             | None -> ())
         | Some t ->
             let delta = now - smp.curr_started.(core) in
@@ -815,30 +871,12 @@ and replan_rotate smp core =
                 t.Task.vruntime
                 +. (float_of_int delta *. Cfs.nice0_weight /. t.Task.weight)
             in
-            let next =
-              List.fold_left
-                (fun acc t' ->
-                  if t'.Task.tid <> t.Task.tid && Task.is_runnable t' then
-                    (* [group_pick] breaks vruntime ties by list order, so a
-                       tie may keep the current task — re-check >= 1 ns
-                       later, never at the same instant *)
-                    let dv = t'.Task.vruntime -. v in
-                    let at =
-                      if dv < 0.0 then now
-                      else now + max 1 (ns_until_dv ~weight:t.Task.weight dv)
-                    in
-                    match acc with
-                    | None -> Some at
-                    | Some a -> Some (min a at)
-                  else acc)
-                None g.Entity.gtasks
-            in
-            (match next with
-            | Some at ->
-                let at = max at (smp.dispatched.(core) + tick) in
-                smp.plan_events.(core) <-
-                  Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
-            | None -> ()))
+            let next = next_rotation t v now max_int g.Entity.gtasks in
+            if next < max_int then begin
+              let at = max next (smp.dispatched.(core) + tick) in
+              smp.plan_events.(core) <-
+                Sim.schedule_at smp.sim at smp.plan_fns.(core)
+            end)
     | Some _ | None -> ()
   end
 
@@ -873,9 +911,9 @@ and replan_balloon smp b =
   if (not smp.stopped) && b.b_live && b.b_metering then begin
     let now = Sim.now smp.sim in
     let at = ref (b.b_started + max_period + 1) in
-    (* running max of per-core win-loss instants; None = some core has no
-       waiter, so wins can never reach zero *)
-    let lose_all = ref (Some now) in
+    (* running max of per-core win-loss instants; it counts only while
+       every core has a waiter, since otherwise wins can never reach zero *)
+    let lose_all = ref now and raced_everywhere = ref true in
     for i = 0 to cores smp - 1 do
       let e = b.b_entities.(i) in
       let rq = smp.rqs.(i) in
@@ -883,36 +921,32 @@ and replan_balloon smp b =
       let v =
         if curr_is rq e then curr_vruntime_now smp i e else e.Entity.vruntime
       in
-      match best_rival smp i e with
-      | None -> lose_all := None
-      | Some best ->
-          let dv = best.Entity.vruntime -. v in
-          let t_lose =
-            if dv < 0.0 then now
-            else if charging then
-              now + max 1 (ns_until_dv ~weight:e.Entity.weight dv)
-            else now + plan_horizon
-          in
-          (match !lose_all with
-          | Some acc -> lose_all := Some (max acc t_lose)
-          | None -> ());
-          (match e.Entity.kind with
-          | Entity.EGroup g ->
-              if g.Entity.loan > max_loan then at := min !at now
-              else if charging then begin
-                let dv_cap = max_loan +. best.Entity.vruntime -. v in
-                at :=
-                  min !at
-                    (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
-              end
-          | Entity.ETask _ -> ())
+      let best = best_rival smp i e in
+      if Entity.is_none best then raced_everywhere := false
+      else begin
+        let dv = best.Entity.vruntime -. v in
+        let t_lose =
+          if dv < 0.0 then now
+          else if charging then
+            now + max 1 (ns_until_dv ~weight:e.Entity.weight dv)
+          else now + plan_horizon
+        in
+        lose_all := max !lose_all t_lose;
+        (match e.Entity.kind with
+        | Entity.EGroup g ->
+            if g.Entity.loan > max_loan then at := min !at now
+            else if charging then begin
+              let dv_cap = max_loan +. best.Entity.vruntime -. v in
+              at :=
+                min !at
+                  (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
+            end
+        | Entity.ETask _ -> ())
+      end
     done;
-    (match !lose_all with
-    | Some t -> at := min !at (max t now)
-    | None -> ());
+    if !raced_everywhere then at := min !at (max !lose_all now);
     let at = min !at (now + plan_horizon) in
-    smp.balloon_event <-
-      Sim.schedule_at smp.sim (max at now) (fun () -> balloon_fired smp)
+    smp.balloon_event <- Sim.schedule_at smp.sim (max at now) smp.balloon_fn
   end
 
 and balloon_fired smp =
@@ -933,15 +967,24 @@ and balloon_fired smp =
            balloon forever, starving a competing sandbox.) *)
         let local = ref 0 and best_v = ref infinity in
         for i = 0 to cores smp - 1 do
-          match best_rival smp i b.b_entities.(i) with
-          | Some w when w.Entity.vruntime < !best_v ->
-              best_v := w.Entity.vruntime;
-              local := i
-          | Some _ | None -> ()
+          let w = best_rival smp i b.b_entities.(i) in
+          if (not (Entity.is_none w)) && w.Entity.vruntime < !best_v then begin
+            best_v := w.Entity.vruntime;
+            local := i
+          end
         done;
         balloon_tick smp ~local:!local b;
         if b.b_live then replan_balloon smp b
     | Some _ | None -> ()
+
+let create sim cpu ~confine_cost =
+  let smp = make sim cpu ~confine_cost in
+  for core = 0 to cores smp - 1 do
+    smp.work_fns.(core) <- (fun () -> work_fired smp core);
+    smp.plan_fns.(core) <- (fun () -> plan_fired smp core)
+  done;
+  smp.balloon_fn <- (fun () -> balloon_fired smp);
+  smp
 
 (* ------------------------------------------------------------------ *)
 (* Quota enforcement                                                    *)
@@ -954,23 +997,20 @@ let throttle smp app q =
   q.q_event <- Sim.none;
   q.q_throttled <- true;
   Tm.incr_in (Sim.metrics smp.sim) smp.tm_throttles;
-  if Tt.recording () then
+  if Tt.recording_in (Sim.tracer smp.sim) then
     Tt.instant ~track:cfs_track ~lane:"quota"
       ~name:("throttle " ^ app_label app)
       (Sim.now smp.sim);
+  let of_app e =
+    match e.Entity.kind with
+    | Entity.ETask t -> t.Task.app = app
+    | Entity.EGroup _ -> false
+  in
   for core = 0 to cores smp - 1 do
-    let rq = smp.rqs.(core) in
-    List.iter
-      (fun e ->
-        match e.Entity.kind with
-        | Entity.ETask t when t.Task.app = app -> Cfs.dequeue rq e
-        | Entity.ETask _ | Entity.EGroup _ -> ())
-      (Cfs.queued rq)
+    Cfs.dequeue_if smp.rqs.(core) of_app
   done;
   for core = 0 to cores smp - 1 do
-    match running_app smp ~core with
-    | Some a when a = app -> resched smp core
-    | Some _ | None -> ()
+    if running_app smp ~core = app then resched smp core
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1001,10 +1041,9 @@ let stop smp =
     |> List.sort (fun c c' ->
            Int.compare smp.span_opened.(c') smp.span_opened.(c))
     |> List.iter (fun core ->
-           Option.iter
-             (fun app -> complete_span smp core app now)
-             smp.span_tag.(core);
-           smp.span_tag.(core) <- None)
+           let app = smp.span_tag.(core) in
+           if app <> no_span then complete_span smp core app now;
+           smp.span_tag.(core) <- no_span)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1046,7 +1085,7 @@ let wake smp t =
               if curr_is rq e then
                 (match e.Entity.kind with
                 | Entity.EGroup g ->
-                    if g.Entity.gcurr = None then resched smp core
+                    if Option.is_none g.Entity.gcurr then resched smp core
                     else replan smp core
                 | Entity.ETask _ -> ())
           | _ ->
@@ -1056,7 +1095,7 @@ let wake smp t =
               end;
               preempt_check smp core e)
       | None ->
-          let e = Hashtbl.find smp.task_entities t.Task.tid in
+          let e = smp.entities.(t.Task.slot) in
           if throttled_app smp t.Task.app then
             (* stays runnable but off the queue; the next quota refill
                enqueues it *)
@@ -1072,14 +1111,19 @@ let wake smp t =
   | Task.Running | Task.Runnable -> t.Task.wake_pending <- true
   | Task.Exited -> ()
 
-let () = wake_impl := wake
-
 let spawn smp t =
   let app = t.Task.app in
   if app < 0 then
     invalid_arg (Printf.sprintf "Smp.spawn: app %d is negative" app);
   if app >= Array.length smp.apps then smp.apps <- grown smp.apps app [];
   smp.apps.(app) <- t :: smp.apps.(app);
+  if smp.slots = Array.length smp.entities then begin
+    smp.entities <- grown smp.entities smp.slots Entity.none;
+    smp.wakers <- grown smp.wakers smp.slots ignore
+  end;
+  t.Task.slot <- smp.slots;
+  smp.wakers.(smp.slots) <- (fun () -> wake smp t);
+  smp.slots <- smp.slots + 1;
   t.Task.last_wake <- Sim.now smp.sim;
   let core = t.Task.core in
   let rq = smp.rqs.(core) in
@@ -1093,7 +1137,7 @@ let spawn smp t =
       | Some b' when b' == b ->
           (match e.Entity.kind with
           | Entity.EGroup g ->
-              if g.Entity.gcurr = None then resched smp core
+              if Option.is_none g.Entity.gcurr then resched smp core
               else replan smp core
           | Entity.ETask _ -> ())
       | _ ->
@@ -1104,7 +1148,7 @@ let spawn smp t =
           preempt_check smp core e)
   | None ->
       let e = Entity.of_task t in
-      Hashtbl.replace smp.task_entities t.Task.tid e;
+      smp.entities.(t.Task.slot) <- e;
       Cfs.place_new rq e;
       t.Task.vruntime <- e.Entity.vruntime;
       if not (throttled_app smp t.Task.app) then begin
@@ -1118,23 +1162,22 @@ let spawn smp t =
 let unthrottle smp app q =
   q.q_throttled <- false;
   Tm.incr_in (Sim.metrics smp.sim) smp.tm_unthrottles;
-  if Tt.recording () then
+  if Tt.recording_in (Sim.tracer smp.sim) then
     Tt.instant ~track:cfs_track ~lane:"quota"
       ~name:("unthrottle " ^ app_label app)
       (Sim.now smp.sim);
   List.iter
     (fun t ->
-      if Task.is_runnable t then
-        match Hashtbl.find_opt smp.task_entities t.Task.tid with
-        | Some e ->
-            let rq = smp.rqs.(t.Task.core) in
-            if (not e.Entity.on_rq) && not (curr_is rq e) then begin
-              Cfs.place_woken rq e;
-              t.Task.vruntime <- e.Entity.vruntime;
-              Cfs.enqueue rq e;
-              preempt_check smp t.Task.core e
-            end
-        | None -> ())
+      let e = smp.entities.(t.Task.slot) in
+      if Task.is_runnable t && not (Entity.is_none e) then begin
+        let rq = smp.rqs.(t.Task.core) in
+        if (not e.Entity.on_rq) && not (curr_is rq e) then begin
+          Cfs.place_woken rq e;
+          t.Task.vruntime <- e.Entity.vruntime;
+          Cfs.enqueue rq e;
+          preempt_check smp t.Task.core e
+        end
+      end)
     (app_tasks smp ~app)
 
 let quota_refill smp () =
@@ -1151,9 +1194,8 @@ let quota_used_now smp app q =
   let now = Sim.now smp.sim in
   let extra = ref 0 in
   for core = 0 to cores smp - 1 do
-    match running_app smp ~core with
-    | Some a when a = app -> extra := !extra + (now - smp.curr_started.(core))
-    | Some _ | None -> ()
+    if running_app smp ~core = app then
+      extra := !extra + (now - smp.curr_started.(core))
   done;
   q.q_used + !extra
 
@@ -1163,9 +1205,7 @@ let rec replan_quota smp app =
   | Some q ->
       Sim.cancel smp.sim q.q_event;
       q.q_event <- Sim.none;
-      if
-        (not smp.stopped) && (not q.q_throttled)
-        && balloon_of_app smp app = None
+      if (not smp.stopped) && (not q.q_throttled) && not (sandboxed smp app)
       then begin
         let ncores = shares_of smp app in
         if ncores > 0 then begin
@@ -1180,8 +1220,7 @@ let rec replan_quota smp app =
               else plan_horizon
             end
           in
-          q.q_event <-
-            Sim.schedule_after smp.sim dt (fun () -> quota_fired smp app)
+          q.q_event <- Sim.schedule_after smp.sim dt q.q_fire
         end
       end
 
@@ -1193,16 +1232,14 @@ and quota_fired smp app =
       if not smp.stopped then begin
         Tm.incr_in (Sim.metrics smp.sim) smp.tm_ev_quota;
         for core = 0 to cores smp - 1 do
-          match running_app smp ~core with
-          | Some a when a = app -> update_curr smp core
-          | Some _ | None -> ()
+          if running_app smp ~core = app then update_curr smp core
         done;
         let in_balloon =
           match smp.live with Some _ -> true | None -> false
         in
         if
           (not in_balloon) && (not q.q_throttled)
-          && balloon_of_app smp app = None
+          && (not (sandboxed smp app))
           && shares_of smp app > 0
           && Time.to_sec_f q.q_used
              >= q.q_limit *. Time.to_sec_f quota_period
@@ -1272,6 +1309,7 @@ let set_quota smp ~app limit =
                 q_used = 0;
                 q_throttled = false;
                 q_event = Sim.none;
+                q_fire = (fun () -> quota_fired smp app);
               });
       ensure_quota_tick smp;
       replan_quota smp app
@@ -1283,8 +1321,7 @@ let quota smp ~app =
 (* Sandbox / unsandbox                                                  *)
 
 let sandbox smp ~app ~on_start ~on_stop =
-  if balloon_of_app smp app <> None then
-    invalid_arg "Smp.sandbox: app already sandboxed";
+  if sandboxed smp app then invalid_arg "Smp.sandbox: app already sandboxed";
   let n = cores smp in
   let entities = Array.init n (fun core -> Entity.group ~psbox_id:app ~core) in
   let b =
@@ -1308,27 +1345,30 @@ let sandbox smp ~app ~on_start ~on_stop =
   List.iter
     (fun t ->
       let core = t.Task.core in
-      (match Hashtbl.find_opt smp.task_entities t.Task.tid with
-      | Some e ->
-          let rq = smp.rqs.(core) in
-          if curr_is rq e then begin
-            (* detach the running task's old entity so it cannot be
-               requeued alongside the new group entity *)
-            touched_cores := core :: !touched_cores;
-            cancel_work smp core;
-            if t.Task.state = Task.Running then t.Task.state <- Task.Runnable;
-            Cfs.set_curr rq None;
-            Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-            set_span smp core None
-          end
-          else Cfs.dequeue rq e;
-          Hashtbl.remove smp.task_entities t.Task.tid
-      | None -> ());
+      let e = smp.entities.(t.Task.slot) in
+      if not (Entity.is_none e) then begin
+        let rq = smp.rqs.(core) in
+        if curr_is rq e then begin
+          (* detach the running task's old entity so it cannot be
+             requeued alongside the new group entity *)
+          touched_cores := core :: !touched_cores;
+          cancel_work smp core;
+          if t.Task.state = Task.Running then t.Task.state <- Task.Runnable;
+          Cfs.set_curr rq None;
+          Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
+          set_span smp core no_span
+        end
+        else Cfs.dequeue rq e;
+        smp.entities.(t.Task.slot) <- Entity.none
+      end;
       match entities.(core).Entity.kind with
       | Entity.EGroup g -> g.Entity.gtasks <- t :: g.Entity.gtasks
       | Entity.ETask _ -> ())
     tasks;
-  smp.balloons <- b :: smp.balloons;
+  if app >= Array.length smp.balloon_of then
+    smp.balloon_of <- grown smp.balloon_of app None;
+  smp.balloon_of.(app) <- Some b;
+  smp.balloons <- smp.balloons + 1;
   (* fair starting credit: at least the core's min_vruntime, at least the
      average credit of the enclosed tasks *)
   Array.iteri
@@ -1358,7 +1398,11 @@ let sandbox smp ~app ~on_start ~on_stop =
 
 let unsandbox smp b =
   if b.b_live then cosched_out smp b;
-  smp.balloons <- List.filter (fun b' -> not (b' == b)) smp.balloons;
+  (match balloon_of_app smp b.b_app with
+  | Some b' when b' == b ->
+      smp.balloon_of.(b.b_app) <- None;
+      smp.balloons <- smp.balloons - 1
+  | Some _ | None -> ());
   let touched = ref [] in
   Array.iteri
     (fun core e ->
@@ -1366,16 +1410,15 @@ let unsandbox smp b =
       if curr_is rq e then begin
         touched := core :: !touched;
         (* detach without requeueing the group *)
-        (match running_task_of e with
-        | Some t -> if t.Task.state = Task.Running then t.Task.state <- Task.Runnable
-        | None -> ());
+        let t = running_task_of e in
+        if t.Task.state = Task.Running then t.Task.state <- Task.Runnable;
         (match e.Entity.kind with
         | Entity.EGroup g -> g.Entity.gcurr <- None
         | Entity.ETask _ -> ());
         cancel_work smp core;
         Cfs.set_curr rq None;
         Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-        set_span smp core None
+        set_span smp core no_span
       end
       else Cfs.dequeue rq e;
       match e.Entity.kind with
@@ -1384,7 +1427,7 @@ let unsandbox smp b =
             (fun t ->
               let te = Entity.of_task t in
               te.Entity.vruntime <- t.Task.vruntime;
-              Hashtbl.replace smp.task_entities t.Task.tid te;
+              smp.entities.(t.Task.slot) <- te;
               if Task.is_runnable t then begin
                 Cfs.place_woken rq te;
                 t.Task.vruntime <- te.Entity.vruntime;

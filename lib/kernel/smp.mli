@@ -80,7 +80,9 @@ val share_bus : t -> Temporal_sched.share_change Psbox_engine.Bus.t
     running-app transition, synchronously with the scheduling decision.
     Idle and balloon-forced-idle cores count for nobody.
     {!Psbox_accounting.Split.live_cpu} subscribes to drive
-    usage-proportional attribution without manual share pushes. *)
+    usage-proportional attribution without manual share pushes. The
+    scheduler publishes one reused record, valid only during delivery
+    (see {!Temporal_sched.share_change}). *)
 
 (** {1 Spatial balloons (psbox support)} *)
 
@@ -133,8 +135,9 @@ val wakeup_latencies_us : t -> float array
 val wakeup_latencies_of : t -> app:int -> float array
 (** Same, restricted to one app's tasks. *)
 
-val running_app : t -> core:int -> int option
-(** App of the task actually executing on a core right now (idle = None). *)
+val running_app : t -> core:int -> int
+(** App of the task actually executing on a core right now, or [-1] when
+    none is (an idle core, or a balloon group with no member on the CPU). *)
 
 val stop : t -> unit
 (** Cancel all armed timers and complete each core's current span (end of

@@ -180,11 +180,11 @@ let create ?(seed = 42) ?(cores = 2)
              let m = ledger.e in
              m.j <- m.j +. (m.w *. (float_of_int (tr.at - ledger.t) /. 1e9));
              ledger.t <- tr.at;
-             m.w <- m.w +. tr.after_w -. tr.before_w;
+             m.w <- m.w +. tr.draws.after_w -. tr.draws.before_w;
              let e = rl.e in
              e.j <- e.j +. (e.w *. (float_of_int (tr.at - rl.t) /. 1e9));
              rl.t <- tr.at;
-             e.w <- tr.after_w));
+             e.w <- tr.draws.after_w));
       forward r)
     rails;
   (* Per-app attribution rails (display/GPS) are created lazily, after the

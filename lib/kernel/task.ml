@@ -21,6 +21,7 @@ type t = {
   mutable program : program;
   mutable wake_pending : bool;
   mutable last_wake : Psbox_engine.Time.t;
+  mutable slot : int;
 }
 
 (* Domain-local so concurrent device simulations number their tasks
@@ -44,6 +45,26 @@ let create ~app ~name ?(weight = 1024.0) ?(core = 0) ~program () =
     program;
     wake_pending = false;
     last_wake = Psbox_engine.Time.zero;
+    slot = -1;
   }
+
+(* tid 0 is never issued: fresh tids start at 1 *)
+let none =
+  {
+    tid = 0;
+    app = -1;
+    name = "";
+    weight = 1024.0;
+    state = Exited;
+    core = -1;
+    vruntime = 0.0;
+    remaining = 0;
+    program = (fun () -> Exit);
+    wake_pending = false;
+    last_wake = Psbox_engine.Time.zero;
+    slot = -1;
+  }
+
+let is_none t = t == none
 
 let is_runnable t = t.state = Runnable || t.state = Running

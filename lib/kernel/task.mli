@@ -31,11 +31,21 @@ type t = {
       (** a wake arrived while the task was still [Running]/[Runnable];
           consume it instead of blocking *)
   mutable last_wake : Psbox_engine.Time.t;  (** for latency statistics *)
+  mutable slot : int;
+      (** the task's dense index on the machine that spawned it, [-1]
+          before its spawn (see {!Smp.spawn}) *)
 }
 
 val create :
   app:int -> name:string -> ?weight:float -> ?core:int -> program:program ->
   unit -> t
+
+val none : t
+(** The task no core runs ([Exited], app [-1]): what an allocation-free
+    query that finds nothing answers. Never mutate it. *)
+
+val is_none : t -> bool
+(** [is_none t] is [t == none]. *)
 
 val reset_ids : unit -> unit
 (** Restart tid numbering from 1 in the current domain. Tids are

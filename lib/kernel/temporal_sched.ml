@@ -3,7 +3,11 @@ module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
 
 type phase = Normal | Drain_others | Serve | Drain_psbox
-type share_change = { at : Time.t; app : int; share : float }
+type share_change = {
+  mutable at : Time.t;
+  mutable app : int;
+  mutable share : int;
+}
 
 type 'item device = {
   in_flight : unit -> int;
@@ -44,6 +48,7 @@ type 'item t = {
   latencies : (int * float) Trace.events; (* stamped at dispatch *)
   log : 'item Trace.events; (* completed items *)
   share_bus : share_change Bus.t;
+  share : share_change; (* the one record [share_bus] carries *)
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
   mutable gate_at : Time.t; (* instant gate_pump is aimed at *)
@@ -128,8 +133,11 @@ let pick_app t =
            (List.hd apps) (List.tl apps))
 
 let publish_share t app =
-  Bus.publish t.share_bus
-    { at = Sim.now t.sim; app; share = float_of_int (t.dev.in_flight_of app) }
+  let c = t.share in
+  c.at <- Sim.now t.sim;
+  c.app <- app;
+  c.share <- t.dev.in_flight_of app;
+  Bus.publish t.share_bus c
 
 (* The balloon yields when another app is waiting and either psbox is being
    left, the sandboxed app has nothing left to run, or a waiting app whose
@@ -259,7 +267,7 @@ and exit_serve t =
   (match t.sandboxed with Some app -> t.hooks.on_serve_end t app | None -> ());
   let t0 = t.serve_started and now = Sim.now t.sim in
   t.intervals <- (t0, now) :: t.intervals;
-  (if Tt.recording () then
+  (if Tt.recording_in (Sim.tracer t.sim) then
      let name =
        match t.sandboxed with
        | Some a -> "serve app" ^ string_of_int a
@@ -328,6 +336,7 @@ let create sim ~rail ~window ~wake_bonus ~name ~rate_arg dev hooks =
     latencies = Trace.events ?retention ();
     log = Trace.events ?retention ();
     share_bus = Bus.create ();
+    share = { at = Time.zero; app = 0; share = 0 };
     gates = Hashtbl.create 4;
     gate_pump = Sim.none;
     gate_at = Time.zero;
@@ -347,7 +356,7 @@ let set_rate t ~app limit =
       (match Hashtbl.find_opt t.gates app with
       | Some g -> g.g_rate <- r
       | None -> Hashtbl.add t.gates app { g_rate = r; g_next = Time.zero }));
-  (if Tt.recording () then
+  (if Tt.recording_in (Sim.tracer t.sim) then
      let now = Sim.now t.sim in
      match limit with
      | Some r ->

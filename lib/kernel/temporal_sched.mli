@@ -32,10 +32,18 @@ type phase = Normal | Drain_others | Serve | Drain_psbox
 (** [Normal] is fair dispatch; the other three are the balloon's drain,
     serve and drain-psbox phases. *)
 
-type share_change = { at : Psbox_engine.Time.t; app : int; share : float }
+type share_change = {
+  mutable at : Psbox_engine.Time.t;
+  mutable app : int;
+  mutable share : int;
+}
 (** An app's share of a resource changed; [share] is the new value. The
     device schedulers publish in-flight item counts, {!Smp} running-core
-    counts. *)
+    counts.
+
+    Each publisher allocates one record and rewrites it for every change,
+    so a record is valid only while it is being delivered: a subscriber
+    reads the fields it needs during delivery and copies what it keeps. *)
 
 (** The device calls the scheduler needs. *)
 type 'item device = {
@@ -149,7 +157,8 @@ val gated_until : 'item t -> app:int -> Psbox_engine.Time.t option
 val share_bus : 'item t -> share_change Psbox_engine.Bus.t
 (** Each app's in-flight item count, published at every dispatch and
     completion, so {!Psbox_accounting.Split.live_sched} can attribute the
-    device's power without manual share pushes. *)
+    device's power without manual share pushes. The scheduler publishes
+    one reused record (see {!share_change}). *)
 
 (** {1 Temporal balloons} *)
 

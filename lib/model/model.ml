@@ -556,7 +556,7 @@ module Estimator = struct
         er.er_ring_n <- 0;
         t.e_swaps <- t.e_swaps + 1;
         Tm.incr_in (Sim.metrics (System.sim t.e_sys)) m_swaps;
-        if Tt.recording () then
+        if Tt.recording_in (Sim.tracer (System.sim t.e_sys)) then
           Tt.instant ~track:model_track ~lane:er.er_s.s_rail ~name:"swap"
             ~args:[ ("swaps", float_of_int t.e_swaps) ]
             (Sim.now (System.sim t.e_sys));

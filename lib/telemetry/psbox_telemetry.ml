@@ -513,7 +513,7 @@ module Tracing = struct
   (* Recording state is domain-local for the same reason metric stores are:
      a worker domain running a device never interleaves its events into the
      main domain's trace buffer. *)
-  type tstate = {
+  type state = {
     mutable armed : bool;
     mutable buf : event list; (* newest first *)
     mutable n : int;
@@ -521,13 +521,17 @@ module Tracing = struct
     mutable limit : int;
   }
 
-  let tkey : tstate Domain.DLS.key =
+  (* Made once per domain and never replaced, so a state captured by
+     [current] follows every later [start] and [stop]. *)
+  let tkey : state Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
         { armed = false; buf = []; n = 0; n_dropped = 0; limit = 2_000_000 })
 
+  let current () = Domain.DLS.get tkey
   let start () = (Domain.DLS.get tkey).armed <- true
   let stop () = (Domain.DLS.get tkey).armed <- false
-  let recording () = (Domain.DLS.get tkey).armed && !on
+  let recording_in t = t.armed && !on
+  let recording () = recording_in (Domain.DLS.get tkey)
 
   let clear () =
     let t = Domain.DLS.get tkey in

@@ -235,6 +235,20 @@ module Tracing : sig
 
   val recording : unit -> bool
 
+  type state
+  (** A domain's recording state. Each domain has one, made the first
+      time it is asked for and never replaced, so a captured state answers
+      {!recording_in} as the domain's {!recording} does, before and after
+      every {!start} and {!stop}. *)
+
+  val current : unit -> state
+  (** The current domain's state (one domain-local read). A simulator
+      captures it when it is created (see [Psbox_engine.Sim.tracer]) so
+      that its hot paths test {!recording_in} without that read. *)
+
+  val recording_in : state -> bool
+  (** [recording ()] is [recording_in (current ())]. *)
+
   val clear : unit -> unit
   (** Drop all buffered events and reset the drop counter. *)
 

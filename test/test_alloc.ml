@@ -62,7 +62,7 @@ let test_transition_words () =
         Split.live_set_share lv ~at:now ~app 1.0;
         Bus.publish
           (Smp.share_bus (System.smp sys))
-          { Temporal_sched.at = now; app; share = 1.0 })
+          { Temporal_sched.at = now; app; share = 1 })
       [ 1; 2 ];
     let w = words_per_transition (System.sim sys) (cpu_rail sys) in
     Split.live_detach lv;
@@ -119,7 +119,7 @@ let test_replan_words () =
    switch are the whole machine's: the workload scripts, CFS and the
    events count too. The ceiling is this scenario's reading rounded up to
    half a word; a change that lowers the reading lowers the ceiling. *)
-let switch_words_ceiling = 59.5
+let switch_words_ceiling = 29.0
 
 let test_switch_words () =
   Tm.with_fresh_store (fun () ->
@@ -160,6 +160,41 @@ let test_switch_words () =
         true
         (words <= switch_words_ceiling))
 
+(* The fleet's per-device path: [fleet_seq]'s work, a budget-scenario
+   device with health, seed 42, run in isolation as [Fleet.run_device]
+   runs it (its own store, its own ids). After one unmeasured device has
+   interned every label and made every process-wide table, devices 0-15
+   run and their words are divided by the events they fired, the
+   [sim.events_fired] of their exports. Each device's fresh store sizes
+   its metric caches by the process-wide handle indices, so the reading
+   moves a little with the metric names registered before it: this
+   suite alone reads 0.12 words less than [dune runtest]. The ceiling is
+   the [dune runtest] reading rounded up to half a word; a change that
+   lowers the reading lowers it. *)
+let device_words_ceiling = 38.0
+
+let test_device_words () =
+  let module Fleet = Psbox_fleet.Fleet in
+  let run i = Fleet.run_device ~health:true ~scenario:"budget" ~fleet_seed:42 i in
+  ignore (run 0 : Fleet.device);
+  let fired d =
+    match List.assoc_opt "sim.events_fired" d.Fleet.d_metrics with
+    | Some (Tm.Counter_v n) -> n
+    | Some _ | None -> Alcotest.fail "no sim.events_fired counter"
+  in
+  let w0 = Gc.minor_words () in
+  let events = ref 0.0 in
+  for i = 0 to 15 do
+    events := !events +. fired (run i)
+  done;
+  let words = (Gc.minor_words () -. w0) /. !events in
+  Printf.printf "budget device: %.0f events, %.2f words/event\n" !events words;
+  Alcotest.(check bool)
+    (Printf.sprintf "a budget device allocates %.2f <= %.1f words per event"
+       words device_words_ceiling)
+    true
+    (words <= device_words_ceiling)
+
 let suite =
   [
     ( "power transitions settle without allocating",
@@ -169,4 +204,7 @@ let suite =
     ( "a context switch stays under its word ceiling",
       `Quick,
       test_switch_words );
+    ( "a budget-fleet device stays under its word ceiling",
+      `Quick,
+      test_device_words );
   ]

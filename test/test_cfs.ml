@@ -116,6 +116,167 @@ let test_charge_rejects_queued () =
       Cfs.charge rq e 1_000_000);
   check_float "vruntime untouched" 0.0 e.Entity.vruntime
 
+(* The runqueue against a reference: the persistent [Set] of
+   [(vruntime, eid, entity)] tuples that the array queue replaced, with
+   the same operations written over it. Both are keyed at enqueue and
+   look an entity up by its current vruntime, so a vruntime changed while
+   queued strands the old entry in both. Here [place_woken] and
+   [place_new] raise a queued vruntime, and a shift moves it either way,
+   as a balloon's loan settlement moves a queued group entity. *)
+module Ref = struct
+  module ESet = Set.Make (struct
+    type t = float * int * Entity.t
+
+    let compare (v1, id1, _) (v2, id2, _) =
+      let c = compare v1 v2 in
+      if c <> 0 then c else compare id1 id2
+  end)
+
+  type t = {
+    mutable set : ESet.t;
+    mutable running : Entity.t option;
+    mutable min_vrt : float;
+  }
+
+  let create () = { set = ESet.empty; running = None; min_vrt = 0.0 }
+  let key e = (e.Entity.vruntime, e.Entity.eid, e)
+
+  let enqueue rq e =
+    if not e.Entity.on_rq then begin
+      e.Entity.on_rq <- true;
+      rq.set <- ESet.add (key e) rq.set
+    end
+
+  let dequeue rq e =
+    if e.Entity.on_rq then begin
+      e.Entity.on_rq <- false;
+      rq.set <- ESet.remove (key e) rq.set
+    end
+
+  let queued rq = List.map (fun (_, _, e) -> e) (ESet.elements rq.set)
+
+  let leftmost rq =
+    match ESet.min_elt_opt rq.set with Some (_, _, e) -> Some e | None -> None
+
+  let first_other rq e =
+    List.find_opt (fun e' -> e'.Entity.eid <> e.Entity.eid) (queued rq)
+
+  let find_first rq p = List.find_opt p (queued rq)
+  let dequeue_if rq p = List.iter (fun e -> if p e then dequeue rq e) (queued rq)
+
+  let update_min_vruntime rq =
+    let candidates =
+      (match rq.running with Some e -> [ e.Entity.vruntime ] | None -> [])
+      @ match ESet.min_elt_opt rq.set with Some (v, _, _) -> [ v ] | None -> []
+    in
+    match candidates with
+    | [] -> ()
+    | vs ->
+        rq.min_vrt <-
+          Float.max rq.min_vrt (List.fold_left Float.min Float.infinity vs)
+
+  let place_new rq e =
+    e.Entity.vruntime <- Float.max e.Entity.vruntime rq.min_vrt
+
+  (* Cfs's wakeup bonus: 1 ms of vruntime *)
+  let place_woken rq e =
+    e.Entity.vruntime <- Float.max e.Entity.vruntime (rq.min_vrt -. 1_000_000.0)
+
+  let charge rq e span =
+    let delta = float_of_int span *. Cfs.nice0_weight /. e.Entity.weight in
+    e.Entity.vruntime <- e.Entity.vruntime +. delta;
+    (match e.Entity.kind with
+    | Entity.ETask t -> t.Task.vruntime <- e.Entity.vruntime
+    | Entity.EGroup _ -> ());
+    update_min_vruntime rq
+end
+
+(* Eight task entities per side, with the same eids, weights, apps and
+   starting vruntimes on both. Vruntimes start on a coarse grid and spans
+   are whole microseconds, so keys tie often and the eid decides. *)
+let twin_entities () =
+  List.init 8 (fun i ->
+      let mk () =
+        let t = task ~app:(i mod 3) ~weight:(if i mod 4 = 3 then 2048.0 else 1024.0) "t" in
+        {
+          Entity.eid = i + 1;
+          kind = Entity.ETask t;
+          weight = t.Task.weight;
+          vruntime = float_of_int (i mod 3) *. 1e6;
+          on_rq = false;
+        }
+      in
+      (mk (), mk ()))
+  |> Array.of_list
+
+let eid_of = function Some e -> e.Entity.eid | None -> 0
+let eid_or_none e = if Entity.is_none e then 0 else e.Entity.eid
+let even_app e = Entity.app_of e mod 2 = 0
+
+let prop_runqueue_matches_set =
+  QCheck.Test.make ~name:"runqueue agrees with the Set reference" ~count:300
+    QCheck.(
+      list_of_size Gen.(1 -- 80)
+        (triple (int_bound 7) (int_bound 7) (int_bound 3000)))
+    (fun script ->
+      let es = twin_entities () in
+      let rq = Cfs.create () and rf = Ref.create () in
+      let agree () =
+        Array.for_all
+          (fun (a, b) ->
+            Int64.equal
+              (Int64.bits_of_float a.Entity.vruntime)
+              (Int64.bits_of_float b.Entity.vruntime)
+            && a.Entity.on_rq = b.Entity.on_rq)
+          es
+        && eid_of (Cfs.leftmost rq) = eid_of (Ref.leftmost rf)
+        && Array.for_all
+             (fun (a, b) ->
+               (not a.Entity.on_rq)
+               || eid_or_none (Cfs.first_other rq a) = eid_of (Ref.first_other rf b))
+             es
+        && eid_or_none (Cfs.find_first rq even_app)
+           = eid_of (Ref.find_first rf even_app)
+        && Cfs.n_queued rq = Ref.ESet.cardinal rf.Ref.set
+        && Int64.equal
+             (Int64.bits_of_float (Cfs.min_vruntime rq))
+             (Int64.bits_of_float rf.Ref.min_vrt)
+      in
+      List.for_all
+        (fun (op, i, x) ->
+          let a, b = es.(i) in
+          (match op with
+          | 0 | 1 ->
+              Cfs.enqueue rq a;
+              Ref.enqueue rf b
+          | 2 ->
+              Cfs.dequeue rq a;
+              Ref.dequeue rf b
+          | 3 ->
+              let of_app e = Entity.app_of e = x mod 3 in
+              Cfs.dequeue_if rq of_app;
+              Ref.dequeue_if rf of_app
+          | 4 ->
+              (* only an entity off the queue runs and is charged *)
+              if not a.Entity.on_rq then begin
+                Cfs.set_curr rq (Some a);
+                Cfs.charge rq a (x * 1000);
+                Ref.(rf.running <- Some b);
+                Ref.charge rf b (x * 1000)
+              end
+          | 5 ->
+              Cfs.place_woken rq a;
+              Ref.place_woken rf b
+          | 6 ->
+              Cfs.place_new rq a;
+              Ref.place_new rf b
+          | _ ->
+              let shift = float_of_int ((x - 1500) * 1000) in
+              a.Entity.vruntime <- a.Entity.vruntime +. shift;
+              b.Entity.vruntime <- b.Entity.vruntime +. shift);
+          agree ())
+        script)
+
 let suite =
   [
     ("pick order by vruntime", `Quick, test_enqueue_pick_order);
@@ -127,4 +288,5 @@ let suite =
     ("group entity pick", `Quick, test_group_entity_pick);
     ("entity app_of/is_group", `Quick, test_entity_app_of);
     ("charge rejects a queued entity", `Quick, test_charge_rejects_queued);
+    QCheck_alcotest.to_alcotest prop_runqueue_matches_set;
   ]

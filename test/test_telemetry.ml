@@ -270,6 +270,33 @@ let test_experiment_identical_when_disabled () =
   in
   Alcotest.(check string) "byte-identical output" with_telemetry without
 
+(* A simulator captures its domain's tracer state when it is made, and
+   that state is never replaced: a trace started after the machine was
+   built must still record the machine's scheduling spans. *)
+let test_tracing_after_create () =
+  let module System = Psbox_kernel.System in
+  let module W = Psbox_workloads.Workload in
+  let sys = System.create ~cores:2 () in
+  let a = System.new_app sys ~name:"a" in
+  ignore
+    (W.spawn sys ~app:a ~name:"a" ~core:0
+       (W.forever (fun () -> [ W.Compute (Time.ms 1); W.Sleep (Time.us 300) ]))
+      : Psbox_kernel.Task.t);
+  check_bool "not recording before start" false
+    (Tt.recording_in (Sim.tracer (System.sim sys)));
+  with_recording (fun () ->
+      check_bool "the captured state follows start" true
+        (Tt.recording_in (Sim.tracer (System.sim sys)));
+      System.start sys;
+      System.run_for sys (Time.ms 20);
+      let cfs_spans =
+        List.filter
+          (fun (e : Tt.event) -> e.track = "kernel.cfs" && e.kind = Tt.Span)
+          (Tt.events ())
+      in
+      check_bool "the machine's kernel.cfs spans are recorded" true
+        (List.length cfs_spans > 0))
+
 let suite =
   [
     Alcotest.test_case "registry: counters and gauges" `Quick test_counter_gauge;
@@ -291,4 +318,6 @@ let suite =
       test_sim_counters;
     Alcotest.test_case "experiments: byte-identical with telemetry off" `Quick
       test_experiment_identical_when_disabled;
+    Alcotest.test_case "tracing: a machine made before start records" `Quick
+      test_tracing_after_create;
   ]
