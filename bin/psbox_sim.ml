@@ -257,7 +257,8 @@ let fleet_cmd =
          full machine plus workload scenario under its own splitmix-derived \
          seed and heterogeneity sample (rail idle floor, core count, \
          governor trip point, workload intensity, cap), sharded over \
-         $(b,--jobs) OCaml domains with work stealing. Per-device results \
+         $(b,--jobs) OCaml domains that take device indices from one \
+         shared cursor. Per-device results \
          (energy per app, cap violations, joule-audit cause totals, \
          telemetry exports) merge into fleet distributions.";
       `P

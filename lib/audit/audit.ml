@@ -162,10 +162,10 @@ type switchboard = {
   mutable sw_hook : bool;
   mutable sw_report : bool;
   mutable sw_registry : t list; (* strong, newest first *)
-  (* uid -> weak instance: live machines resolve deterministically, dead
-     ones stay collectable (the instance is kept alive by the machine's own
-     bus subscriptions, through [rs_audit], not by this table). *)
-  sw_live : (int, t Weak.t) Hashtbl.t;
+  (* machine -> instance, held through the machine: a dead machine's
+     binding keeps neither it nor its ledger alive, and goes when the
+     table next resizes *)
+  sw_live : t System.Side_table.t;
 }
 
 let sw_key : switchboard Domain.DLS.key =
@@ -175,15 +175,12 @@ let sw_key : switchboard Domain.DLS.key =
         sw_hook = false;
         sw_report = false;
         sw_registry = [];
-        sw_live = Hashtbl.create 8;
+        sw_live = System.Side_table.create 8;
       })
 
 let sw () = Domain.DLS.get sw_key
 
-let lookup sys =
-  match Hashtbl.find_opt (sw ()).sw_live (System.uid sys) with
-  | Some w -> Weak.get w 0
-  | None -> None
+let lookup sys = System.Side_table.find_opt (sw ()).sw_live sys
 
 let attach sys =
   match lookup sys with
@@ -294,10 +291,8 @@ let attach sys =
                               else tr.draws.after_w)
                        | None -> ())
                    | _ -> ())));
-      let w = Weak.create 1 in
-      Weak.set w 0 (Some a);
       let s = sw () in
-      Hashtbl.replace s.sw_live (System.uid sys) w;
+      System.Side_table.replace s.sw_live sys a;
       if s.sw_report then s.sw_registry <- a :: s.sw_registry;
       a
 

@@ -21,10 +21,6 @@ let m_violations = Tm.counter "budget.cap_violations"
    store whether or not a controller ever ticks *)
 let l_tick = Sim.label "budget.tick"
 
-type demand =
-  | Cap of float
-  | Envelope of { joules : float; horizon : Time.span }
-
 type admission = Admitted | Queued | Rejected
 
 (* Throttle floor: even a hopeless cap (below the app's attributed idle
@@ -40,9 +36,7 @@ let hysteresis = 0.05
 
 type entry = {
   e_app : int;
-  mutable e_demand : demand;
-  mutable e_env_set_t : Time.t; (* when the envelope started *)
-  mutable e_env_base_j : float; (* app's attributed joules at that point *)
+  mutable e_cap : float; (* watts; infinity never binds *)
   mutable e_throttle : float; (* multiplicative actuation level, floor..1 *)
   mutable e_prev_j : float; (* attributed joules at last control tick *)
   e_ring : float array; (* per-period joules, circular *)
@@ -66,7 +60,7 @@ type t = {
   mutable machine_budget_w : float option;
   reserved : (int, float * float) Hashtbl.t;
       (* app -> (declared watts, effective watts charged to the budget) *)
-  wait_q : (int * float * (unit -> unit)) Queue.t; (* FIFO, head next *)
+  wait_q : (int * float) Queue.t; (* (app, declared watts), FIFO, head next *)
   mutable admission_estimate : (int -> float option) option;
       (* modeled-draw oracle (e.g. Model.Estimator.app_est_w): when set,
          reservations are charged min(declared, modeled) — declared watts
@@ -102,17 +96,6 @@ let windowed_mean_w e =
     done;
     !j /. (float_of_int n *. Time.to_sec_f period)
   end
-
-let effective_cap_of ctl e =
-  match e.e_demand with
-  | Cap w -> w
-  | Envelope { joules; horizon } ->
-      let used = app_total_j ctl ~app:e.e_app -. e.e_env_base_j in
-      let left_j = Float.max 0.0 (joules -. used) in
-      let left_s =
-        Time.to_sec_f (e.e_env_set_t + horizon - now ctl)
-      in
-      if left_s <= 0.0 then 0.0 else left_j /. left_s
 
 (* ------------------------------------------------------------------ *)
 (* Actuation: one throttle level per app, mapped onto every subsystem's
@@ -163,7 +146,7 @@ let control_entry ctl e =
   e.e_ring_i <- (e.e_ring_i + 1) mod Array.length e.e_ring;
   if e.e_ring_n < Array.length e.e_ring then e.e_ring_n <- e.e_ring_n + 1;
   let meas = windowed_mean_w e in
-  let cap = effective_cap_of ctl e in
+  let cap = e.e_cap in
   e.e_history <- (now ctl, meas, cap) :: e.e_history;
   Tm.set_in (store ctl) e.e_g_measured meas;
   (* the fleet layer's violation criterion, counted live so SLO burn-rate
@@ -251,9 +234,7 @@ let entry ctl app =
       let e =
         {
           e_app = app;
-          e_demand = Cap infinity;
-          e_env_set_t = now ctl;
-          e_env_base_j = 0.0;
+          e_cap = infinity;
           e_throttle = 1.0;
           e_prev_j = app_total_j ctl ~app;
           e_ring = Array.make window_periods 0.0;
@@ -281,29 +262,7 @@ let check_app fn app =
 let set_cap ctl ~app ~watts =
   check_app "set_cap" app;
   check_watts "set_cap" "cap" watts;
-  let e = entry ctl app in
-  e.e_demand <- Cap watts
-
-let set_envelope ctl ~app ~joules ~horizon =
-  check_app "set_envelope" app;
-  check_watts "set_envelope" "joules" joules;
-  if horizon <= 0 then invalid_arg "Budget.set_envelope: empty horizon";
-  let e = entry ctl app in
-  e.e_demand <- Envelope { joules; horizon };
-  e.e_env_set_t <- now ctl;
-  e.e_env_base_j <- app_total_j ctl ~app
-
-let tighten ?(factor = 0.9) ctl ~app =
-  if not (Float.is_finite factor) || factor <= 0.0 || factor >= 1.0 then
-    invalid_arg "Budget.tighten: factor must be in (0, 1)";
-  match Hashtbl.find_opt ctl.entries app with
-  | None -> ()
-  | Some e -> (
-      match e.e_demand with
-      | Cap w when Float.is_finite w -> e.e_demand <- Cap (w *. factor)
-      | Cap _ -> () (* an uncapped entry has nothing to ratchet *)
-      | Envelope { joules; horizon } ->
-          e.e_demand <- Envelope { joules = joules *. factor; horizon })
+  (entry ctl app).e_cap <- watts
 
 let measured_w ctl ~app =
   match Hashtbl.find_opt ctl.entries app with
@@ -312,7 +271,7 @@ let measured_w ctl ~app =
 
 let effective_cap_w ctl ~app =
   match Hashtbl.find_opt ctl.entries app with
-  | Some e -> effective_cap_of ctl e
+  | Some e -> e.e_cap
   | None -> infinity
 
 let throttle ctl ~app =
@@ -372,7 +331,7 @@ let queued ctl = Queue.length ctl.wait_q
 
 let reservation ctl ~app = Hashtbl.find_opt ctl.reserved app
 
-let admit ctl ~app ~watts ?(on_admit = fun () -> ()) ?(queue = false) () =
+let admit ctl ~app ~watts ?(queue = false) () =
   check_watts "admit" "demand" watts;
   if Hashtbl.mem ctl.reserved app then invalid_arg "Budget.admit: already admitted";
   let eff = effective_reservation ctl ~app ~declared:watts in
@@ -382,7 +341,7 @@ let admit ctl ~app ~watts ?(on_admit = fun () -> ()) ?(queue = false) () =
     Admitted
   end
   else if queue then begin
-    Queue.push (app, watts, on_admit) ctl.wait_q;
+    Queue.push (app, watts) ctl.wait_q;
     Queued
   end
   else Rejected
@@ -396,12 +355,11 @@ let release ctl ~app =
        model has seen the waiter's history since it queued. *)
     let continue = ref true in
     while !continue && not (Queue.is_empty ctl.wait_q) do
-      let w_app, w_watts, w_cb = Queue.peek ctl.wait_q in
+      let w_app, w_watts = Queue.peek ctl.wait_q in
       let w_eff = effective_reservation ctl ~app:w_app ~declared:w_watts in
       if w_eff <= remaining_w ctl then begin
         ignore (Queue.pop ctl.wait_q);
-        Hashtbl.replace ctl.reserved w_app (w_watts, w_eff);
-        w_cb ()
+        Hashtbl.replace ctl.reserved w_app (w_watts, w_eff)
       end
       else continue := false
     done;

@@ -4,8 +4,8 @@
     signal; this module closes the loop on it. A controller subscribes to
     the machine's attributed power — via the auto-wired
     {!Psbox_accounting.Split.live_system} splitters —
-    and enforces per-app {e caps} (watts) or {e envelopes} (joules over a
-    horizon) by actuating every subsystem the app draws through:
+    and enforces per-app {e caps} (watts) by actuating every subsystem the
+    app draws through:
 
     - CPU: a CFS-bandwidth-style runtime quota
       ({!Psbox_kernel.Smp.set_quota}),
@@ -16,9 +16,10 @@
 
     The control law is a deterministic, sim-clock-periodic
     multiplicative-proportional loop with a hysteresis deadband: each
-    period the app's windowed mean draw is compared against its effective
-    cap; overshoot scales one throttle level (in [0.02, 1.0]) down by the
-    overshoot ratio, comfortable undershoot relaxes it back up by 25%.
+    period the app's last-period draw is compared against its cap;
+    overshoot scales one throttle level (in [0.02, 1.0]) down by the
+    overshoot ratio (at most halving it), comfortable undershoot relaxes
+    it back up by the undershoot ratio (at most +10% per period).
     At a throttle of 1.0 every knob is released ([None]), so a machine
     with no budgets configured replays the exact event sequence it would
     without a controller.
@@ -28,14 +29,6 @@
     head-first on {!release}. *)
 
 type t
-
-type demand =
-  | Cap of float  (** steady-state limit, watts *)
-  | Envelope of { joules : float; horizon : Psbox_engine.Time.span }
-      (** energy allowance over a horizon; the effective cap each period
-          is [remaining_joules / remaining_horizon], so an app that burns
-          early is squeezed harder later — graceful degradation, not a
-          cliff *)
 
 type admission = Admitted | Queued | Rejected
 
@@ -53,35 +46,19 @@ val create :
     control step. *)
 
 val set_cap : t -> app:int -> watts:float -> unit
-(** Cap [app]'s windowed mean attributed draw at [watts]. Takes effect at
-    the next control tick. [infinity] is a cap that never binds.
-    @raise Invalid_argument if [watts] is negative or NaN. *)
-
-val set_envelope :
-  t -> app:int -> joules:float -> horizon:Psbox_engine.Time.span -> unit
-(** Give [app] an energy allowance of [joules] over [horizon] starting
-    now. After the horizon expires the effective cap is 0 (throttle
-    floor).
-    @raise Invalid_argument if [joules] is negative or NaN, or [horizon]
-    is not positive. *)
-
-val tighten : ?factor:float -> t -> app:int -> unit
-(** Ratchet [app]'s demand down one step: a finite {!Cap} becomes
-    [watts *. factor], an {!Envelope}'s remaining allowance becomes
-    [joules *. factor] (horizon unchanged). Default [factor] is [0.9].
-    No-op on an unbudgeted app or an [infinity] cap — there is nothing
-    to ratchet. This is the knob health responders pull on sustained
-    cap-violation incidents. @raise Invalid_argument unless
-    [factor] is in (0, 1). *)
+(** Cap [app]'s windowed mean attributed draw at [watts], raising or
+    lowering any cap it had. Takes effect at the next control tick.
+    [infinity] is a cap that never binds.
+    @raise Invalid_argument if [app] or [watts] is negative, or [watts]
+    is NaN. *)
 
 val measured_w : t -> app:int -> float
 (** [app]'s windowed mean attributed draw, watts (0 before the first
     control tick, or if the app has no budget). *)
 
 val effective_cap_w : t -> app:int -> float
-(** The cap the controller is currently steering to: the configured watts
-    for a {!Cap}, the remaining-joules rate for an {!Envelope}, [infinity]
-    for an unbudgeted app. *)
+(** The cap the controller is currently steering to, watts: the last
+    {!set_cap}, [infinity] for an unbudgeted app. *)
 
 val throttle : t -> app:int -> float
 (** Current actuation level in [0.02, 1.0]; 1.0 means unthrottled. *)
@@ -119,19 +96,11 @@ val remaining_w : t -> float
 (** Machine budget minus all effective reservations; [infinity] when no
     budget is set. *)
 
-val admit :
-  t ->
-  app:int ->
-  watts:float ->
-  ?on_admit:(unit -> unit) ->
-  ?queue:bool ->
-  unit ->
-  admission
+val admit : t -> app:int -> watts:float -> ?queue:bool -> unit -> admission
 (** Reserve [watts] for [app]. Fits the remaining budget → [Admitted]
-    (reservation recorded; [on_admit] is {e not} called — the caller is
-    already running). Doesn't fit and [queue] (default false) → [Queued]:
-    the request waits in FIFO order and [on_admit] fires when a later
-    {!release} makes room. Otherwise [Rejected].
+    (reservation recorded). Doesn't fit and [queue] (default false) →
+    [Queued]: the request waits in FIFO order until a later {!release}
+    makes room, when {!admitted} turns true. Otherwise [Rejected].
     @raise Invalid_argument if [app] already holds a reservation, or if
     [watts] is negative or NaN. *)
 

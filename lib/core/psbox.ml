@@ -82,31 +82,26 @@ type t = {
 }
 
 (* One psbox per (system, app, target). The (app, target) pairs in use are
-   kept per domain in an ephemeron table keyed by the system, so a machine
-   whose psboxes were never destroyed stays collectable. *)
-module Machines = Ephemeron.K1.Make (struct
-  type t = System.t
-
-  let equal = ( == )
-  let hash = System.uid
-end)
-
-let boxes : (int * target) list Machines.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Machines.create 8)
+   kept per domain in a side table keyed by the system, so a machine whose
+   psboxes were never destroyed stays collectable. *)
+let boxes : (int * target) list System.Side_table.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> System.Side_table.create 8)
 
 let boxes_of sys =
-  Option.value ~default:[] (Machines.find_opt (Domain.DLS.get boxes) sys)
+  Option.value ~default:[]
+    (System.Side_table.find_opt (Domain.DLS.get boxes) sys)
 
 let registered sys app target = List.mem (app, target) (boxes_of sys)
 
 let register sys app target =
-  Machines.replace (Domain.DLS.get boxes) sys ((app, target) :: boxes_of sys)
+  System.Side_table.replace (Domain.DLS.get boxes) sys
+    ((app, target) :: boxes_of sys)
 
 let unregister sys app target =
   let tbl = Domain.DLS.get boxes in
   match List.filter (( <> ) (app, target)) (boxes_of sys) with
-  | [] -> Machines.remove tbl sys
-  | rest -> Machines.replace tbl sys rest
+  | [] -> System.Side_table.remove tbl sys
+  | rest -> System.Side_table.replace tbl sys rest
 
 let now psbox = Sim.now (System.sim psbox.sys)
 

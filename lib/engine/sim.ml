@@ -62,8 +62,9 @@ let count_label store l = Tm.incr_in store (Atomic.get label_cells).(l)
    itself is reused by the next [schedule_at], making the steady-state
    schedule/fire cycle allocation-free; with pooling off only the index is
    reused and every event gets a fresh record (the pre-pool behavior, kept
-   as an A/B baseline for the qcheck equivalence property and
-   bench/probe.exe). *)
+   as an A/B baseline for the qcheck equivalence property, the
+   [psbox_sim --pool off] leg of the [all] golden and
+   [bench/main.exe --pool=off]). *)
 type slot = {
   mutable s_time : Time.t; (* also the queue key; a fire reads it here *)
   mutable s_fn : unit -> unit;

@@ -60,8 +60,7 @@ let scenario_ids = [ "budget"; "steady"; "mixed" ]
    an even-indexed one for its heterogeneity sample, an odd-indexed one
    for its system RNG — so re-sampling params never perturbs the device's
    own event stream, and vice versa. *)
-let params_of ~scenario ~fleet_seed idx =
-  ignore scenario;
+let params_of ~fleet_seed idx =
   let rng = Rng.create ~seed:(Rng.derive ~seed:fleet_seed (2 * idx)) in
   let p_idle_scale = Rng.uniform rng ~lo:0.85 ~hi:1.15 in
   let p_cores = if Rng.bool rng then 2 else 1 in
@@ -250,7 +249,7 @@ let count_violations hist =
 let run_device ?(health = false) ~scenario ~fleet_seed idx =
   if not (List.mem scenario scenario_ids) then
     invalid_arg ("Fleet: unknown scenario " ^ scenario);
-  let p = params_of ~scenario ~fleet_seed idx in
+  let p = params_of ~fleet_seed idx in
   let sys_seed = device_seed ~fleet_seed idx in
   Tm.with_fresh_store (fun () ->
       (* The device's world starts from zero: ids restart, metrics land in
@@ -280,69 +279,37 @@ let run_device ?(health = false) ~scenario ~fleet_seed idx =
             d_incidents;
           }))
 
-(* ---- work-stealing domain pool -------------------------------------- *)
+(* ---- domain pool --------------------------------------------------- *)
 
-(* Each worker owns a contiguous [lo, hi) index range under one mutex;
-   a dry worker steals the top half of the largest remaining range (only
-   when it holds at least 2 items, so steals are never empty). Results
+(* Workers take device indices from one shared cursor, one at a time, so
+   a worker that draws cheap devices simply takes more of them. Results
    land by index, so scheduling order is invisible in the output. *)
 let pool_map ~jobs n f =
   if n = 0 then [||]
   else if jobs <= 1 then Array.init n f
   else begin
-    let jobs = min jobs n in
     let results = Array.make n None in
-    let mu = Mutex.create () in
-    let lo = Array.init jobs (fun w -> w * n / jobs) in
-    let hi = Array.init jobs (fun w -> (w + 1) * n / jobs) in
-    let take w =
-      Mutex.protect mu (fun () ->
-          if lo.(w) < hi.(w) then begin
-            let i = lo.(w) in
-            lo.(w) <- i + 1;
-            Some i
-          end
-          else begin
-            let victim = ref (-1) and best = ref 1 in
-            for v = 0 to jobs - 1 do
-              let avail = hi.(v) - lo.(v) in
-              if avail > !best then begin
-                victim := v;
-                best := avail
-              end
-            done;
-            if !victim < 0 then None
-            else begin
-              let v = !victim in
-              let mid = lo.(v) + (((hi.(v) - lo.(v)) + 1) / 2) in
-              let s_hi = hi.(v) in
-              hi.(v) <- mid;
-              lo.(w) <- mid + 1;
-              hi.(w) <- s_hi;
-              Some mid
-            end
-          end)
-    in
+    let cursor = Atomic.make 0 in
     (* Fresh domains default to pooling on; propagate the caller's --pool
        choice so device event queues behave identically in every shard. *)
     let pooling = Sim.default_pooling () in
-    let worker w () =
+    let rec drain () =
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i < n then begin
+        results.(i) <- Some (f i);
+        drain ()
+      end
+    in
+    let worker () =
       Sim.set_default_pooling pooling;
-      let rec go () =
-        match take w with
-        | Some i ->
-            results.(i) <- Some (f i);
-            go ()
-        | None -> ()
-      in
-      go ()
+      drain ()
     in
     let domains =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
+      Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker)
     in
     Fun.protect
       ~finally:(fun () -> Array.iter Domain.join domains)
-      (fun () -> worker 0 ());
+      worker;
     Array.map
       (function Some r -> r | None -> failwith "Fleet: unprocessed device")
       results

@@ -21,10 +21,11 @@
 
     {2 Sharding}
 
-    [~jobs > 1] shards devices over [jobs] OCaml domains: each worker owns
-    a contiguous index range and steals the top half of the largest
-    remaining range when its own runs dry. [~jobs:1] runs everything in
-    the calling domain — same results, byte for byte. *)
+    [~jobs > 1] shards devices over [jobs] OCaml domains (the calling one
+    included): each worker takes the next device index from one shared
+    atomic cursor until none is left, so a worker that draws cheap devices
+    takes more of them. [~jobs:1] runs everything in the calling domain —
+    same results, byte for byte. *)
 
 type params = {
   p_idle_scale : float;
@@ -95,7 +96,7 @@ val scenario_ids : string list
     ["steady"] (uncapped steady load), ["mixed"] (GPU + WiFi burn under a
     cap). *)
 
-val params_of : scenario:string -> fleet_seed:int -> int -> params
+val params_of : fleet_seed:int -> int -> params
 (** The heterogeneity sample for device [i] — pure in [(fleet_seed, i)]. *)
 
 val run_device :

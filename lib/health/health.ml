@@ -1,7 +1,8 @@
 (* Streaming health engine: watch the live metrics registry on a
    deterministic evaluation grid, turn rule breaches into an incident
    lifecycle, and dispatch firing incidents to responders that act — the
-   step from observable power to actionable power.
+   step from observable power to actionable power. The one responder is
+   Self_heal's model recalibration.
 
    Everything here is driven by the sim clock and the metric store, so a
    run's incident log is a pure function of the event history: same seed,
@@ -15,7 +16,6 @@ module Tm = Psbox_telemetry.Metrics
 module Tt = Psbox_telemetry.Tracing
 module Json = Psbox_telemetry.Json
 module Model = Psbox_model.Model
-module Budget = Psbox_budget.Budget
 module Audit = Psbox_audit.Audit
 
 let health_track = "health"
@@ -31,26 +31,12 @@ let m_actions = Tm.counter "health.responder.actions"
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
 
-type signal =
-  | Metric of string
-  | Rate of string
-  | Probe of string * (unit -> float option)
+type signal = Metric of string | Probe of string * (unit -> float option)
 
-let signal_label = function
-  | Metric n -> n
-  | Rate n -> n ^ ".rate"
-  | Probe (n, _) -> n
-
-type cmp = Over | Under
+let signal_label = function Metric n -> n | Probe (n, _) -> n
 
 type kind =
-  | Threshold of {
-      t_signal : signal;
-      t_cmp : cmp;
-      t_limit : float;
-      t_for : int;
-    }
-  | Rate_of_change of { rc_signal : signal; rc_per_s : float }
+  | Threshold of { t_signal : signal; t_limit : float; t_for : int }
   | Absence of { a_metric : string; a_stale : int }
   | Slo_burn of {
       b_bad : string;
@@ -65,8 +51,8 @@ type rule = { r_name : string; r_subject : string; r_kind : kind }
 
 let rule_name r = r.r_name
 
-(* Every comparison against a NaN parameter is false, so a NaN limit,
-   rate or burn factor would build a rule that silently never fires. *)
+(* Every comparison against a NaN parameter is false, so a NaN limit or
+   burn factor would build a rule that silently never fires. *)
 let check_nan fn what x =
   if Float.is_nan x then
     invalid_arg (Printf.sprintf "Health.%s: NaN %s" fn what)
@@ -81,30 +67,14 @@ let check_above fn what lo x =
     invalid_arg
       (Printf.sprintf "Health.%s: %s must be finite and > %g" fn what lo)
 
-let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
+let threshold ~name ?subject ?(for_windows = 1) signal limit =
   if for_windows < 1 then invalid_arg "Health.threshold: for_windows < 1";
   check_nan "threshold" "limit" limit;
   {
     r_name = name;
     r_subject = (match subject with Some s -> s | None -> signal_label signal);
     r_kind =
-      Threshold
-        {
-          t_signal = signal;
-          t_cmp = (if below then Under else Over);
-          t_limit = limit;
-          t_for = for_windows;
-        };
-  }
-
-let rate_of_change ~name signal ~per_second =
-  check_nan "rate_of_change" "per_second" per_second;
-  if per_second <= 0.0 then
-    invalid_arg "Health.rate_of_change: per_second must be positive";
-  {
-    r_name = name;
-    r_subject = signal_label signal;
-    r_kind = Rate_of_change { rc_signal = signal; rc_per_s = per_second };
+      Threshold { t_signal = signal; t_limit = limit; t_for = for_windows };
   }
 
 let absence ~name ?subject ?(stale_windows = 4) metric =
@@ -162,8 +132,6 @@ type live = {
   lv_m_fired : Tm.counter;  (* health.fired.<rule> *)
   mutable lv_phase : phase;
   mutable lv_streak : int;  (* consecutive breaching evals *)
-  lv_rate : Tm.rate option;  (* tracker behind a [Rate] signal *)
-  mutable lv_roc_prev : (float * float) option;  (* (t_s, value) *)
   mutable lv_abs_prev : float option;  (* last value the metric showed *)
   mutable lv_abs_streak : int;  (* evals without movement *)
   lv_burn : (float * float) array;  (* (bad, total) cumulative ring *)
@@ -202,9 +170,8 @@ let incident_counts t =
 
 (* ---- signal reading ------------------------------------------------ *)
 
-let read_signal store lv ~now_s = function
+let read_signal store = function
   | Metric n -> Tm.find_in store n
-  | Rate _ -> Tm.rate_sample store (Option.get lv.lv_rate) ~now_s
   | Probe (_, f) -> f ()
 
 (* One evaluation of one rule: did the raw condition breach this eval, has
@@ -213,29 +180,12 @@ let read_signal store lv ~now_s = function
    clears, so an open incident rides out a gap in the data. Metrics are
    read in the store of the simulator the engine rides, the one its
    machine writes. *)
-let judge store lv ~now_s =
+let judge store lv =
   match lv.lv_rule.r_kind with
-  | Threshold { t_signal; t_cmp; t_limit; _ } -> (
-      match read_signal store lv ~now_s t_signal with
+  | Threshold { t_signal; t_limit; _ } -> (
+      match read_signal store t_signal with
       | None -> (false, false, None)
-      | Some v ->
-          let breach, clear =
-            match t_cmp with
-            | Over -> (v > t_limit, v < 0.8 *. t_limit)
-            | Under -> (v < t_limit, v > 1.2 *. t_limit)
-          in
-          (breach, clear, Some v))
-  | Rate_of_change { rc_signal; rc_per_s; _ } -> (
-      match read_signal store lv ~now_s rc_signal with
-      | None -> (false, false, None)
-      | Some v -> (
-          let prev = lv.lv_roc_prev in
-          lv.lv_roc_prev <- Some (now_s, v);
-          match prev with
-          | Some (t0, v0) when now_s > t0 ->
-              let dv = Float.abs ((v -. v0) /. (now_s -. t0)) in
-              (dv > rc_per_s, dv < 0.8 *. rc_per_s, Some dv)
-          | Some _ | None -> (false, false, None)))
+      | Some v -> (v > t_limit, v < 0.8 *. t_limit, Some v))
   | Absence { a_metric; a_stale } ->
       (match Tm.find_in store a_metric with
       | None ->
@@ -294,7 +244,7 @@ let dispatch t lv inc =
 
 let for_windows_of = function
   | Threshold { t_for; _ } -> t_for
-  | Rate_of_change _ | Absence _ | Slo_burn _ -> 1
+  | Absence _ | Slo_burn _ -> 1
 
 let maybe_fire t lv ~now_s =
   if lv.lv_streak >= for_windows_of lv.lv_rule.r_kind then begin
@@ -315,7 +265,7 @@ let resolve t lv ~now_s =
   lv.lv_streak <- 0
 
 let eval_rule t lv ~now_s =
-  let breach, clear, value = judge (Sim.metrics t.h_sim) lv ~now_s in
+  let breach, clear, value = judge (Sim.metrics t.h_sim) lv in
   (match lv.lv_incident with
   | Some inc ->
       inc.i_evals <- inc.i_evals + 1;
@@ -389,13 +339,6 @@ let create sim ?(period = Time.ms 50) () =
 let add_rule t r =
   if Sim.timer_state t.h_tick = Sim.Stopped then
     invalid_arg "Health.add_rule: engine stopped";
-  let needs_rate =
-    match r.r_kind with
-    | Threshold { t_signal = Rate n; _ } | Rate_of_change { rc_signal = Rate n; _ }
-      ->
-        Some (Tm.rate n)
-    | _ -> None
-  in
   let burn_len =
     match r.r_kind with Slo_burn { b_long; _ } -> b_long + 1 | _ -> 1
   in
@@ -405,8 +348,6 @@ let add_rule t r =
       lv_m_fired = Tm.counter ("health.fired." ^ r.r_name);
       lv_phase = P_ok;
       lv_streak = 0;
-      lv_rate = needs_rate;
-      lv_roc_prev = None;
       lv_abs_prev = None;
       lv_abs_streak = 0;
       lv_burn = Array.make burn_len (0.0, 0.0);
@@ -505,8 +446,6 @@ let default_pack ?(drift_threshold_pct = 5.0) sys =
 (* Shipped responders                                                  *)
 
 module Responder = struct
-  let tighten_budget ctl ~app (_ : incident) = Budget.tighten ctl ~app
-
   (* Self-healing estimation: on a fired drift incident whose subject is a
      rail the estimator observes, recalibrate that rail online (12 rounds
      of 48 samples around the incumbent, drifted model) on the recorder's

@@ -4,42 +4,38 @@
     per principal. The rest of the tree provides the observable half — the
     metrics registry, the audit ledger, the model estimators; this module
     is the actionable half: a rule engine that watches those signals
-    continuously on a deterministic evaluation grid, turns breaches into an
-    incident lifecycle, and dispatches firing incidents to responders that
-    change the machine (recalibrate a drifted model, tighten a violated
-    budget). It is the tree's only judge of those signals: the model
-    estimator publishes its error gauges, and the [model.drift] rule of
-    {!default_pack} alone decides that a model has drifted.
+    continuously on a deterministic evaluation grid and turns breaches into
+    an incident lifecycle. One responder acts on firing incidents: the
+    recalibration inside {!Self_heal}, which refits a drifted model and
+    hot-swaps it under the estimator. The engine is the tree's only judge
+    of those signals: the model estimator publishes its error gauges, and
+    the [model.drift] rule of {!default_pack} alone decides that a model
+    has drifted.
 
     Determinism contract: evaluations land on the fixed grid
     [epoch + k*period] of a {!Psbox_engine.Sim.timer} made with the
-    engine, demand-armed like {!Psbox_budget.Budget}'s control tick (an
+    engine, demand-armed like the budget controller's control tick (an
     engine with no rules schedules nothing; an evaluation re-arms after it
     has run). Metric signals are read in the simulator's metric store
     ({!Psbox_engine.Sim.metrics}), the one its machine writes, whichever
     store is current when the loop runs. The incident log is a pure
     function of the run's event history — same seed, same bytes — and rule
-    evaluation is a pure observer; only registered responders act. *)
+    evaluation is a pure observer; only {!Self_heal}'s responder acts. *)
 
 (** {1 Signals}
 
-    What a rule watches: a registered metric's current value, a counter's
-    windowed per-second rate ({!Psbox_telemetry.Metrics.rate_sample}
-    bookkeeping handled internally), or an arbitrary named probe — the
-    escape hatch for invariants that are not a single metric, e.g. the
-    audit-vs-ledger conservation comparison. *)
-type signal =
-  | Metric of string
-  | Rate of string
-  | Probe of string * (unit -> float option)
+    What a threshold rule watches: a registered metric's current value, or
+    an arbitrary named probe — the escape hatch for invariants that are not
+    a single metric, e.g. the audit-vs-ledger conservation comparison. *)
+type signal = Metric of string | Probe of string * (unit -> float option)
 
 (** {1 Rules}
 
-    Each combinator carries hysteresis re-arm: once an incident fires, the
-    rule re-arms (resolving the incident) only when the signal has cleared
-    the threshold by a 20% margin — below [0.8 * limit] for over-rules,
-    above [1.2 * limit] for under-rules — so one sustained excursion yields
-    exactly one incident.
+    Three kinds: a signal over a threshold, a metric gone absent, and a
+    multi-window SLO burn. Each carries hysteresis re-arm: once an incident
+    fires, the rule re-arms (resolving the incident) only when the signal
+    has cleared the threshold by a 20% margin (below [0.8 * limit]), so one
+    sustained excursion yields exactly one incident.
 
     Every combinator rejects a NaN parameter with [Invalid_argument
     "Health.<fn>: NaN <param>"]: a comparison against NaN is always false,
@@ -50,28 +46,19 @@ type rule
 val rule_name : rule -> string
 
 val threshold :
-  name:string ->
-  ?subject:string ->
-  ?below:bool ->
-  ?for_windows:int ->
-  signal ->
-  float ->
-  rule
+  name:string -> ?subject:string -> ?for_windows:int -> signal -> float -> rule
 (** [threshold ~name signal limit] breaches when the signal exceeds
-    [limit] ([below:true] inverts) on [for_windows] consecutive
-    evaluations (default 1). [subject] defaults to the signal's label;
-    incidents are deduplicated per rule x subject. *)
-
-val rate_of_change : name:string -> signal -> per_second:float -> rule
-(** Breaches when the signal's absolute per-second derivative (between
-    consecutive evaluations) exceeds [per_second]; the subject is the
-    signal's label. *)
+    [limit] on [for_windows] consecutive evaluations (default 1).
+    [subject] defaults to the signal's label; incidents are deduplicated
+    per rule x subject.
+    @raise Invalid_argument if [for_windows] is below 1. *)
 
 val absence : name:string -> ?subject:string -> ?stale_windows:int -> string -> rule
 (** [absence ~name metric] breaches when [metric] has been unregistered or
     unchanged for [stale_windows] consecutive evaluations (default 4) — a
     dead-man switch for instrumentation that should always move. Resolves
-    as soon as the metric moves again. *)
+    as soon as the metric moves again.
+    @raise Invalid_argument if [stale_windows] is below 1. *)
 
 val burn_rate : bad:float -> total:float -> slo:float -> float
 (** [(bad / total) / slo] with zero-guarding: how many times faster than
@@ -94,14 +81,16 @@ val slo_burn :
     last [long_windows] (default 16) evaluations both exceed [factor]
     (default 2.0) — the short window gives fast detection, the long window
     suppresses blips. Needs [long_windows + 1] samples before it can
-    breach. *)
+    breach.
+    @raise Invalid_argument unless [1 <= short_windows <= long_windows]
+    and [slo] and [factor] are positive. *)
 
 (** {1 Incidents}
 
     One incident per rule x subject excursion: [pending] when the raw
     condition first breaches, [firing] once it has held for the rule's
-    for-duration (responders dispatch here), [resolved] when the
-    hysteresis margin clears (or the condition retreats before firing).
+    for-duration, [resolved] when the hysteresis margin clears (or the
+    condition retreats before firing).
     Every transition is counted under [health.*] self-metrics and traced
     as an instant on the ["health"] track. *)
 type incident = private {
@@ -122,15 +111,13 @@ type t
 val create : Psbox_engine.Sim.t -> ?period:Psbox_engine.Time.span -> unit -> t
 (** A fresh engine on [sim]'s clock, evaluating every [period] (default
     50 ms) from the grid epoch [Sim.now sim]. Schedules nothing until the
-    first rule is added. *)
+    first rule is added.
+    @raise Invalid_argument if [period] is not positive. *)
 
 val add_rule : t -> rule -> unit
-val add_rules : t -> rule list -> unit
+(** @raise Invalid_argument after {!stop}. *)
 
-val on_firing : t -> rule:string -> (incident -> unit) -> unit
-(** Register a responder for incidents of the named rule. Responders run
-    inside the evaluation event, in registration order, counted under
-    [health.responder.actions]. *)
+val add_rules : t -> rule list -> unit
 
 val eval_now : t -> unit
 (** Evaluate every rule once at the current sim time, off the grid — a
@@ -171,14 +158,6 @@ val json : t -> string
     infinite or at most 0. *)
 val default_pack :
   ?drift_threshold_pct:float -> Psbox_kernel.System.t -> rule list
-
-(** {1 Shipped responders} *)
-
-module Responder : sig
-  val tighten_budget : Psbox_budget.Budget.t -> app:int -> incident -> unit
-  (** On each firing incident, ratchet [app]'s cap or envelope down one
-      step ({!Psbox_budget.Budget.tighten} at its default factor 0.9). *)
-end
 
 (** {1 Self-healing estimation check}
 

@@ -43,9 +43,17 @@ type t = {
   mutable started : bool;
 }
 
-(* Domain-local: uids distinguish systems within one domain (the audit
-   attach memo keys on them), and hooks installed in one domain must not
-   fire for systems booted in another. *)
+(* Per-machine side tables: physical equality, hashed by uid. *)
+module Side_table = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash sys = sys.uid
+end)
+
+(* Domain-local: uids distinguish systems within one domain (the side
+   tables hash on them), and hooks installed in one domain must not fire
+   for systems booted in another. *)
 let next_uid = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Boot hooks run at the end of [create], observing the fully wired

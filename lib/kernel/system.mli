@@ -124,7 +124,16 @@ val rail_energy_table : t -> (string * float) list
 (** [rail_energy_j] for every physical rail, sorted by rail name. *)
 
 val uid : t -> int
-(** Process-unique id of this machine instance (boot order, from 1). *)
+(** Id of this machine instance, unique within the domain that built it
+    (boot order, from 1). *)
+
+(** A side table keyed by machine, for state an optional observer keeps
+    per machine without the kernel knowing of it (the audit ledger's
+    attach memo, the psbox registry). Keys compare physically and hash by
+    {!uid}. A binding holds its machine only weakly: a machine nobody else
+    references stays collectable, and the table drops its dead bindings
+    when it next resizes. Keep one table per domain. *)
+module Side_table : Ephemeron.S with type key = t
 
 val on_boot : (t -> unit) -> unit
 (** Register a hook run at the end of every subsequent {!create}, observing

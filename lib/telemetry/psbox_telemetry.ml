@@ -402,32 +402,6 @@ module Metrics = struct
 
   let find name = find_in (current ()) name
 
-  (* ---- windowed counter rates --------------------------------------- *)
-
-  (* A rate tracker holds the delta bookkeeping health rules would
-     otherwise each re-implement: sample the named counter (or gauge) on a
-     caller-chosen grid and get back the per-second delta since the last
-     sample. The previous observation lives in the tracker itself, so two
-     trackers on one metric never interfere. *)
-  type rate = {
-    r_name : string;
-    mutable r_prev : (float * float) option; (* (t_s, value) at last sample *)
-  }
-
-  let rate name = { r_name = name; r_prev = None }
-
-  let rate_sample store r ~now_s =
-    match find_in store r.r_name with
-    | None ->
-        r.r_prev <- None;
-        None
-    | Some v -> (
-        let prev = r.r_prev in
-        r.r_prev <- Some (now_s, v);
-        match prev with
-        | Some (t0, v0) when now_s > t0 -> Some ((v -. v0) /. (now_s -. t0))
-        | Some _ | None -> None)
-
   let dump fmt () =
     List.iter
       (fun (name, v) -> Format.fprintf fmt "%s %s@\n" name v)

@@ -45,7 +45,12 @@ val set_enabled : bool -> unit
     ([Psbox_engine.Sim.metrics]), and every update made inside its event
     loop names that store with the [*_in] functions, so the loop never
     reads domain-local state per update. The plain updates ({!Metrics.incr}
-    and friends) write the current store, one domain-local read each. *)
+    and friends) write the current store, one domain-local read each.
+
+    Streaming readers (the health engine's rules) read a counter or gauge
+    by name with {!Metrics.find_in} on their own grid; the registry keeps
+    no per-reader state, so a reader that wants a delta or a rate keeps
+    its own previous value. *)
 module Metrics : sig
   type counter
   type gauge
@@ -104,26 +109,6 @@ module Metrics : sig
       edge. [None] on an empty histogram; exactly [0] (no interpolation)
       when every recorded observation was zero, so all-zero histograms
       never report phantom mass from the first bucket. *)
-
-  (** {2 Windowed counter rates}
-
-      The delta bookkeeping behind "events per second over the last
-      window", packaged once so streaming consumers (health rules) don't
-      each re-implement it. A tracker is an independent cursor over one
-      named metric: it remembers the value it saw at the previous sample
-      and answers the per-second delta. *)
-
-  type rate
-
-  val rate : string -> rate
-  (** A fresh tracker over the named counter or gauge. The metric does not
-      have to exist yet. *)
-
-  val rate_sample : store -> rate -> now_s:float -> float option
-  (** Record the metric's value in [store] at [now_s] and return
-      [(value - previous) / (now_s - previous_t)]. [None] on the first
-      sample after creation, whenever the metric is unregistered in
-      [store] (the tracker then starts over), or if no time has passed. *)
 
   val snapshot : unit -> (string * string) list
   (** Every registered metric as [(row_name, value)] pairs, metrics sorted

@@ -311,6 +311,40 @@ let test_display_blame_matches_app_rails () =
     [ a; b ];
   System.shutdown sys
 
+(* The attach memo holds its machines weakly: a process that builds,
+   audits and drops machine after machine keeps flat live memory. A memo
+   that kept one binding per machine ever attached grew by about 8 words
+   per machine. The memo's ephemeron table drops dead bindings when it
+   resizes, so how many it holds at a given instant depends on how far the
+   GC has got; a major cycle every 10 machines (a machine that does any
+   work sees several) keeps that number small and the reading exact. The
+   first batch grows the table to its working size; the second must not
+   grow the heap. *)
+let test_attach_memo_bounded () =
+  let saved = Audit.report_mode () in
+  Audit.set_report_mode false;
+  Fun.protect
+    ~finally:(fun () -> Audit.set_report_mode saved)
+    (fun () ->
+      let n = 2000 in
+      let batch () =
+        for i = 1 to n do
+          ignore (Audit.attach (System.create ()) : Audit.t);
+          if i mod 10 = 0 then Gc.major ()
+        done
+      in
+      let live_words () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      batch ();
+      let before = live_words () in
+      batch ();
+      let per = float_of_int (live_words () - before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f live words per dropped machine" per)
+        true (per < 1.0))
+
 let suite =
   [
     Alcotest.test_case "random workloads: per-rail bit-exact conservation"
@@ -324,4 +358,6 @@ let suite =
       test_gps_departed_app;
     Alcotest.test_case "display blame matches the app rails" `Quick
       test_display_blame_matches_app_rails;
+    Alcotest.test_case "attached machines stay collectable" `Quick
+      test_attach_memo_bounded;
   ]

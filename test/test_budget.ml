@@ -1,7 +1,7 @@
 (* Tests for the power-budget control plane: the CFS quota and driver rate
-   gates it actuates, cap convergence and graceful degradation, envelope
-   squeezing, admission ordering, and the auto-wired live splitters it
-   measures through. *)
+   gates it actuates, cap convergence (raised and lowered mid-run) and
+   graceful degradation, admission ordering, the entry points' input
+   checks, and the auto-wired live splitters it measures through. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module Smp = Psbox_kernel.Smp
@@ -173,27 +173,39 @@ let test_accel_rail_shared () =
      = None);
   System.shutdown sys
 
-(* An envelope squeezes harder as it is spent: the effective cap after
-   heavy use is lower than at the start. *)
-let test_envelope_squeezes () =
+(* Lowering a cap mid-run is the complement of raising it: a cap the app
+   never reaches leaves every knob released, and the lowered one throttles
+   the app and converges within 10%. *)
+let test_cap_lowered_mid_run () =
   let sys =
     System.create ~cores:2 ~cpu_governor:Psbox_hw.Dvfs.Performance ()
   in
   let a = System.new_app sys ~name:"a" in
+  let b = System.new_app sys ~name:"b" in
   spin sys a;
+  spin sys b;
   System.start sys;
+  let app = a.System.app_id in
   let ctl = Budget.create sys () in
-  (* ~2.5 W draw against a 10 J / 10 s envelope (1 W average) *)
-  Budget.set_envelope ctl ~app:a.System.app_id ~joules:10.0
-    ~horizon:(Time.sec 10);
-  let cap0 = Budget.effective_cap_w ctl ~app:a.System.app_id in
-  System.run_for sys (Time.sec 3);
-  let cap3 = Budget.effective_cap_w ctl ~app:a.System.app_id in
+  Budget.set_cap ctl ~app ~watts:2.0;
+  System.run_for sys (Time.sec 1);
+  let free = Budget.measured_w ctl ~app in
   check_bool
-    (Printf.sprintf "cap declines after overspend (%.2f -> %.2f W)" cap0 cap3)
+    (Printf.sprintf "2 W never binds (%.3f W)" free)
     true
-    (cap3 < cap0);
-  check_bool "throttled" true (Budget.throttle ctl ~app:a.System.app_id < 1.0);
+    (free > 0.5 && free < 2.0);
+  check_bool "unthrottled" true (Budget.throttle ctl ~app = 1.0);
+  check_bool "no quota" true (Smp.quota (System.smp sys) ~app = None);
+  Budget.set_cap ctl ~app ~watts:0.5;
+  check_bool "cap reads back" true (Budget.effective_cap_w ctl ~app = 0.5);
+  System.run_for sys (Time.sec 2);
+  let meas = Budget.measured_w ctl ~app in
+  check_bool
+    (Printf.sprintf "within 10%% of the lowered cap (%.3f W)" meas)
+    true
+    (Float.abs (meas -. 0.5) /. 0.5 < 0.10);
+  check_bool "throttled" true (Budget.throttle ctl ~app < 1.0);
+  check_bool "quota armed" true (Smp.quota (System.smp sys) ~app <> None);
   Budget.stop ctl;
   System.shutdown sys
 
@@ -202,20 +214,18 @@ let test_envelope_squeezes () =
 let test_admission_ordering () =
   let sys = System.create () in
   let ctl = Budget.create sys ~machine_budget_w:3.0 () in
-  let order = ref [] in
-  let note name () = order := name :: !order in
   check_bool "A fits" true
     (Budget.admit ctl ~app:1 ~watts:2.0 () = Budget.Admitted);
   check_bool "B fits" true
     (Budget.admit ctl ~app:2 ~watts:0.9 () = Budget.Admitted);
   check_bool "C queues" true
-    (Budget.admit ctl ~app:3 ~watts:1.5 ~on_admit:(note "C") ~queue:true ()
-    = Budget.Queued);
+    (Budget.admit ctl ~app:3 ~watts:1.5 ~queue:true () = Budget.Queued);
   check_bool "D queues behind C" true
-    (Budget.admit ctl ~app:4 ~watts:0.2 ~on_admit:(note "D") ~queue:true ()
-    = Budget.Queued);
+    (Budget.admit ctl ~app:4 ~watts:0.2 ~queue:true () = Budget.Queued);
   check_bool "E rejected" true
     (Budget.admit ctl ~app:5 ~watts:5.0 () = Budget.Rejected);
+  check_bool "F queues behind D" true
+    (Budget.admit ctl ~app:6 ~watts:1.4 ~queue:true () = Budget.Queued);
   (try
      ignore (Budget.admit ctl ~app:1 ~watts:0.1 ());
      Alcotest.fail "duplicate admit should raise"
@@ -224,12 +234,17 @@ let test_admission_ordering () =
   Budget.release ctl ~app:2;
   check_bool "C still queued" false (Budget.admitted ctl ~app:3);
   check_bool "D held behind C" false (Budget.admitted ctl ~app:4);
-  check_int "two waiting" 2 (Budget.queued ctl);
-  (* 2 W more freed: C drains first, then D *)
+  check_int "three waiting" 3 (Budget.queued ctl);
+  (* 2 W more freed: C drains first, then D; F (1.4 W) no longer fits in
+     the 1.3 W they leave and stops the drain *)
   Budget.release ctl ~app:1;
   check_bool "C admitted" true (Budget.admitted ctl ~app:3);
   check_bool "D admitted" true (Budget.admitted ctl ~app:4);
-  check_bool "admitted in arrival order" true (List.rev !order = [ "C"; "D" ]);
+  check_bool "F still queued" false (Budget.admitted ctl ~app:6);
+  check_int "one waiting" 1 (Budget.queued ctl);
+  (* C's 1.5 W back: F drains *)
+  Budget.release ctl ~app:3;
+  check_bool "F admitted" true (Budget.admitted ctl ~app:6);
   check_int "queue drained" 0 (Budget.queued ctl);
   Budget.stop ctl;
   System.shutdown sys
@@ -272,11 +287,27 @@ let test_set_cap_rejects_nan () =
   | None -> Alcotest.fail "zero cap left no gate");
   finish sys ctl
 
-let test_set_envelope_rejects_nan () =
+(* Every watts-taking entry point rejects a negative value by name and
+   changes nothing: no cap, no reservation, the budget it had. *)
+let test_negative_watts_rejected () =
   let sys, app, ctl = nan_machine () in
-  Alcotest.check_raises "nan joules"
-    (Invalid_argument "Budget.set_envelope: NaN joules") (fun () ->
-      Budget.set_envelope ctl ~app ~joules:Float.nan ~horizon:(Time.sec 1));
+  let rejects fn what f =
+    Alcotest.check_raises fn
+      (Invalid_argument (Printf.sprintf "Budget.%s: negative %s" fn what))
+      f
+  in
+  rejects "set_cap" "cap" (fun () -> Budget.set_cap ctl ~app ~watts:(-0.5));
+  check_bool "no cap set" true (Budget.effective_cap_w ctl ~app = infinity);
+  Budget.set_machine_budget ctl (Some 3.0);
+  rejects "admit" "demand" (fun () ->
+      ignore (Budget.admit ctl ~app ~watts:(-1.0) ~queue:true ()));
+  check_bool "nothing reserved" false (Budget.admitted ctl ~app);
+  check_int "nothing queued" 0 (Budget.queued ctl);
+  rejects "set_machine_budget" "budget" (fun () ->
+      Budget.set_machine_budget ctl (Some (-3.0)));
+  check_bool "budget kept" true (Budget.remaining_w ctl = 3.0);
+  rejects "create" "machine budget" (fun () ->
+      ignore (Budget.create sys ~machine_budget_w:(-1.0) ()));
   finish sys ctl
 
 let test_admit_rejects_nan () =
@@ -346,8 +377,6 @@ let test_negative_app_rejected () =
       Split.live_set_share lv ~at:(System.now sys) ~app:(-1) 1.0);
   rejects "Budget.set_cap" (fun () ->
       Budget.set_cap ctl ~app:(-1) ~watts:0.4);
-  rejects "Budget.set_envelope" (fun () ->
-      Budget.set_envelope ctl ~app:(-1) ~joules:1.0 ~horizon:(Time.sec 1));
   System.start sys;
   System.run_for sys (Time.sec 1);
   check_int "no budget tick for a refused app" 0
@@ -369,15 +398,15 @@ let suite =
       test_cap_raised_mid_run;
     Alcotest.test_case "two apps share one accel rail" `Quick
       test_accel_rail_shared;
-    Alcotest.test_case "envelope squeezes as it is spent" `Quick
-      test_envelope_squeezes;
+    Alcotest.test_case "cap lowered mid-run throttles" `Quick
+      test_cap_lowered_mid_run;
     Alcotest.test_case "admission drains head-first" `Quick
       test_admission_ordering;
     Alcotest.test_case "live_cpu attributes the full rail" `Quick
       test_live_cpu_attribution_total;
     Alcotest.test_case "set_cap rejects NaN" `Quick test_set_cap_rejects_nan;
-    Alcotest.test_case "set_envelope rejects NaN" `Quick
-      test_set_envelope_rejects_nan;
+    Alcotest.test_case "negative watts rejected by name" `Quick
+      test_negative_watts_rejected;
     Alcotest.test_case "admit rejects NaN" `Quick test_admit_rejects_nan;
     Alcotest.test_case "machine budget rejects NaN" `Quick
       test_machine_budget_rejects_nan;

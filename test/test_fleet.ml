@@ -251,8 +251,8 @@ let fleet_bytes ?jobs ~scenario ~devices ~seed () =
   Fleet.json_string (Fleet.run ?jobs ~scenario ~devices ~seed ())
 
 let test_params_pure () =
-  let p = Fleet.params_of ~scenario:"budget" ~fleet_seed:42 3 in
-  let p' = Fleet.params_of ~scenario:"budget" ~fleet_seed:42 3 in
+  let p = Fleet.params_of ~fleet_seed:42 3 in
+  let p' = Fleet.params_of ~fleet_seed:42 3 in
   Alcotest.(check bool) "params_of is pure" true (p = p');
   Alcotest.(check bool) "cores in range" true
     (p.Fleet.p_cores = 1 || p.Fleet.p_cores = 2);

@@ -1,15 +1,15 @@
 (* Tests for the streaming health engine: hysteresis latching (one
    incident per excursion, re-arm below 80% of the threshold), the
-   pending -> firing -> resolved lifecycle with for-durations, absence
-   staleness, multi-window SLO burn and its monotone response to the
-   violation rate, NaN rule parameters rejected by name, the model.drift
-   rule as the estimator's only drift detector, responders actually acting
-   (budget tightening, self-healing recalibration), the incident log
-   staying valid JSON for any name, and the fleet incident rollup staying
+   pending -> firing -> resolved lifecycle with for-durations and its
+   timestamps on the evaluation grid, the evidence an incident records,
+   absence staleness, multi-window SLO burn and its monotone response to
+   the violation rate, NaN and out-of-range parameters rejected by name,
+   the model.drift rule as the estimator's only drift detector, the
+   self-healing recalibration responder, the incident log staying valid
+   JSON for any name, and the fleet incident rollup staying
    byte-identical across job counts. *)
 open Psbox_engine
 module System = Psbox_kernel.System
-module Budget = Psbox_budget.Budget
 module Health = Psbox_health.Health
 module Fleet = Psbox_fleet.Fleet
 module Model = Psbox_model.Model
@@ -23,9 +23,14 @@ let check_int = Alcotest.(check int)
 let fired_count eng rule =
   List.assoc_opt rule (Health.incident_counts eng) |> Option.value ~default:0
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* Drive an engine by hand: a probe reads from a mutable cell, eval_now
-   consumes one value per call. Time never advances, which is fine for
-   every rule kind except rate_of_change (tested on the grid below). *)
+   consumes one value per call. Time never advances; the grid's
+   timestamps are tested on the grid below. *)
 let drive_threshold ?for_windows ~limit values =
   Tm.with_fresh_store (fun () ->
       let sim = Sim.create () in
@@ -239,22 +244,15 @@ let gen_param =
       ])
 
 type rule_case =
-  | Limit of bool * float  (** threshold: below?, limit *)
-  | Per_second of float  (** rate_of_change *)
+  | Limit of float  (** threshold: limit *)
   | Burn of float * float  (** slo_burn: slo, factor *)
 
 let case_params = function
-  | Limit (_, x) | Per_second x -> [ x ]
+  | Limit x -> [ x ]
   | Burn (slo, factor) -> [ slo; factor ]
 
 let print_case c =
-  let fn =
-    match c with
-    | Limit (true, _) -> "threshold below"
-    | Limit (false, _) -> "threshold"
-    | Per_second _ -> "rate_of_change"
-    | Burn _ -> "slo_burn"
-  in
+  let fn = match c with Limit _ -> "threshold" | Burn _ -> "slo_burn" in
   String.concat " " (fn :: List.map string_of_float (case_params c))
 
 let arbitrary_rule_case =
@@ -266,8 +264,7 @@ let arbitrary_rule_case =
       let* c =
         oneof
           [
-            map2 (fun b x -> Limit (b, x)) bool gen_param;
-            map (fun x -> Per_second x) gen_param;
+            map (fun x -> Limit x) gen_param;
             map2 (fun slo f -> Burn (slo, f)) gen_param gen_param;
           ]
       in
@@ -276,12 +273,8 @@ let arbitrary_rule_case =
 
 let build_case c signal =
   match c with
-  | Limit (below, x) ->
-      ( "Health.threshold:",
-        fun () -> Health.threshold ~name:"r" ~below signal x )
-  | Per_second x ->
-      ( "Health.rate_of_change:",
-        fun () -> Health.rate_of_change ~name:"r" signal ~per_second:x )
+  | Limit x ->
+      ("Health.threshold:", fun () -> Health.threshold ~name:"r" signal x)
   | Burn (slo, factor) ->
       ( "Health.slo_burn:",
         fun () ->
@@ -373,26 +366,43 @@ let test_drift_entry_points_reject_nan () =
     [ -100.0; -200.0; Float.infinity; Float.neg_infinity ]
 
 (* ------------------------------------------------------------------ *)
-(* rate_of_change needs real timestamps: run it on the evaluation grid. *)
+(* A Metric threshold on the engine's own grid: the incident opens and
+   fires at the first grid instant after the crossing, holds while the
+   gauge sits between 0.8x the limit and the limit, and resolves at the
+   first grid instant that sees it below 0.8x.                           *)
 
-let test_rate_of_change_on_grid () =
+let test_threshold_on_grid () =
   Tm.with_fresh_store (fun () ->
       let sim = Sim.create () in
       let eng = Health.create sim ~period:(Time.ms 10) () in
       let g = Tm.gauge "level" in
       Health.add_rule eng
-        (Health.rate_of_change ~name:"spike" (Health.Metric "level")
-           ~per_second:100.0);
+        (Health.threshold ~name:"hot" (Health.Metric "level") 10.0);
       Tm.set g 0.0;
-      Sim.run_until sim (Time.ms 10);
-      (* +10 over 10 ms = 1000/s: breach *)
-      Tm.set g 10.0;
-      Sim.run_until sim (Time.ms 20);
-      check_int "derivative breach fired" 1 (fired_count eng "spike");
-      (* flat signal: derivative 0 < 80 clears the latch *)
-      Sim.run_until sim (Time.ms 30);
-      check_int "flat resolves" 0 (List.length (Health.open_incidents eng));
-      Health.stop eng)
+      Sim.run_until sim (Time.ms 15);
+      check_int "quiet below the limit" 0 (List.length (Health.incidents eng));
+      Tm.set g 12.0;
+      Sim.run_until sim (Time.ms 43);
+      Tm.set g 9.0;
+      Sim.run_until sim (Time.ms 57);
+      check_int "inside the hysteresis band it stays open" 1
+        (List.length (Health.open_incidents eng));
+      Tm.set g 7.5;
+      Sim.run_until sim (Time.ms 100);
+      Health.stop eng;
+      let at ms = Some (Time.to_sec_f (Time.ms ms)) in
+      match Health.incidents eng with
+      | [ i ] ->
+          check_bool "subject is the metric" true
+            (i.Health.i_subject = "level");
+          check_bool "opened at the first grid instant after 15 ms" true
+            (Some i.Health.i_opened_s = at 20);
+          check_bool "fired there too" true (i.Health.i_fired_s = at 20);
+          check_bool "resolved at the first grid instant below 8" true
+            (i.Health.i_resolved_s = at 60);
+          check_int "fired once" 1 (fired_count eng "hot")
+      | incs ->
+          Alcotest.failf "expected one incident, got %d" (List.length incs))
 
 (* The grid is demand-armed: no rules, no events; stop cancels the tick. *)
 let test_demand_armed_grid () =
@@ -410,62 +420,56 @@ let test_demand_armed_grid () =
       check_int "stopped engine never evaluates" 5 (Health.evals eng))
 
 (* ------------------------------------------------------------------ *)
-(* Responders act: a firing incident tightens the budget envelope.      *)
+(* An incident's evidence: its worst value while open (i_peak) and the
+   evaluations it stayed open (i_evals), the resolving one included.    *)
 
-let test_tighten_responder () =
+let test_incident_peak_and_evals () =
+  let eng =
+    drive_threshold ~limit:10.0
+      [ 5.0; 12.0; 15.0; 11.0; 9.0; 7.0; 3.0; 20.0; 1.0 ]
+  in
+  match Health.incidents eng with
+  | [ first; second ] ->
+      check_bool "first peak" true (first.Health.i_peak = 15.0);
+      check_int "first open evals" 5 first.Health.i_evals;
+      check_bool "second peak" true (second.Health.i_peak = 20.0);
+      check_int "second open evals" 2 second.Health.i_evals;
+      check_bool "log carries the first incident's evidence" true
+        (contains (Health.json eng) "\"peak\": 15.000000, \"evals\": 5 }")
+  | incs -> Alcotest.failf "expected two incidents, got %d" (List.length incs)
+
+(* Out-of-range arguments are rejected by name rather than building a
+   rule that never fires or fires on every evaluation, or handing a rule
+   to an engine that will never evaluate it. *)
+let test_invalid_args_rejected () =
+  let rejects msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
   Tm.with_fresh_store (fun () ->
-      let sys = System.create ~cores:1 () in
-      let a = System.new_app sys ~name:"a" in
-      ignore
-        (W.spawn sys ~app:a ~name:"spin"
-           (W.forever (fun () -> [ W.Compute (Time.ms 2) ])));
-      System.start sys;
-      let ctl = Budget.create sys () in
-      Budget.set_cap ctl ~app:a.System.app_id ~watts:2.0;
-      System.run_for sys (Time.ms 100);
-      let cap0 = Budget.effective_cap_w ctl ~app:a.System.app_id in
-      let eng = Health.create (System.sim sys) () in
-      let trip = ref false in
-      Health.add_rule eng
-        (Health.threshold ~name:"over"
-           (Health.Probe ("p", fun () -> Some (if !trip then 5.0 else 0.0)))
-           1.0);
-      Health.on_firing eng ~rule:"over"
-        (Health.Responder.tighten_budget ctl ~app:a.System.app_id);
-      trip := true;
-      System.run_for sys (Time.ms 100);
-      let cap1 = Budget.effective_cap_w ctl ~app:a.System.app_id in
-      check_bool
-        (Printf.sprintf "cap ratcheted once (%.3f -> %.3f)" cap0 cap1)
-        true
-        (Float.abs (cap1 -. (0.9 *. cap0)) < 1e-9);
-      check_int "hysteresis: fired once, acted once" 1 (fired_count eng "over");
+      let sim = Sim.create () in
+      rejects "Health.create: period must be positive" (fun () ->
+          ignore (Health.create sim ~period:0 ()));
+      let probe = Health.Probe ("p", fun () -> Some 0.0) in
+      rejects "Health.threshold: for_windows < 1" (fun () ->
+          ignore (Health.threshold ~name:"t" ~for_windows:0 probe 1.0));
+      rejects "Health.absence: stale_windows < 1" (fun () ->
+          ignore (Health.absence ~name:"a" ~stale_windows:0 "m"));
+      let burn ?(short_windows = 4) ?(long_windows = 16) ?(slo = 0.05)
+          ?(factor = 2.0) () =
+        ignore
+          (Health.slo_burn ~name:"b" ~bad:"bad" ~total:"total" ~slo
+             ~short_windows ~long_windows ~factor ())
+      in
+      rejects "Health.slo_burn: need 1 <= short_windows <= long_windows"
+        (fun () -> burn ~short_windows:8 ~long_windows:4 ());
+      rejects "Health.slo_burn: slo must be positive" (fun () ->
+          burn ~slo:0.0 ());
+      rejects "Health.slo_burn: factor must be positive" (fun () ->
+          burn ~factor:0.0 ());
+      let eng = Health.create sim () in
       Health.stop eng;
-      Budget.stop ctl;
-      System.shutdown sys)
-
-let test_budget_tighten_direct () =
-  Tm.with_fresh_store (fun () ->
-      let sys = System.create ~cores:1 () in
-      let a = System.new_app sys ~name:"a" in
-      System.start sys;
-      let ctl = Budget.create sys () in
-      Budget.set_cap ctl ~app:a.System.app_id ~watts:2.0;
-      Budget.tighten ctl ~app:a.System.app_id;
-      Budget.tighten ctl ~app:a.System.app_id;
-      System.run_for sys (Time.ms 60);
-      let cap = Budget.effective_cap_w ctl ~app:a.System.app_id in
-      check_bool
-        (Printf.sprintf "two steps of 0.9 (%.3f)" cap)
-        true
-        (Float.abs (cap -. (2.0 *. 0.81)) < 1e-9);
-      check_bool "bad factor rejected" true
-        (try
-           Budget.tighten ~factor:1.5 ctl ~app:a.System.app_id;
-           false
-         with Invalid_argument _ -> true);
-      Budget.stop ctl;
-      System.shutdown sys)
+      rejects "Health.add_rule: engine stopped" (fun () ->
+          Health.add_rule eng (Health.threshold ~name:"t" probe 1.0));
+      Sim.run_until sim (Time.ms 200);
+      check_int "a stopped engine never evaluates" 0 (Health.evals eng))
 
 (* ------------------------------------------------------------------ *)
 (* The model.drift rule is the only drift detector: the estimator
@@ -621,11 +625,6 @@ let test_json_deterministic () =
   in
   let j1 = Health.json (mk ()) and j2 = Health.json (mk ()) in
   Alcotest.(check string) "same drive, same bytes" j1 j2;
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "fired counts present" true (contains j1 "\"fired\"");
   check_bool "incident rows present" true (contains j1 "\"rule\": \"t\"")
 
@@ -700,12 +699,13 @@ let suite =
       test_absence_never_registered;
     Alcotest.test_case "slo burn lifecycle" `Quick test_slo_burn_lifecycle;
     Alcotest.test_case "burn-rate zero guard" `Quick test_burn_rate_zero_guard;
-    Alcotest.test_case "rate-of-change on the grid" `Quick
-      test_rate_of_change_on_grid;
+    Alcotest.test_case "metric threshold on the grid" `Quick
+      test_threshold_on_grid;
     Alcotest.test_case "demand-armed grid" `Quick test_demand_armed_grid;
-    Alcotest.test_case "tighten responder" `Quick test_tighten_responder;
-    Alcotest.test_case "budget tighten direct" `Quick
-      test_budget_tighten_direct;
+    Alcotest.test_case "incident peak and open evaluations" `Quick
+      test_incident_peak_and_evals;
+    Alcotest.test_case "invalid arguments rejected by name" `Quick
+      test_invalid_args_rejected;
     Alcotest.test_case "drift rule fires once per rail" `Slow
       test_drift_rule_once_per_rail;
     Alcotest.test_case "drift rule re-arms after a model swap" `Quick
